@@ -37,7 +37,7 @@ void figure311() {
   std::printf("==== Figure 3.1.1: DFTNO node labeling ====\n");
   std::printf("graph: r-b, r-a, b-d, d-c (root explores b before a)\n\n");
   Dftno dftno(Graph::figure311());
-  dftno.substrate().resetClean();
+  dftno.resetClean();
 
   int step = 1;
   std::printf("(%-5s) %s\n", "i", "all processors unvisited");

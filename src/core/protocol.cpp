@@ -35,7 +35,7 @@ void Protocol::decodeConfiguration(const std::vector<std::uint64_t>& codes) {
   SSNO_EXPECTS(static_cast<int>(codes.size()) == graph().nodeCount());
   for (NodeId p = 0; p < graph().nodeCount(); ++p)
     doDecodeNode(p, codes[static_cast<std::size_t>(p)]);
-  dirtyAll();
+  noteWriteAll();
 }
 
 void Protocol::decodeConfigurationDelta(
@@ -74,7 +74,7 @@ void Protocol::setRawConfiguration(const std::vector<int>& values) {
     offset += len;
   }
   SSNO_EXPECTS(offset == values.size());
-  dirtyAll();
+  noteWriteAll();
 }
 
 std::uint64_t Protocol::configurationHash() const {

@@ -25,10 +25,17 @@
 // dirty processors' guards instead of rescanning all n each step.
 //
 // Contract for protocol authors: ALL state writes must go through the
-// wrappers (or call dirtyNeighborhood/dirtyAll explicitly for internal
-// resets), and a protocol whose guard at p reads state beyond N[p] must
-// override dirtyAfterWrite to extend the dirty region (see
+// wrappers (or call dirtyNeighborhood/noteWriteAll explicitly for
+// internal resets), and a protocol whose guard at p reads state beyond
+// N[p] must override dirtyAfterWrite to extend the dirty region (see
 // InitBasedOrientation, whose numbering wave follows a global preorder).
+//
+// Writer feed (legitimacy trackers).  Independently of the dirty set,
+// the same notifications can feed a second, opt-in record: the written
+// processors themselves (not their dirty regions), or "everything" after
+// a whole-configuration write.  Incremental legitimacy predicates
+// (core/orbit_index, core/guard_counts) consume it to pay O(writes) per
+// check instead of rescanning the configuration.
 #ifndef SSNO_CORE_PROTOCOL_HPP
 #define SSNO_CORE_PROTOCOL_HPP
 
@@ -133,7 +140,7 @@ class Protocol {
   /// (transient-fault model: the adversary may set all variables).
   void randomize(Rng& rng) {
     for (NodeId p = 0; p < graph_.nodeCount(); ++p) doRandomizeNode(p, rng);
-    dirtyAll();
+    noteWriteAll();
   }
 
   /// Arbitrary state for a single processor (k-fault injection).
@@ -147,7 +154,7 @@ class Protocol {
   /// 0..localStateCount(p)-1.  Only meaningful at model-checking scales:
   /// for high-degree processors the count may exceed 64 bits, in which
   /// case the codec must not be used (the ModelChecker detects overflow;
-  /// the simulator and legitimacy orbits use the raw-values API below).
+  /// the simulator and the legitimacy orbit indexes use raw values).
   [[nodiscard]] virtual std::uint64_t localStateCount(NodeId p) const = 0;
   [[nodiscard]] virtual std::uint64_t encodeNode(NodeId p) const = 0;
   void decodeNode(NodeId p, std::uint64_t code) {
@@ -258,8 +265,8 @@ class Protocol {
   /// Dirty notification for a state write performed OUTSIDE the mutation
   /// wrappers — e.g. a snapshot restore through StateArena columns,
   /// which bypasses the do* hooks entirely.  Equivalent to the dirtying
-  /// a wrapper-mediated write at p would have produced (deferred inside
-  /// a simultaneous-step bracket).
+  /// (and writer-feed entry) a wrapper-mediated write at p would have
+  /// produced (deferred inside a simultaneous-step bracket).
   void noteExternalWrite(NodeId p) { noteWrite(p); }
 
   /// ---- Columnar state registry (simultaneous-step fast path) ----------
@@ -293,6 +300,34 @@ class Protocol {
     for (NodeId p : dirty_list_) dirty_flag_[static_cast<std::size_t>(p)] = 0;
     dirty_list_.clear();
     all_dirty_ = false;
+  }
+
+  /// ---- Writer feed (single active consumer, e.g. a legitimacy tracker)
+  /// The processors written since clearWritten(), deduplicated, fed by
+  /// every write notification — the mutation wrappers, noteExternalWrite
+  /// and the writers a simultaneous step records, dense steps included —
+  /// and by whole-configuration writes, which set allWritten() instead of
+  /// listing every processor.  Unlike the dirty set it names writers, not
+  /// their guard regions, and draining one never disturbs the other.
+  /// Disarmed (the default) a write pays one branch and nothing is
+  /// allocated; the first consumer arms it, starting from allWritten()
+  /// because earlier writes went unrecorded.
+  void armWriterFeed() {
+    if (feed_armed_) return;
+    feed_armed_ = true;
+    written_flag_.assign(static_cast<std::size_t>(graph_.nodeCount()), 0);
+    all_written_ = true;
+  }
+  [[nodiscard]] bool allWritten() const { return all_written_; }
+  /// Deduplicated writers (meaningless while allWritten()).
+  [[nodiscard]] const std::vector<NodeId>& writtenNodes() const {
+    return written_list_;
+  }
+  void clearWritten() {
+    for (NodeId p : written_list_)
+      written_flag_[static_cast<std::size_t>(p)] = 0;
+    written_list_.clear();
+    all_written_ = false;
   }
 
  protected:
@@ -334,18 +369,35 @@ class Protocol {
     for (NodeId q : graph_.neighbors(p)) dirtyNode(q);
   }
 
-  /// Marks every processor dirty (whole-configuration writes, internal
-  /// bulk resets such as Dftc::resetClean).
+  /// Marks every processor dirty without naming a writer (the dense
+  /// simultaneous-step over-approximation; the writers went to the feed).
   void dirtyAll() {
     for (NodeId p : dirty_list_) dirty_flag_[static_cast<std::size_t>(p)] = 0;
     dirty_list_.clear();
     all_dirty_ = true;
   }
 
+  /// A whole-configuration write (internal bulk resets such as
+  /// Dftc::resetClean): everything dirty, everything written.
+  void noteWriteAll() {
+    dirtyAll();
+    if (!feed_armed_) return;
+    clearWritten();
+    all_written_ = true;
+  }
+
  private:
-  /// Routes a write notification at p to dirtyAfterWrite, or — inside a
-  /// simultaneous-step bracket — into the deduplicated writer record.
+  /// Routes a write notification at p to the writer feed (when armed)
+  /// and to dirtyAfterWrite, or — inside a simultaneous-step bracket —
+  /// into the deduplicated deferred-writer record.
   void noteWrite(NodeId p) {
+    if (feed_armed_ && !all_written_) {
+      auto& written = written_flag_[static_cast<std::size_t>(p)];
+      if (!written) {
+        written = 1;
+        written_list_.push_back(p);
+      }
+    }
     if (!defer_writes_) {
       dirtyAfterWrite(p);
       return;
@@ -363,6 +415,10 @@ class Protocol {
   bool defer_writes_ = false;
   std::vector<std::uint8_t> deferred_flag_;
   std::vector<NodeId> deferred_writers_;
+  bool feed_armed_ = false;
+  bool all_written_ = false;
+  std::vector<std::uint8_t> written_flag_;  // empty until armed
+  std::vector<NodeId> written_list_;
 };
 
 }  // namespace ssno

@@ -297,6 +297,36 @@ class StateArena {
     return out;
   }
 
+  /// Calls fn(v) for each of p's raw values in rawNode order without
+  /// materializing them, stopping as soon as fn returns false; returns
+  /// whether every value was visited (the hashing and exact-compare
+  /// primitive of core/orbit_index).
+  template <class Fn>
+  bool visitRawNode(NodeId p, Fn&& fn) const {
+    for (const Col& c : cols_) {
+      switch (c.kind) {
+        case Kind::kNode:
+          if (!fn((*c.data)[static_cast<std::size_t>(p)])) return false;
+          break;
+        case Kind::kPort: {
+          const int* row = c.data->data() + graph_->portBase(p);
+          for (int l = 0; l < graph_->degree(p); ++l)
+            if (!fn(row[l])) return false;
+          break;
+        }
+        case Kind::kVar: {
+          const auto& s = c.var->slots[static_cast<std::size_t>(p)];
+          if (!fn(s.len)) return false;
+          const int* row = c.var->pool.data() + s.off;
+          for (int i = 0; i < s.len; ++i)
+            if (!fn(row[i])) return false;
+          break;
+        }
+      }
+    }
+    return true;
+  }
+
   /// Inverse of rawNode.  Does NOT dirty anything (see header comment).
   void setRawNode(NodeId p, std::span<const int> values) {
     std::size_t at = 0;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/assert.hpp"
+#include "core/bitwords.hpp"
 
 namespace ssno {
 
@@ -415,33 +416,30 @@ void Dftc::resetClean() {
   col_.fill(0);
   d_.fill(0);
   par_.fill(0);
-  dirtyAll();
+  noteWriteAll();
 }
 
-void Dftc::buildOrbitIfNeeded() {
-  if (orbit_.has_value()) return;
-  // Walk the deterministic legitimate cycle from the clean boundary,
-  // with hooks suppressed and the observable state restored afterwards.
-  const std::vector<int> saved = rawConfiguration();
-  TokenHooks savedHooks = std::move(hooks_);
-  hooks_ = TokenHooks{};
-  resetClean();
-  orbit_.emplace();
-  while (true) {
-    std::vector<int> code = rawConfiguration();
-    if (!orbit_->insert(std::move(code)).second) break;  // cycle closed
-    const std::vector<Move> moves = enabledMoves();
-    // The legitimate execution is deterministic: exactly one enabled move.
-    SSNO_ASSERT(moves.size() == 1);
-    execute(moves.front().node, moves.front().action);
+const OrbitIndex& Dftc::orbitIndex() {
+  if (!orbit_) {
+    // The legitimate execution is deterministic: exactly one move is
+    // enabled at every configuration of the walk.
+    Dftc scratch(graph());
+    scratch.resetClean();
+    orbit_ = std::make_unique<OrbitIndex>(OrbitIndex::walk(
+        scratch,
+        [](const EnabledView& view, std::span<const NodeId> enabled) {
+          SSNO_ASSERT(enabled.size() == 1 && view.moveCount() == 1);
+          return Move{enabled[0], bits::lowestBit(view.actionMask(enabled[0]))};
+        },
+        /*prefixIsMember=*/true));
   }
-  hooks_ = std::move(savedHooks);
-  setRawConfiguration(saved);
+  return *orbit_;
 }
 
 bool Dftc::isLegitimate() {
-  buildOrbitIfNeeded();
-  return orbit_->contains(rawConfiguration());
+  const OrbitIndex& orbit = orbitIndex();
+  if (!tracker_) tracker_ = std::make_unique<OrbitTracker>(*this);
+  return tracker_->contains(orbit);
 }
 
 double Dftc::stateBits(NodeId p) const {

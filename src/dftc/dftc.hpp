@@ -72,20 +72,26 @@
 // on larger ones.
 //
 // The set of legitimate configurations L_TC is the *orbit* of the clean
-// round-boundary configuration (all S=C, uniform color): the legitimate
-// execution is deterministic (exactly one substrate action enabled), so
-// the orbit is a finite cycle computed once and membership is a hash
-// lookup.
+// round-boundary configuration (all S=C, col=0, d=0, par=0): the
+// legitimate execution is deterministic (exactly one substrate action
+// enabled), so walking it from the clean reset visits a finite prefix
+// (the first round, which fills in d and par) and then a cycle; L_TC is
+// every configuration of that walk, prefix included (DESIGN.md
+// "Legitimate sets").  The walk is recorded once, lazily, in an
+// OrbitIndex (core/orbit_index.hpp) on a scratch instance, and a check
+// costs O(writes since the previous check) — a Zobrist fingerprint kept
+// current from the writer feed and an index probe — plus, on a hit, an
+// O(n) exact confirmation against the recorded per-processor timelines.
 #ifndef SSNO_DFTC_DFTC_HPP
 #define SSNO_DFTC_DFTC_HPP
 
 #include <functional>
-#include <optional>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/graph.hpp"
+#include "core/orbit_index.hpp"
 #include "core/protocol.hpp"
 #include "core/state_arena.hpp"
 #include "core/types.hpp"
@@ -147,10 +153,16 @@ class Dftc final : public Protocol {
   /// (p currently holds, or is about to act on, the token).
   [[nodiscard]] bool holdsToken(NodeId p) const;
 
-  /// L_TC: current configuration lies on the legitimate orbit.
-  /// (Non-const only because orbit computation temporarily walks the
-  /// protocol through the clean cycle; the observable state is restored.)
+  /// L_TC: the current configuration lies on the legitimate orbit.
+  /// O(writes since the previous check), plus O(n) when it does (the
+  /// exact confirmation of the fingerprint hit); the first call builds the
+  /// orbit index and arms this protocol's writer feed (non-const for
+  /// that reason — the configuration and the dirty set are untouched).
   [[nodiscard]] bool isLegitimate();
+
+  /// The recorded walk behind L_TC, built at the first request on a
+  /// scratch instance (Dftno checks its substrate layer against it).
+  [[nodiscard]] const OrbitIndex& orbitIndex();
 
   /// Resets to the clean round boundary: all S=C, col=0, d=0, par=0.
   void resetClean();
@@ -231,8 +243,6 @@ class Dftc final : public Protocol {
   [[nodiscard]] Port firstOfferingParentPort(NodeId p) const;
   [[nodiscard]] bool validParent(NodeId p) const;
 
-  void buildOrbitIfNeeded();
-
   // SoA state columns (registration order == raw layout {s, col, d, par}).
   StateArena arena_;
   NodeColumn s_;     // kIdle or port
@@ -245,8 +255,9 @@ class Dftc final : public Protocol {
   // bytes (see the offers pass in evaluateGuards).  Mutable because the
   // evaluator is const; reused across calls, no steady-state allocation.
   mutable std::vector<std::uint8_t> offers_;
-  // Exact raw configurations of the legitimate orbit (computed once).
-  std::optional<std::set<std::vector<int>>> orbit_;
+  // L_TC's walk and the live fingerprint, both built at the first check.
+  std::unique_ptr<OrbitIndex> orbit_;
+  std::unique_ptr<OrbitTracker> tracker_;
 };
 
 }  // namespace ssno

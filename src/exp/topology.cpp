@@ -108,7 +108,7 @@ void validateDRegular(int n, int d) {
 }
 
 void validatePowerLawTree(int n, double alpha) {
-  require(n >= 1, "plaw needs n >= 1");
+  require(n >= 2, "plaw needs n >= 2");
   require(alpha >= 0.0 && alpha <= 8.0, "plaw needs 0 <= alpha <= 8");
   // Attachment uses a linear weight scan per node: O(n^2) total.
   require(n <= 20'000, "plaw needs n <= 20000");
@@ -311,6 +311,8 @@ std::string TopologySpec::name() const {
 }
 
 void TopologySpec::validate() const {
+  // Every family needs n >= 2: the protocols are defined on rooted
+  // networks with at least one link and reject smaller graphs.
   // Simulator-scale sanity caps: a spec comes from user input, and an
   // absurd size must fail fast instead of allocating tens of GB.
   constexpr long long kMaxNodes = 1'000'000;
@@ -330,7 +332,7 @@ void TopologySpec::validate() const {
       requireScale(la, la);
       return;
     case TopologyFamily::kPath:
-      require(a >= 1, "path needs n >= 1");
+      require(a >= 2, "path needs n >= 2");
       requireScale(la, la);
       return;
     case TopologyFamily::kStar:
@@ -358,19 +360,20 @@ void TopologySpec::validate() const {
       requireScale(la + lb, la * (la - 1) / 2 + lb);
       return;
     case TopologyFamily::kKAryTree:
-      require(a >= 1 && b >= 1, "kary needs n >= 1, k >= 1");
+      require(a >= 2 && b >= 1, "kary needs n >= 2, k >= 1");
       requireScale(la, la);
       return;
     case TopologyFamily::kCaterpillar:
-      require(a >= 1 && b >= 0, "caterpillar needs spine >= 1, legs >= 0");
+      require(a >= 1 && b >= 0 && la + la * lb >= 2,
+              "caterpillar needs spine >= 1, legs >= 0, >= 2 nodes");
       requireScale(la + la * lb, la + la * lb);
       return;
     case TopologyFamily::kRandomTree:
-      require(a >= 1, "rtree needs n >= 1");
+      require(a >= 2, "rtree needs n >= 2");
       requireScale(la, la);
       return;
     case TopologyFamily::kRandomConnected:
-      require(a >= 1, "er needs n >= 1");
+      require(a >= 2, "er needs n >= 2");
       require(p >= 0.0 && p <= 1.0, "er needs 0 <= p <= 1");
       // randomConnected scans all O(n^2) node pairs.
       require(a <= 20'000, "er needs n <= 20000");

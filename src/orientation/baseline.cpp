@@ -138,7 +138,7 @@ void InitBasedOrientation::initializeAll() {
   numbered_.fill(0);
   eta_.fill(0);
   pi_.fill(0);
-  dirtyAll();
+  noteWriteAll();
 }
 
 void InitBasedOrientation::dirtyAfterWrite(NodeId p) {

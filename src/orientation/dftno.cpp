@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "core/assert.hpp"
+#include "core/bitwords.hpp"
 #include "orientation/chordal_kernel.hpp"
 
 namespace ssno {
@@ -251,48 +251,49 @@ void Dftno::doSetRawNode(NodeId p, std::span<const int> values) {
         values[subLen + 2 + static_cast<std::size_t>(l)];
 }
 
-void Dftno::buildOrbitIfNeeded() {
-  if (orbit_.has_value()) return;
-  const std::vector<int> saved = rawConfiguration();
-  // Bootstrap from a clean substrate boundary with a zeroed overlay and
-  // run a deterministic fair schedule (edge-label corrections first, then
-  // the unique token move) until a configuration repeats; the repeating
-  // suffix is the steady-state orbit.
+void Dftno::resetClean() {
   dftc_.resetClean();
   eta_.fill(0);
   max_.fill(0);
   pi_.fill(0);
-  std::map<std::vector<int>, int> seen;
-  std::vector<std::vector<int>> sequence;
-  while (true) {
-    std::vector<int> code = rawConfiguration();
-    const auto [it, inserted] =
-        seen.try_emplace(code, static_cast<int>(sequence.size()));
-    if (!inserted) {
-      orbit_.emplace();
-      for (std::size_t i = static_cast<std::size_t>(it->second);
-           i < sequence.size(); ++i)
-        orbit_->insert(std::move(sequence[i]));
-      break;
-    }
-    sequence.push_back(std::move(code));
-    const std::vector<Move> moves = enabledMoves();
-    SSNO_ASSERT(!moves.empty());
-    const Move* pick = &moves.front();
-    for (const Move& m : moves) {
-      if (m.action == kEdgeLabel) {
-        pick = &m;
-        break;
-      }
-    }
-    execute(pick->node, pick->action);
+  noteWriteAll();
+}
+
+OrbitTracker& Dftno::tracker() {
+  if (!tracker_) tracker_ = std::make_unique<OrbitTracker>(*this);
+  return *tracker_;
+}
+
+bool Dftno::substrateLegitimate() {
+  const OrbitIndex& orbit = dftc_.orbitIndex();
+  return tracker().contains(orbit);
+}
+
+const OrbitIndex& Dftno::orbitIndex() {
+  if (!orbit_) {
+    // From a clean substrate boundary with a zeroed overlay, run a
+    // deterministic fair schedule — the first processor with an enabled
+    // edge-label correction, else the first enabled move (the unique
+    // token move) — until a configuration repeats; the repeating cycle
+    // is the steady-state orbit.
+    Dftno scratch(graph(), guard_);
+    scratch.resetClean();
+    orbit_ = std::make_unique<OrbitIndex>(OrbitIndex::walk(
+        scratch,
+        [](const EnabledView& view, std::span<const NodeId> enabled) {
+          SSNO_ASSERT(!enabled.empty());
+          for (const NodeId p : enabled)
+            if (view.enabled(p, kEdgeLabel)) return Move{p, kEdgeLabel};
+          return Move{enabled[0], bits::lowestBit(view.actionMask(enabled[0]))};
+        },
+        /*prefixIsMember=*/false));
   }
-  setRawConfiguration(saved);
+  return *orbit_;
 }
 
 bool Dftno::isLegitimate() {
-  buildOrbitIfNeeded();
-  return orbit_->contains(rawConfiguration());
+  const OrbitIndex& orbit = orbitIndex();
+  return tracker().contains(orbit);
 }
 
 double Dftno::stateBits(NodeId p) const {

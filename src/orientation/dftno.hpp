@@ -24,11 +24,11 @@
 #ifndef SSNO_ORIENTATION_DFTNO_HPP
 #define SSNO_ORIENTATION_DFTNO_HPP
 
-#include <optional>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/orbit_index.hpp"
 #include "core/protocol.hpp"
 #include "core/state_arena.hpp"
 #include "dftc/dftc.hpp"
@@ -105,21 +105,40 @@ class Dftno final : public Protocol {
   /// L_NO: the configuration lies on the steady-state orbit of the
   /// composed system — the token circulates legitimately AND the names
   /// are the canonical DFS preorder with chordal labels and round-
-  /// consistent Max values.
+  /// consistent Max values.  The orbit is the cycle the walk from
+  /// resetClean() enters under a fixed fair schedule (edge-label
+  /// corrections first, then the unique token move); the pre-cycle
+  /// prefix is not legitimate.
   ///
   /// Note a subtlety the paper glosses over: its predicate
   /// "L_TC ∧ SP1 ∧ SP2" is NOT closed — any non-canonical permutation
   /// satisfies SP1/SP2, but the next token round re-labels nodes with
   /// their preorder numbers and transiently breaks SP1 along the way
-  /// (found mechanically by the model checker; see DESIGN.md).  The
-  /// steady-state orbit is the largest closed legitimate set, and
-  /// SP1 ∧ SP2 hold everywhere on it (asserted by the tests).
+  /// (found mechanically by the model checker; see DESIGN.md deviation
+  /// note 6).  The steady-state orbit is the largest closed legitimate
+  /// set, and SP1 ∧ SP2 hold everywhere on it (asserted by the tests).
+  ///
+  /// Both predicates cost O(writes since the previous check), plus O(n)
+  /// when the configuration is on the orbit, through one OrbitTracker
+  /// fed by THIS protocol's writer feed (the substrate
+  /// object's own feed misses the dense synchronous commits, which write
+  /// substrate columns directly).  Index and tracker are built at the
+  /// first check.
   [[nodiscard]] bool isLegitimate();
   /// L_TC alone (substrate stabilized).
-  [[nodiscard]] bool substrateLegitimate() { return dftc_.isLegitimate(); }
+  [[nodiscard]] bool substrateLegitimate();
 
-  /// Direct access to the substrate (tests, benches, DFS-tree adapter).
-  [[nodiscard]] Dftc& substrate() { return dftc_; }
+  /// The recorded walk behind L_NO, built at the first request on a
+  /// scratch instance.
+  [[nodiscard]] const OrbitIndex& orbitIndex();
+
+  /// Resets to the clean substrate round boundary with a zeroed overlay
+  /// (η = Max = π = 0 everywhere) — the start of the L_NO walk.
+  void resetClean();
+
+  /// Read-only access to the substrate (tests, benches, DFS-tree
+  /// adapter).  Writes must go through this protocol, whose writer feed
+  /// and dirty set a substrate write would bypass.
   [[nodiscard]] const Dftc& substrate() const { return dftc_; }
 
   /// Per-node variable bits including the substrate (space reporting).
@@ -146,7 +165,7 @@ class Dftno final : public Protocol {
   }
   [[nodiscard]] bool invalidEdgeLabel(NodeId p) const;
   void installHooks();
-  void buildOrbitIfNeeded();
+  [[nodiscard]] OrbitTracker& tracker();
 
   Dftc dftc_;
   EdgeLabelGuard guard_;
@@ -174,8 +193,11 @@ class Dftno final : public Protocol {
     std::uint32_t substrate = kCommitted;
   };
   std::vector<SimStep> simSteps_;
-  // Exact raw configurations of the composed steady-state orbit.
-  std::optional<std::set<std::vector<int>>> orbit_;
+  // L_NO's walk and the live fingerprints (checked against the
+  // substrate's index for L_TC and this one for L_NO), built at the
+  // first check.
+  std::unique_ptr<OrbitIndex> orbit_;
+  std::unique_ptr<OrbitTracker> tracker_;
 };
 
 }  // namespace ssno

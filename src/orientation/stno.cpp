@@ -312,16 +312,22 @@ Orientation Stno::orientation() const {
   return o;
 }
 
-bool Stno::substrateLegitimate() const {
-  return bfs_ == nullptr || bfs_->isLegitimate();
+GuardCounts& Stno::counts() {
+  if (!counts_) {
+    constexpr std::uint64_t kTree = std::uint64_t{1} << kTreeFix;
+    constexpr std::uint64_t kOverlay = (std::uint64_t{1} << kNodeLabel) |
+                                       (std::uint64_t{1} << kEdgeLabel) |
+                                       (std::uint64_t{1} << kWeight);
+    counts_ = std::make_unique<GuardCounts>(
+        *this, std::vector<std::uint64_t>{kTree, kOverlay});
+  }
+  return *counts_;
 }
 
-bool Stno::isLegitimate() const {
-  if (!substrateLegitimate()) return false;
-  for (NodeId p = 0; p < graph().nodeCount(); ++p)
-    for (int a = kNodeLabel; a <= kWeight; ++a)
-      if (enabled(p, a)) return false;
-  return true;
+bool Stno::substrateLegitimate() { return !counts().anyEnabled(0); }
+
+bool Stno::isLegitimate() {
+  return substrateLegitimate() && !counts().anyEnabled(1);
 }
 
 double Stno::stateBits(NodeId p) const {

@@ -24,11 +24,15 @@
 //   Weight(p)   : InvalidWeight(p)    --> CalcWeight_p  (leaf: := 1)
 //
 // Paper errata applied (see DESIGN.md):
-//  1. InvalidNodelabel(p) additionally flags a Start_p array inconsistent
-//     with Distribute's computation; without this, corrupt Start arrays
-//     at correctly-named nodes are a stable SP1 violation.
-//  2. InvalidWeight / InvalidEdgelabel use the intended Σ / ∃ forms.
-//  3. Interval arithmetic is taken mod N so corrupt values stay in domain.
+//  erratum 1: InvalidNodelabel(p) additionally flags a Start_p array
+//     inconsistent with Distribute's computation; without this, corrupt
+//     Start arrays at correctly-named nodes are a stable SP1 violation.
+//  erratum 2: InvalidWeight / InvalidEdgelabel use the intended Σ / ∃
+//     forms.
+//  erratum 3: interval arithmetic is taken mod N (and weights clamp at
+//     N) so corrupt values stay in domain.
+// The composition with the BFS tree needs weak fairness between layers,
+// not the unfair daemon Chapter 5 claims (DESIGN.md deviation note 5).
 //
 // The protocol is silent: the unique terminal configuration (for a fixed
 // legitimate tree) has correct weights, the canonical preorder-interval
@@ -42,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "core/guard_counts.hpp"
 #include "core/protocol.hpp"
 #include "core/state_arena.hpp"
 #include "orientation/chordal.hpp"
@@ -107,11 +112,17 @@ class Stno final : public Protocol {
   [[nodiscard]] bool usesFixedTree() const { return bfs_ == nullptr; }
 
   /// L_ST: substrate stabilized (always true in fixed-tree mode).
-  [[nodiscard]] bool substrateLegitimate() const;
+  [[nodiscard]] bool substrateLegitimate();
 
   /// L_NO: substrate legitimate and the orientation layer silent (the
   /// terminal configuration is unique and satisfies SP1 ∧ SP2).
-  [[nodiscard]] bool isLegitimate() const;
+  ///
+  /// Both predicates read counts of processors with an enabled tree
+  /// action and with an enabled overlay action, kept by GuardCounts from
+  /// THIS protocol's writer feed (the BFS substrate's own feed misses
+  /// the simultaneous-step engine's column restores): O(writes since the
+  /// previous check) amortized, built at the first check.
+  [[nodiscard]] bool isLegitimate();
 
   /// Per-node variable bits including the tree substrate.
   [[nodiscard]] double stateBits(NodeId p) const;
@@ -139,6 +150,7 @@ class Stno final : public Protocol {
   [[nodiscard]] bool invalidEdgeLabel(NodeId p) const;
   void applyDistribute(NodeId p);
   void applyEdgeLabels(NodeId p);
+  [[nodiscard]] GuardCounts& counts();
 
   std::unique_ptr<BfsTree> bfs_;        // null in fixed-tree mode
   std::unique_ptr<FixedTree> fixed_;    // null in substrate mode
@@ -150,6 +162,8 @@ class Stno final : public Protocol {
   NodeColumn eta_;     // 0..N−1
   PortColumn start_;   // per port, 0..N−1
   PortColumn pi_;      // per port, 0..N−1
+  // Group 0: the tree action; group 1: the overlay actions.
+  std::unique_ptr<GuardCounts> counts_;
 };
 
 }  // namespace ssno

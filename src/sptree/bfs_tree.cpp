@@ -140,10 +140,11 @@ NodeId BfsTree::parentOf(NodeId p) const {
   return graph().neighborAt(p, par_[p]);
 }
 
-bool BfsTree::isLegitimate() const {
-  for (NodeId p = 0; p < graph().nodeCount(); ++p)
-    if (enabled(p, kFix)) return false;
-  return true;
+bool BfsTree::isLegitimate() {
+  if (!fixes_)
+    fixes_ = std::make_unique<GuardCounts>(
+        *this, std::vector<std::uint64_t>{std::uint64_t{1} << kFix});
+  return !fixes_->anyEnabled(0);
 }
 
 int BfsTree::currentHeight() const {

@@ -18,9 +18,11 @@
 #ifndef SSNO_SPTREE_BFS_TREE_HPP
 #define SSNO_SPTREE_BFS_TREE_HPP
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/guard_counts.hpp"
 #include "core/protocol.hpp"
 #include "core/state_arena.hpp"
 #include "sptree/tree_view.hpp"
@@ -68,7 +70,10 @@ class BfsTree final : public Protocol, public TreeView {
   /// L_ST: dist equals the true BFS distance everywhere and every parent
   /// attains it (equivalently: no action enabled — the protocol is
   /// silent — and the parent pointers form a BFS spanning tree).
-  [[nodiscard]] bool isLegitimate() const;
+  /// O(writes since the previous check), amortized, through GuardCounts,
+  /// built at the first check (non-const for that reason; nothing
+  /// observable changes).
+  [[nodiscard]] bool isLegitimate();
 
   /// Height of the current parent structure; -1 if not a spanning tree.
   [[nodiscard]] int currentHeight() const;
@@ -91,6 +96,7 @@ class BfsTree final : public Protocol, public TreeView {
   StateArena arena_;
   NodeColumn dist_;  // root entry unused (kept 0)
   NodeColumn par_;   // port; root entry unused (kept 0)
+  std::unique_ptr<GuardCounts> fixes_;  // processors with Fix enabled
 };
 
 }  // namespace ssno

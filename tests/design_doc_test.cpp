@@ -1,0 +1,88 @@
+// DESIGN.md is the errata ledger: every "erratum N" / "deviation note N"
+// cited in src/ or tests/ must have an entry (a "## Erratum N" or
+// "## Deviation note N" heading), and every test an entry names as
+// `Suite.Name` must exist as TEST(Suite, Name) under tests/.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Sources under `dir` (.cpp / .hpp), keyed by path.
+std::map<std::string, std::string> sources(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file() && (ext == ".cpp" || ext == ".hpp"))
+      out[entry.path().string()] = slurp(entry.path());
+  }
+  return out;
+}
+
+/// "erratum 4" → "Erratum 4", "deviation note 5" → "Deviation note 5".
+std::string canonical(const std::string& kind, const std::string& id) {
+  const bool erratum = std::tolower(static_cast<unsigned char>(kind[0])) == 'e';
+  return (erratum ? "Erratum " : "Deviation note ") + id;
+}
+
+TEST(DesignDoc, EveryCitedIdHasAnEntryAndEveryNamedTestExists) {
+  const fs::path root(SSNO_SOURCE_DIR);
+  const std::string design = slurp(root / "DESIGN.md");
+  ASSERT_FALSE(design.empty()) << "DESIGN.md missing";
+
+  std::set<std::string> entries;
+  const std::regex heading(R"(\n## (Erratum|Deviation note) (\d+)\b)");
+  for (std::sregex_iterator it(design.begin(), design.end(), heading), end;
+       it != end; ++it)
+    entries.insert(canonical((*it)[1], (*it)[2]));
+  // The ledger's fixed entries.
+  for (const char* id : {"Erratum 1", "Erratum 2", "Erratum 3", "Erratum 4",
+                         "Deviation note 5", "Deviation note 6"})
+    EXPECT_TRUE(entries.contains(id)) << id;
+
+  std::map<std::string, std::string> files = sources(root / "src");
+  files.merge(sources(root / "tests"));
+  const std::regex cite(R"((erratum|deviation note)(?: fix)? (\d+))",
+                        std::regex::icase);
+  int citations = 0;
+  for (const auto& [path, text] : files) {
+    for (std::sregex_iterator it(text.begin(), text.end(), cite), end;
+         it != end; ++it, ++citations)
+      EXPECT_TRUE(entries.contains(canonical((*it)[1], (*it)[2])))
+          << path << " cites " << (*it)[0] << " but DESIGN.md has no entry";
+  }
+  EXPECT_GE(citations, 6);
+
+  std::set<std::string> tests;
+  const std::regex testDecl(R"(TEST\((\w+),\s*(\w+)\))");
+  for (const auto& [path, text] : files)
+    for (std::sregex_iterator it(text.begin(), text.end(), testDecl), end;
+         it != end; ++it)
+      tests.insert((*it)[1].str() + "." + (*it)[2].str());
+  const std::regex named(R"(`([A-Z]\w+)\.([A-Z]\w+)`)");
+  int named_tests = 0;
+  for (std::sregex_iterator it(design.begin(), design.end(), named), end;
+       it != end; ++it, ++named_tests) {
+    const std::string name = (*it)[1].str() + "." + (*it)[2].str();
+    EXPECT_TRUE(tests.contains(name))
+        << "DESIGN.md names missing test " << name;
+  }
+  EXPECT_GE(named_tests, 6);
+}
+
+}  // namespace

@@ -112,11 +112,12 @@ TEST(DftnoExhaustive, PaperGuardNeedsStrongFairness) {
   }
 }
 
-// The naive legitimacy predicate L_TC ∧ SP1 ∧ SP2 from the paper is not
-// closed: a non-canonical (but SP1/SP2-valid) name permutation is
-// re-labeled by the next round, transiently violating SP1.  The correct
-// predicate is the steady-state orbit (Dftno::isLegitimate), on which the
-// spec provably holds (dftno_test).  This regression pins the finding.
+// DESIGN.md deviation note 6: the naive legitimacy predicate
+// L_TC ∧ SP1 ∧ SP2 from the paper is not closed: a non-canonical (but
+// SP1/SP2-valid) name permutation is re-labeled by the next round,
+// transiently violating SP1.  The correct predicate is the steady-state
+// orbit (Dftno::isLegitimate), on which the spec provably holds
+// (dftno_test).  This regression pins the finding.
 TEST(DftnoExhaustive, NaiveSpecPredicateIsNotClosed) {
   Dftno dftno(Graph::path(2));
   ModelChecker mc(dftno, [&dftno] {
@@ -137,7 +138,7 @@ TEST(DftnoReachable, OverlayLayerOnPath3FromLegitSubstrate) {
   Dftno dftno(Graph::path(3));
   const int n = 3;
   std::vector<std::vector<std::uint64_t>> seeds;
-  Dftc& sub = dftno.substrate();
+  Dftc sub(Graph::path(3));
   sub.resetClean();
   // Walk the substrate orbit, collecting substrate configurations.
   std::vector<std::vector<std::uint64_t>> orbitConfigs;

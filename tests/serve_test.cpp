@@ -198,6 +198,29 @@ TEST(Server, SubmitRejectsUnknownOnlyNameListingCandidates) {
   EXPECT_NE(error.find("dftc/central/ring:24"), std::string::npos) << error;
 }
 
+TEST(Server, OneNodeTopologyIsRejectedAndTheSessionSurvives) {
+  // A one-node graph parses as no topology at all, so the submit fails
+  // cleanly instead of aborting a protocol constructor (and the server).
+  SchedulerOptions opt;
+  opt.workers = 1;
+  ExpServer server(opt);
+  const auto lines = session(
+      server,
+      {R"({"verb":"submit","scenarios":["dftno central path:1 trials=1"]})",
+       R"({"verb":"submit","target":"dftno/central/path:2","trials":1})",
+       R"({"verb":"result","job":1})", R"({"verb":"stats"})"});
+  ASSERT_EQ(lines.size(), 5u);  // result emits its row + a summary line
+  EXPECT_FALSE(lines[0].find("ok")->asBool());
+  EXPECT_NE(lines[0].find("error")->asString().find("path needs n >= 2"),
+            std::string::npos)
+      << lines[0].find("error")->asString();
+  EXPECT_TRUE(lines[1].find("ok")->asBool());
+  EXPECT_EQ(lines[2].find("scenario")->asString(), "dftno/central/path:2");
+  EXPECT_FALSE(lines[2].find("failed")->asBool());
+  EXPECT_TRUE(lines[3].find("complete")->asBool());
+  EXPECT_EQ(lines[4].find("computed")->asInt(), 1);
+}
+
 TEST(Server, KilledServerResumesFromCheckpointByteIdentical) {
   const std::string dir = freshDir("srv-resume");
   const std::vector<std::string> sweepLines = {

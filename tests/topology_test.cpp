@@ -178,5 +178,22 @@ TEST(TopologySpec, RejectsMalformedSpecs) {
   EXPECT_THROW(TopologySpec::parse("er:100000:0.5"), std::invalid_argument);
 }
 
+TEST(TopologySpec, RejectsOneNodeGraphsInEveryFamily) {
+  // Every protocol requires n >= 2; a one-node spec must fail at parse
+  // time instead of aborting a protocol constructor.
+  for (const char* text :
+       {"path:1", "kary:1x3", "caterpillar:1x0", "rtree:1", "rtree:1:4",
+        "plaw:1:1.5", "er:1:0.5", "er:1:0.5:3", "star:1", "complete:1",
+        "grid:1x1", "dreg:1:0"}) {
+    EXPECT_THROW(TopologySpec::parse(text), std::invalid_argument) << text;
+  }
+  // The two-node forms stay valid.
+  for (const char* text : {"path:2", "kary:2x3", "caterpillar:1x1",
+                           "caterpillar:2x0", "rtree:2", "plaw:2:1.5",
+                           "er:2:0.5"}) {
+    EXPECT_EQ(TopologySpec::parse(text).build().nodeCount(), 2) << text;
+  }
+}
+
 }  // namespace
 }  // namespace ssno::exp
