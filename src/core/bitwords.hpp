@@ -7,7 +7,7 @@
 //  * free word-level helpers (popcount, lowest set bit, select-k),
 //  * WordBitset, a dynamic multi-word bitset with word access for
 //    skip-scanning, and flat *mask-arena* helpers for storing many
-//    fixed-width masks contiguously (one allocation for all states).
+//    fixed-width masks contiguously (one allocation for all of them).
 #ifndef SSNO_CORE_BITWORDS_HPP
 #define SSNO_CORE_BITWORDS_HPP
 
@@ -121,8 +121,8 @@ class WordBitset {
 
 /// ---- Flat mask arenas ----------------------------------------------
 /// Many fixed-width masks stored back to back: mask i occupies words
-/// [i*stride, (i+1)*stride).  Used for per-state enabled-pair masks in
-/// the fairness analysis, where one allocation covers every state.
+/// [i*stride, (i+1)*stride).  Used for the per-SCC enabled-pair
+/// aggregates in the fairness analysis, one allocation per aggregate.
 
 inline void maskSet(std::uint64_t* mask, std::size_t bit) {
   mask[bit / kWordBits] |= std::uint64_t{1} << (bit % kWordBits);

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/assert.hpp"
-#include "core/bitwords.hpp"
 #include "core/enabled_cache.hpp"
 #include "core/scheduler.hpp"
 #include "core/sync_engine.hpp"
@@ -94,6 +93,14 @@ std::string describeConfig(const Protocol& p) {
   return mc::describeConfiguration(p);
 }
 
+std::string convergenceFailure(Fairness fairness) {
+  return fairness == Fairness::kNone
+             ? "convergence violated: cycle through illegitimate "
+               "configuration:\n"
+             : "convergence violated: fair-feasible cycle through "
+               "illegitimate configuration:\n";
+}
+
 }  // namespace
 
 CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
@@ -111,6 +118,10 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
   }
   const int actions = protocol_.actionCount();
   const std::uint64_t total = ix.total();
+  if (!mc::fitsLog(total)) {  // configuration indices go into the log
+    res.failure = mc::kLogWidthExceeded;
+    return res;
+  }
 
   EnabledCache cache(protocol_);
   cache.setForceNaive(naive_);
@@ -156,7 +167,7 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
   // actor and rolls the acting set back in place.
   SimultaneousEngine engine(protocol_);
   std::vector<Move> selScratch;
-  constexpr int kSyncTag = -1;  // no single actor pair for a sync step
+  constexpr std::uint32_t kSyncTag = ~std::uint32_t{0};  // no actor pair
   auto forEachSuccessor = [&](std::uint64_t c, const NodeMasks& enabled,
                               auto&& fn /*(successor, actorPairTag) ->
                                           bool: keep enumerating?*/) {
@@ -164,7 +175,8 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
     if (!sync_) {
       forEachMove(enabled, [&](const Move& m) {
         if (!go) return;
-        go = fn(successorOf(c, m), m.node * actions + m.action);
+        go = fn(successorOf(c, m),
+                static_cast<std::uint32_t>(m.node * actions + m.action));
       });
       return;
     }
@@ -185,24 +197,21 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
           return go;
         });
   };
-  auto successorsVec = [&](std::uint64_t c) {
-    std::vector<std::pair<std::uint64_t, int>> succ;  // (config, actor)
-    forEachSuccessor(c, expand(c), [&](std::uint64_t s, int tag) {
-      succ.emplace_back(s, tag);
-      return true;
-    });
-    return succ;
-  };
 
-  // Pass 1: deadlock + closure; assign dense ids to illegitimate configs.
-  std::vector<std::uint64_t> illegitIds(total, UINT64_MAX);
-  std::uint64_t illegitCount = 0;
+  // One pass: closure and deadlock at every configuration, and the
+  // out-edges of every illegitimate one logged for the convergence
+  // analysis — successor configuration indices first, remapped to dense
+  // local ids (assigned in configuration order) after the pass.
+  mc::TransitionGraph g;
+  g.pairCount = static_cast<std::size_t>(protocol_.graph().nodeCount()) *
+                static_cast<std::size_t>(actions);
+  std::vector<std::uint32_t> localOf(total, mc::TransitionGraph::kLeavesRegion);
   for (std::uint64_t c = 0; c < total; ++c) {
     ++res.configsExplored;
     const NodeMasks& enabled = expand(c);
     if (isLegit[c]) {
       bool closed = true;
-      forEachSuccessor(c, enabled, [&](std::uint64_t s, int) {
+      forEachSuccessor(c, enabled, [&](std::uint64_t s, std::uint32_t) {
         if (!isLegit[s]) {
           closed = false;
           return false;  // violation found: stop enumerating
@@ -222,88 +231,30 @@ CheckResult ModelChecker::verifyFullSpace(std::uint64_t maxConfigs,
                     describeConfig(protocol_);
       return res;
     }
-    illegitIds[c] = illegitCount++;
-  }
-
-  if (fairness != Fairness::kNone) {
-    // Materialize the illegitimate sub-digraph with actors and
-    // enabled-pair masks (read off the expansion snapshot), then look
-    // for a fair-feasible cycle.  Pair masks are multi-word, so there
-    // is no node·actions <= 64 cap.
-    mc::TransitionGraph g;
-    g.adj.resize(illegitCount);
-    g.initMasks(illegitCount,
-                static_cast<std::size_t>(protocol_.graph().nodeCount()) *
-                    static_cast<std::size_t>(actions));
-    std::vector<std::uint64_t> localToGlobal(illegitCount);
-    for (std::uint64_t c = 0; c < total; ++c) {
-      if (isLegit[c]) continue;
-      const std::uint64_t id = illegitIds[c];
-      localToGlobal[id] = c;
-      forEachMove(expand(c), [&](const Move& m) {
-        const int pair = m.node * actions + m.action;
-        bits::maskSet(g.maskOf(id), static_cast<std::size_t>(pair));
-        const std::uint64_t s = successorOf(c, m);
-        if (!isLegit[s])
-          g.adj[id].push_back({static_cast<int>(illegitIds[s]), pair});
-      });
-    }
-    const int bad = mc::findFairCycle(g, fairness);
-    if (bad >= 0) {
-      ix.decodeDelta(protocol_,
-                     localToGlobal[static_cast<std::size_t>(bad)]);
-      res.failure =
-          "convergence violated: fair-feasible cycle through "
-          "illegitimate configuration:\n" +
-          describeConfig(protocol_);
+    localOf[c] = static_cast<std::uint32_t>(g.stateCount());
+    forEachSuccessor(c, enabled, [&](std::uint64_t s, std::uint32_t pair) {
+      g.edges.push_back({isLegit[s] ? mc::TransitionGraph::kLeavesRegion
+                                    : static_cast<std::uint32_t>(s),
+                         pair});
+      return true;
+    });
+    if (!mc::fitsLog(g.edges.size())) {
+      res.failure = mc::kLogWidthExceeded;
       return res;
     }
-    res.ok = true;
-    return res;
+    g.endState();
   }
+  for (mc::TransitionGraph::Edge& e : g.edges)
+    if (e.to != mc::TransitionGraph::kLeavesRegion) e.to = localOf[e.to];
 
-  // Strict mode: the illegitimate sub-digraph must be acyclic.
-  // (0=white, 1=gray, 2=black; successors recomputed on demand to keep
-  // memory at one byte per configuration.)
-  std::vector<std::uint8_t> color(total, 0);
-  std::vector<std::uint64_t> stack;
-  std::vector<std::size_t> stackPos;
-  std::vector<std::vector<std::pair<std::uint64_t, int>>> stackSucc;
-  for (std::uint64_t start = 0; start < total; ++start) {
-    if (isLegit[start] || color[start] != 0) continue;
-    stack.assign(1, start);
-    stackSucc.assign(1, successorsVec(start));
-    stackPos.assign(1, 0);
-    color[start] = 1;
-    while (!stack.empty()) {
-      bool descended = false;
-      while (stackPos.back() < stackSucc.back().size()) {
-        const std::uint64_t next = stackSucc.back()[stackPos.back()++].first;
-        if (isLegit[next]) continue;
-        if (color[next] == 1) {
-          ix.decodeDelta(protocol_, next);
-          res.failure =
-              "convergence violated: cycle through illegitimate "
-              "configuration:\n" +
-              describeConfig(protocol_);
-          return res;
-        }
-        if (color[next] == 0) {
-          color[next] = 1;
-          stack.push_back(next);
-          stackSucc.push_back(successorsVec(next));
-          stackPos.push_back(0);
-          descended = true;
-          break;
-        }
-      }
-      if (!descended && stackPos.back() >= stackSucc.back().size()) {
-        color[stack.back()] = 2;
-        stack.pop_back();
-        stackSucc.pop_back();
-        stackPos.pop_back();
-      }
-    }
+  const std::int64_t bad = mc::findFairCycle(g, fairness);
+  if (bad >= 0) {
+    const auto at = std::find(localOf.begin(), localOf.end(),
+                              static_cast<std::uint32_t>(bad));
+    ix.decodeDelta(protocol_,
+                   static_cast<std::uint64_t>(at - localOf.begin()));
+    res.failure = convergenceFailure(fairness) + describeConfig(protocol_);
+    return res;
   }
   res.ok = true;
   return res;
@@ -319,13 +270,6 @@ CheckResult ModelChecker::verifyReachable(
     return res;
   }
   const int actions = protocol_.actionCount();
-  const std::size_t pairBits =
-      static_cast<std::size_t>(protocol_.graph().nodeCount()) *
-      static_cast<std::size_t>(actions);
-  const std::size_t maskWords =
-      fairness != Fairness::kNone ? std::max<std::size_t>(
-                                        1, bits::wordsFor(pairBits))
-                                  : 1;
   struct VecHash {
     std::size_t operator()(const std::vector<std::uint64_t>& v) const {
       std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -339,9 +283,6 @@ CheckResult ModelChecker::verifyReachable(
   std::unordered_map<std::vector<std::uint64_t>, int, VecHash> id;
   std::vector<std::vector<std::uint64_t>> configs;
   std::vector<std::uint8_t> isLegit;
-  // Per-config multi-word enabled-pair masks, flat arena (filled at
-  // expansion; maskWords words per config).
-  std::vector<std::uint64_t> enabledMask;
 
   EnabledCache cache(protocol_);
   cache.setForceNaive(naive_);
@@ -349,7 +290,7 @@ CheckResult ModelChecker::verifyReachable(
   NodeMasks enabledBuf;            // stable snapshot of each refresh
   SimultaneousEngine engine(protocol_);  // synchronous move-set execution
   std::vector<Move> selScratch;
-  constexpr int kSyncTag = -1;
+  constexpr std::uint32_t kSyncTag = ~std::uint32_t{0};  // no actor pair
 
   /// Interns the configuration the protocol currently holds (legitimacy
   /// is evaluated in place — no re-decode).
@@ -359,16 +300,17 @@ CheckResult ModelChecker::verifyReachable(
     if (inserted) {
       configs.push_back(it->first);
       isLegit.push_back(legit_() ? 1 : 0);
-      enabledMask.resize(enabledMask.size() + maskWords, 0);
     }
     return it->second;
   };
 
-  struct OutEdge {
-    int to;
-    int actorPair;
-  };
-  std::vector<std::vector<OutEdge>> adj;
+  // The out-edges of every illegitimate configuration, logged as it is
+  // expanded (successor config ids; remapped to local ids below), and
+  // the config id of each logged state.
+  mc::TransitionGraph g;
+  g.pairCount = static_cast<std::size_t>(protocol_.graph().nodeCount()) *
+                static_cast<std::size_t>(actions);
+  std::vector<int> logged;
   std::vector<std::uint8_t> explored;
 
   std::vector<int> frontier;
@@ -378,10 +320,7 @@ CheckResult ModelChecker::verifyReachable(
   }
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const int c = frontier[head];
-    while (static_cast<int>(adj.size()) <= c) {
-      adj.emplace_back();
-      explored.push_back(0);
-    }
+    if (explored.size() < configs.size()) explored.resize(configs.size(), 0);
     if (explored[static_cast<std::size_t>(c)]) continue;
     explored[static_cast<std::size_t>(c)] = 1;
     if (naive_) {
@@ -393,35 +332,31 @@ CheckResult ModelChecker::verifyReachable(
     }
     enabledBuf.clear();
     cache.refreshView().appendNodeMasks(enabledBuf);
-    if (enabledBuf.empty() && !isLegit[static_cast<std::size_t>(c)]) {
+    const bool legit = isLegit[static_cast<std::size_t>(c)] != 0;
+    if (enabledBuf.empty() && !legit) {
       res.failure = "illegitimate terminal (deadlocked) configuration:\n" +
                     describeConfig(protocol_);
       return res;
     }
-    if (fairness != Fairness::kNone) {
-      std::uint64_t* mask =
-          enabledMask.data() + static_cast<std::size_t>(c) * maskWords;
-      forEachMove(enabledBuf, [&](const Move& m) {
-        bits::maskSet(mask,
-                      static_cast<std::size_t>(m.node * actions + m.action));
-      });
-    }
     bool failed = false;
-    auto visitChild = [&](int s, int pair) {
+    auto visitChild = [&](int s, std::uint32_t pair) {
       // Called with the protocol restored to c (cur still describes c).
       if (configs.size() > maxConfigs) {
         res.failure = "reachable space exceeded maxConfigs";
         failed = true;
         return;
       }
-      if (isLegit[static_cast<std::size_t>(c)] &&
-          !isLegit[static_cast<std::size_t>(s)]) {
+      const bool childLegit = isLegit[static_cast<std::size_t>(s)] != 0;
+      if (legit && !childLegit) {
         res.failure = "closure violated; legitimate configuration:\n" +
                       describeConfig(protocol_);
         failed = true;
         return;
       }
-      adj[static_cast<std::size_t>(c)].push_back({s, pair});
+      if (!legit)
+        g.edges.push_back({childLegit ? mc::TransitionGraph::kLeavesRegion
+                                      : static_cast<std::uint32_t>(s),
+                           pair});
       frontier.push_back(s);
     };
     if (sync_) {
@@ -446,94 +381,35 @@ CheckResult ModelChecker::verifyReachable(
             m.node,
             configs[static_cast<std::size_t>(c)][static_cast<std::size_t>(
                 m.node)]);
-        visitChild(s, m.node * actions + m.action);
+        visitChild(s, static_cast<std::uint32_t>(m.node * actions + m.action));
       });
     }
     if (failed) return res;
+    if (!legit) {
+      if (!mc::fitsLog(g.edges.size())) {
+        res.failure = mc::kLogWidthExceeded;
+        return res;
+      }
+      g.endState();
+      logged.push_back(c);
+    }
   }
   res.configsExplored = configs.size();
-  const int total = static_cast<int>(configs.size());
 
-  if (fairness != Fairness::kNone) {
-    // Project to the illegitimate sub-digraph.
-    std::vector<int> localId(static_cast<std::size_t>(total), -1);
-    mc::TransitionGraph g;
-    std::vector<int> localToGlobal;
-    for (int c = 0; c < total; ++c) {
-      if (isLegit[static_cast<std::size_t>(c)]) continue;
-      localId[static_cast<std::size_t>(c)] =
-          static_cast<int>(localToGlobal.size());
-      localToGlobal.push_back(c);
-    }
-    g.adj.resize(localToGlobal.size());
-    g.initMasks(localToGlobal.size(), pairBits);
-    for (int c = 0; c < total; ++c) {
-      const int lc = localId[static_cast<std::size_t>(c)];
-      if (lc < 0) continue;
-      std::copy_n(enabledMask.data() + static_cast<std::size_t>(c) * maskWords,
-                  maskWords, g.maskOf(static_cast<std::size_t>(lc)));
-      for (const auto& e : adj[static_cast<std::size_t>(c)]) {
-        const int lt = localId[static_cast<std::size_t>(e.to)];
-        if (lt >= 0)
-          g.adj[static_cast<std::size_t>(lc)].push_back({lt, e.actorPair});
-      }
-    }
-    const int bad = mc::findFairCycle(g, fairness);
-    if (bad >= 0) {
-      protocol_.decodeConfigurationDelta(
-          configs[static_cast<std::size_t>(
-              localToGlobal[static_cast<std::size_t>(bad)])],
-          cur);
-      res.failure =
-          "convergence violated: fair-feasible cycle through "
-          "illegitimate configuration:\n" +
-          describeConfig(protocol_);
-      return res;
-    }
-    res.ok = true;
+  std::vector<std::uint32_t> localOf(configs.size(),
+                                     mc::TransitionGraph::kLeavesRegion);
+  for (std::size_t i = 0; i < logged.size(); ++i)
+    localOf[static_cast<std::size_t>(logged[i])] = static_cast<std::uint32_t>(i);
+  for (mc::TransitionGraph::Edge& e : g.edges)
+    if (e.to != mc::TransitionGraph::kLeavesRegion) e.to = localOf[e.to];
+  const std::int64_t bad = mc::findFairCycle(g, fairness);
+  if (bad >= 0) {
+    protocol_.decodeConfigurationDelta(
+        configs[static_cast<std::size_t>(
+            logged[static_cast<std::size_t>(bad)])],
+        cur);
+    res.failure = convergenceFailure(fairness) + describeConfig(protocol_);
     return res;
-  }
-
-  // Strict mode: cycle detection on the illegitimate subgraph.
-  std::vector<std::uint8_t> color(static_cast<std::size_t>(total), 0);
-  std::vector<int> stack, pos;
-  for (int start = 0; start < total; ++start) {
-    if (isLegit[static_cast<std::size_t>(start)] ||
-        color[static_cast<std::size_t>(start)] != 0)
-      continue;
-    stack.assign(1, start);
-    pos.assign(1, 0);
-    color[static_cast<std::size_t>(start)] = 1;
-    while (!stack.empty()) {
-      const int curState = stack.back();
-      const auto& succ = adj[static_cast<std::size_t>(curState)];
-      bool descended = false;
-      while (pos.back() < static_cast<int>(succ.size())) {
-        const int next = succ[static_cast<std::size_t>(pos.back()++)].to;
-        if (isLegit[static_cast<std::size_t>(next)]) continue;
-        if (color[static_cast<std::size_t>(next)] == 1) {
-          protocol_.decodeConfigurationDelta(
-              configs[static_cast<std::size_t>(next)], cur);
-          res.failure =
-              "convergence violated: cycle through illegitimate "
-              "configuration:\n" +
-              describeConfig(protocol_);
-          return res;
-        }
-        if (color[static_cast<std::size_t>(next)] == 0) {
-          color[static_cast<std::size_t>(next)] = 1;
-          stack.push_back(next);
-          pos.push_back(0);
-          descended = true;
-          break;
-        }
-      }
-      if (!descended && pos.back() >= static_cast<int>(succ.size())) {
-        color[stack.back()] = 2;
-        stack.pop_back();
-        pos.pop_back();
-      }
-    }
   }
   res.ok = true;
   return res;

@@ -31,6 +31,14 @@
 // an internal transition (a closed walk covering all of the SCC then
 // witnesses feasibility).
 //
+// Condition (2)/(2') is decided by mc::findFairCycle (mc/properties),
+// the analysis the parallel explorer uses too: both verify* paths log the
+// out-edges of every illegitimate configuration while they expand it —
+// one edge per enabled (processor, action) pair, edges into legitimate
+// configurations marked — and run it on that log, so no configuration is
+// expanded twice.  (An acyclic region has no SCC with an internal edge,
+// so kNone needs no separate depth-first search.)
+//
 // ModelChecker verifies exactly these conditions:
 //   * verifyFullSpace  — enumerates the complete product state space
 //                        (∏_p localStateCount(p)); the strongest check,
@@ -95,8 +103,8 @@ class ModelChecker {
       : protocol_(protocol), legit_(std::move(legit)) {}
 
   /// Exhaustive check over the full product space.  Fails fast (without
-  /// exploring) if the space exceeds `maxConfigs`.  Fairness-aware modes
-  /// need nodeCount·actionCount ≤ 64 (enabled-set bitmasks).
+  /// exploring) if the space exceeds `maxConfigs` or the transition log's
+  /// 32-bit configuration indices.
   [[nodiscard]] CheckResult verifyFullSpace(
       std::uint64_t maxConfigs, Fairness fairness = Fairness::kNone);
 

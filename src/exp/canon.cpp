@@ -116,6 +116,12 @@ Scenario parseCanonicalScenario(const std::string& text) {
   s.faultPlan = kv["fault-plan"] == "-" ? std::string{} : kv["fault-plan"];
   s.adversary = kv["adversary"];
   s.lookahead = parseNumber<int>("lookahead", kv["lookahead"]);
+  try {
+    validateMcLimits(s);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("canonical scenario: ") +
+                                e.what());
+  }
   s.name = protocolKindName(s.protocol) +
            (s.protocol == ProtocolKind::kModelCheck
                 ? ":" + mcTargetName(s.mcTarget)

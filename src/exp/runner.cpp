@@ -11,6 +11,7 @@
 #include "apps/routing.hpp"
 #include "core/checker.hpp"
 #include "core/fault.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/scheduler.hpp"
 #include "dftc/dftc.hpp"
@@ -483,6 +484,22 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
   return r;
 }
 
+}  // namespace
+
+void validateMcLimits(const Scenario& s) {
+  if (s.mcThreads < 0)
+    throw std::invalid_argument(
+        "mc-threads must be >= 0 (0 = hardware concurrency), got " +
+        std::to_string(s.mcThreads));
+  if (s.protocol == ProtocolKind::kModelCheck && s.budget <= 0)
+    throw std::invalid_argument(
+        "model-check budget must be positive (it caps the explored "
+        "states), got " +
+        std::to_string(s.budget));
+}
+
+namespace {
+
 /// Exhaustive model-checking throughput: full-space verification of the
 /// target protocol on g, (a) by the sequential ModelChecker with naive
 /// expansion (full decode + full guard rescan per configuration — the
@@ -491,6 +508,7 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
 /// parallel states/sec over the naive sequential states/sec.
 TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
                             std::uint64_t) {
+  validateMcLimits(s);  // overrides reach here without a parse
   const Fairness fairness = Fairness::kWeaklyFair;
   auto factory = [&g, &s]() -> std::unique_ptr<Protocol> {
     switch (s.mcTarget) {
@@ -952,15 +970,7 @@ ScenarioResult ExperimentRunner::runOnGraph(const Scenario& s,
       slots[static_cast<std::size_t>(t)] =
           timedTrial(g, s, t, trialSeed(s.seed, t), timing_);
   };
-  const int workers = std::min(threads_, s.trials);
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-  }
+  runWorkers(std::min(threads_, s.trials), [&](int) { worker(); });
   return aggregate(s, g, std::move(slots));
 }
 
@@ -1003,16 +1013,9 @@ std::vector<ScenarioResult> ExperimentRunner::runAll(
                           job.trial, trialSeed(s.seed, job.trial), timing_);
     }
   };
-  const int workers = static_cast<int>(
-      std::min(static_cast<std::size_t>(threads_), jobs.size()));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-  }
+  runWorkers(static_cast<int>(
+                 std::min(static_cast<std::size_t>(threads_), jobs.size())),
+             [&](int) { worker(); });
 
   std::vector<ScenarioResult> results;
   results.reserve(scenarios.size());

@@ -95,17 +95,25 @@ struct Scenario {
   int trials = 10;
   std::uint64_t seed = 0;
   /// Move budget per convergence phase; the churn protocols reuse it as
-  /// the step horizon and the scheduler kind as the measured move count.
+  /// the step horizon, the scheduler kind as the measured move count and
+  /// model-check as its cap on explored states (must be positive there).
   StepCount budget = 200'000'000;
   double faultRate = 0.0;  ///< churn protocols: P(one-node fault per move)
   int faultK = 1;          ///< recovery protocols: processors corrupted
   McTarget mcTarget = McTarget::kDftc;  ///< model-check: verified protocol
-  int mcThreads = 8;       ///< model-check: explorer worker threads
+  /// model-check: explorer worker threads; 0 = hardware concurrency,
+  /// negative is rejected.
+  int mcThreads = 8;
   /// Resilience scenarios (kResilience) only:
   std::string faultPlan;   ///< resil::FaultPlan grammar text ("" = no faults)
   std::string adversary = "greedy";  ///< "greedy" | "lookahead"
   int lookahead = 2;       ///< rollout depth when adversary == "lookahead"
 };
+
+/// Throws std::invalid_argument naming the offending key when a
+/// scenario's model-check limits are unusable: mc-threads < 0, or a
+/// model-check budget (its cap on explored states) <= 0.
+void validateMcLimits(const Scenario& s);
 
 /// One trial's named metric samples, in a protocol-defined fixed order.
 struct TrialResult {

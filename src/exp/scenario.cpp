@@ -504,6 +504,11 @@ std::vector<Scenario> loadScenarios(std::istream& in) {
         throw fail("trailing junk in '" + kv + "'");
     }
     if (s.trials <= 0) throw fail("trials must be positive");
+    try {
+      validateMcLimits(s);
+    } catch (const std::invalid_argument& e) {
+      throw fail(e.what());
+    }
     out.push_back(std::move(s));
   }
   return out;

@@ -22,9 +22,11 @@
 //   dftno-churn round-robin grid:3x4 rate=0.002 budget=40000
 //   model-check:dftc central path:3 mc-threads=4
 //
-// Recognized keys: trials, seed, budget, rate, k (faultK), mc-threads,
-// fault-plan (resil::FaultPlan grammar, whitespace-free), adversary
-// ("greedy" | "lookahead"), lookahead (rollout depth).
+// Recognized keys: trials, seed, budget, rate, k (faultK), mc-threads
+// (explorer threads, >= 0; 0 = hardware concurrency), fault-plan
+// (resil::FaultPlan grammar, whitespace-free), adversary ("greedy" |
+// "lookahead"), lookahead (rollout depth).  A model-check line's budget
+// caps its explored states and must be positive.
 #ifndef SSNO_EXP_SCENARIO_HPP
 #define SSNO_EXP_SCENARIO_HPP
 

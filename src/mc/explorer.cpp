@@ -4,16 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
 
 #include "core/assert.hpp"
-#include "core/bitwords.hpp"
 #include "core/enabled_cache.hpp"
+#include "core/parallel.hpp"
 #include "core/sync_engine.hpp"
 #include "mc/properties.hpp"
 #include "mc/spill.hpp"
@@ -64,32 +64,6 @@ struct Violation {
   }
 };
 
-/// Runs fn(0..threads-1) on `threads` threads (inline when 1) and
-/// rethrows the first worker exception after the join barrier.
-void runWorkers(int threads, const std::function<void(int)>& fn) {
-  if (threads <= 1) {
-    fn(0);
-    return;
-  }
-  std::mutex mu;
-  std::exception_ptr error;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        fn(t);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
-}
-
-
 /// One exploration worker: its own protocol instance, incremental
 /// enabled cache, and the key it currently has decoded.
 struct Worker {
@@ -108,7 +82,16 @@ struct Worker {
   /// reused selection buffer for the cartesian-product enumeration.
   std::unique_ptr<SimultaneousEngine> engine;
   std::vector<Move> selScratch;
+  /// Out-edges of the illegitimate states this worker expanded, in
+  /// expansion order: child store ids (kLeavesRegion for a legitimate
+  /// child) until the convergence pass remaps them to local ids.
+  /// logIds[i] is the store id of log state i.
+  TransitionGraph log;
+  std::vector<std::uint32_t> logIds;
 };
+
+/// How exploreLevels ended.
+enum class Explored { kDone, kStoreFull, kLogFull };
 
 /// Shared state of one checkFullSpace/checkReachable run.
 class Run {
@@ -190,7 +173,9 @@ class Run {
   /// Expands one frontier state: enumerate enabled moves from the
   /// incremental cache, patch each successor key in O(1), intern it,
   /// and restore the acted node.  Closure and deadlock candidates are
-  /// offered to the canonical-min selector.
+  /// offered to the canonical-min selector; an illegitimate state's
+  /// out-edges are appended to the worker's log for the convergence
+  /// pass, so the region is never expanded a second time.
   void expand(Worker& w, std::uint64_t id, std::uint32_t depth) {
     const std::uint64_t* key = store_->keyOf(id);
     decodeTo(w, key);
@@ -205,6 +190,18 @@ class Run {
              std::vector<std::uint64_t>(key, key + codec_->words()), 0});
       return;
     }
+    // A successor feeds the closure check when the parent is legitimate
+    // and becomes one edge of the parent's log entry otherwise.
+    const auto settle = [&](const StateStore::Ref& r, std::uint32_t move) {
+      if (r.inserted) pushNext(w, r.id);
+      if (!parentLegit)
+        w.log.edges.push_back({r.legit ? TransitionGraph::kLeavesRegion
+                                       : static_cast<std::uint32_t>(r.id),
+                               move});
+      else if (!r.legit)
+        offer({kClosure,
+               std::vector<std::uint64_t>(key, key + codec_->words()), move});
+    };
     if (opt_.synchronousSteps) {
       // Synchronous semantics: one successor per simultaneous selection
       // (every enabled node acts), executed in place by the columnar
@@ -220,38 +217,47 @@ class Run {
             const StateStore::Ref r =
                 intern(w, w.childKey.data(), depth + 1, key, id, kSyncMove);
             w.engine->undo();
-            if (r.inserted) pushNext(w, r.id);
-            if (parentLegit && !r.legit)
-              offer({kClosure,
-                     std::vector<std::uint64_t>(key, key + codec_->words()),
-                     kSyncMove});
+            settle(r, kSyncMove);
           });
-      return;
+    } else {
+      forEachMove(w.enabled, [&](const Move& m) {
+        w.protocol->execute(m.node, m.action);
+        std::memcpy(w.childKey.data(), w.cur.data(),
+                    static_cast<std::size_t>(codec_->words()) * 8);
+        codec_->setNodeCode(w.childKey.data(), m.node,
+                            w.protocol->encodeNode(m.node));
+        const auto pair =
+            static_cast<std::uint32_t>(m.node * actions_ + m.action);
+        const StateStore::Ref r =
+            intern(w, w.childKey.data(), depth + 1, key, id, pair);
+        // A statement writes only its own processor's variables, so
+        // restoring the acted node alone returns the protocol to `key`.
+        w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
+        settle(r, pair);
+      });
     }
-    forEachMove(w.enabled, [&](const Move& m) {
-      w.protocol->execute(m.node, m.action);
-      std::memcpy(w.childKey.data(), w.cur.data(),
-                  static_cast<std::size_t>(codec_->words()) * 8);
-      codec_->setNodeCode(w.childKey.data(), m.node,
-                          w.protocol->encodeNode(m.node));
-      const auto pair =
-          static_cast<std::uint32_t>(m.node * actions_ + m.action);
-      const StateStore::Ref r =
-          intern(w, w.childKey.data(), depth + 1, key, id, pair);
-      if (r.inserted) pushNext(w, r.id);
-      if (parentLegit && !r.legit)
-        offer({kClosure,
-               std::vector<std::uint64_t>(key, key + codec_->words()), pair});
-      // A statement writes only its own processor's variables, so
-      // restoring the acted node alone returns the protocol to `key`.
-      w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
-    });
+    if (!parentLegit) {
+      w.log.endState();
+      w.logIds.push_back(static_cast<std::uint32_t>(id));
+    }
+  }
+
+  /// Whether the store and the edge logs are still within their bounds:
+  /// maxStates and the store's capacity, and the logs' 32-bit ids and
+  /// offsets (checked before any truncated value could be read).
+  [[nodiscard]] Explored bounds() const {
+    if (store_->overflowed() || store_->size() > opt_.maxStates)
+      return Explored::kStoreFull;
+    std::uint64_t edges = 0;
+    for (const Worker& w : workers_) edges += w.log.edges.size();
+    if (!fitsLog(store_->idBound()) || !fitsLog(edges))
+      return Explored::kLogFull;
+    return Explored::kDone;
   }
 
   /// Runs BFS levels until the frontier dries up, a violation level
-  /// completes, or the store overflows.  Seeds must already be in
-  /// next_.  Returns false on overflow.
-  bool exploreLevels(Result& res) {
+  /// completes, or a bound is exceeded.  Seeds must already be in next_.
+  Explored exploreLevels(Result& res) {
     std::uint32_t depth = 0;
     std::vector<std::uint64_t> wave;
     const std::size_t waveCap =
@@ -259,7 +265,7 @@ class Run {
             ? static_cast<std::size_t>(opt_.spillCapacity)
             : std::numeric_limits<std::size_t>::max();
     for (Worker& w : workers_) flushNext(w);
-    if (store_->overflowed() || store_->size() > opt_.maxStates) return false;
+    if (const Explored b = bounds(); b != Explored::kDone) return b;
     while (next_->size() > 0) {
       std::swap(current_, next_);
       next_->reset();
@@ -291,12 +297,11 @@ class Run {
       kMcStoreLoadPct.set(
           static_cast<std::int64_t>(store_->loadFactor() * 100.0));
       levelSpan.arg("states_added", store_->size() - statesBefore);
-      if (store_->overflowed() || store_->size() > opt_.maxStates)
-        return false;
+      if (const Explored b = bounds(); b != Explored::kDone) return b;
       if (best_) break;  // violation level completed: canonical min final
       ++depth;
     }
-    return true;
+    return Explored::kDone;
   }
 
   /// Canonical trace from a seed to `id` along parent pointers.
@@ -374,100 +379,77 @@ class Run {
     }
   }
 
-  /// Convergence: rebuild the illegitimate sub-digraph in canonical
-  /// (key-sorted) order and look for a (fair-feasible) cycle.
+  /// Convergence: the workers' edge logs, joined into one graph over
+  /// local ids, analyzed by mc/properties.  Whether a violating SCC
+  /// exists does not depend on the numbering, so a passing check never
+  /// sorts.  A violation is located again on the same log relabeled in
+  /// canonical (key) order, which makes the reported state independent
+  /// of the thread count.
   void checkConvergence() {
     obs::TraceSpan span("mc_convergence");
     obs::ScopedTimer timer(kMcConvergenceNs);
-    std::vector<std::uint64_t> illegit;
-    store_->forEach([&](std::uint64_t id) {
-      if (!store_->legit(id)) illegit.push_back(id);
-    });
-    std::sort(illegit.begin(), illegit.end(),
-              [&](std::uint64_t a, std::uint64_t b) {
-                const std::uint64_t* ka = store_->keyOf(a);
-                const std::uint64_t* kb = store_->keyOf(b);
-                for (int wd = 0; wd < codec_->words(); ++wd)
-                  if (ka[wd] != kb[wd]) return ka[wd] < kb[wd];
-                return false;
+    std::vector<std::uint32_t> ids;
+    const TransitionGraph g = joinLogs(ids);
+    if (findFairCycle(g, opt_.fairness) < 0) return;
+    std::vector<std::uint32_t> order(ids.size());
+    std::iota(order.begin(), order.end(), 0u);
+    const auto words = static_cast<std::size_t>(codec_->words());
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::uint64_t* ka = store_->keyOf(ids[a]);
+                const std::uint64_t* kb = store_->keyOf(ids[b]);
+                return std::lexicographical_compare(ka, ka + words, kb,
+                                                    kb + words);
               });
-    std::vector<std::int32_t> localIdx(
-        static_cast<std::size_t>(store_->idBound()), -1);
-    for (std::size_t i = 0; i < illegit.size(); ++i)
-      localIdx[static_cast<std::size_t>(illegit[i])] =
-          static_cast<std::int32_t>(i);
+    const std::int64_t bad = findFairCycle(g.permuted(order), opt_.fairness);
+    SSNO_ASSERT(bad >= 0);
+    const std::uint64_t* key =
+        store_->keyOf(ids[order[static_cast<std::size_t>(bad)]]);
+    offer({kFairCycle, std::vector<std::uint64_t>(key, key + words), 0});
+  }
 
+  /// Concatenates the workers' logs (in worker order) into one graph,
+  /// remapping child store ids to local ids in place; ids[i] receives
+  /// the store id of local state i.
+  TransitionGraph joinLogs(std::vector<std::uint32_t>& ids) {
     TransitionGraph g;
-    g.adj.resize(illegit.size());
-    const bool useMasks = opt_.fairness != Fairness::kNone;
-    const std::size_t pairBits =
-        static_cast<std::size_t>(
-            workers_[0].protocol->graph().nodeCount()) *
-        static_cast<std::size_t>(actions_);
-    g.initMasks(illegit.size(), useMasks ? pairBits : 1);
-    std::atomic<std::size_t> cursor{0};
-    runWorkers(threads_, [&](int t) {
-      Worker& w = worker(t);
-      for (std::size_t base = cursor.fetch_add(kWorkChunk);
-           base < illegit.size(); base = cursor.fetch_add(kWorkChunk)) {
-        const std::size_t end = std::min(base + kWorkChunk, illegit.size());
-        for (std::size_t i = base; i < end; ++i) {
-          const std::uint64_t* key = store_->keyOf(illegit[i]);
-          decodeTo(w, key);
-          w.enabled.clear();
-          w.cache->refreshView().appendNodeMasks(w.enabled);
-          if (opt_.synchronousSteps) {
-            // Fairness is kNone here (enforced at entry): edges only,
-            // pair masks unused.
-            forEachSimultaneousSelection(
-                w.enabled, w.selScratch, [&](std::span<const Move> set) {
-                  w.engine->execute(set);
-                  std::memcpy(w.childKey.data(), w.cur.data(),
-                              static_cast<std::size_t>(codec_->words()) * 8);
-                  for (const Move& m : set)
-                    codec_->setNodeCode(w.childKey.data(), m.node,
-                                        w.protocol->encodeNode(m.node));
-                  w.engine->undo();
-                  const std::uint64_t cid =
-                      store_->find(w.childKey.data(),
-                                   codec_->hash(w.childKey.data()));
-                  SSNO_ASSERT(cid != StateStore::kNoId);
-                  const std::int32_t ci =
-                      localIdx[static_cast<std::size_t>(cid)];
-                  if (ci >= 0) g.adj[i].push_back({ci, 0});
-                });
-            continue;
-          }
-          forEachMove(w.enabled, [&](const Move& m) {
-            const auto pair =
-                static_cast<std::uint32_t>(m.node * actions_ + m.action);
-            if (useMasks)
-              bits::maskSet(g.maskOf(i), static_cast<std::size_t>(pair));
-            w.protocol->execute(m.node, m.action);
-            std::memcpy(w.childKey.data(), w.cur.data(),
-                        static_cast<std::size_t>(codec_->words()) * 8);
-            codec_->setNodeCode(w.childKey.data(), m.node,
-                                w.protocol->encodeNode(m.node));
-            const std::uint64_t cid =
-                store_->find(w.childKey.data(),
-                             codec_->hash(w.childKey.data()));
-            SSNO_ASSERT(cid != StateStore::kNoId);
-            const std::int32_t ci =
-                localIdx[static_cast<std::size_t>(cid)];
-            if (ci >= 0)
-              g.adj[i].push_back({ci, static_cast<int>(pair)});
-            w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
-          });
-        }
+    if (workers_.size() == 1) {
+      g = std::move(workers_[0].log);
+      ids = std::move(workers_[0].logIds);
+    } else {
+      std::size_t states = 0;
+      std::size_t edges = 0;
+      for (const Worker& w : workers_) {
+        states += w.logIds.size();
+        edges += w.log.edges.size();
       }
-    });
-    const int bad = findFairCycle(g, opt_.fairness);
-    if (bad >= 0) {
-      const std::uint64_t* key =
-          store_->keyOf(illegit[static_cast<std::size_t>(bad)]);
-      offer({kFairCycle,
-             std::vector<std::uint64_t>(key, key + codec_->words()), 0});
+      g.offsets.reserve(states + 1);
+      g.edges.reserve(edges);
+      ids.reserve(states);
+      for (Worker& w : workers_) {
+        const auto base = static_cast<std::uint32_t>(g.edges.size());
+        g.edges.insert(g.edges.end(), w.log.edges.begin(), w.log.edges.end());
+        for (std::size_t i = 1; i < w.log.offsets.size(); ++i)
+          g.offsets.push_back(base + w.log.offsets[i]);
+        ids.insert(ids.end(), w.logIds.begin(), w.logIds.end());
+        w.log = TransitionGraph{};
+        w.logIds = {};
+      }
     }
+    g.pairCount =
+        static_cast<std::size_t>(workers_[0].protocol->graph().nodeCount()) *
+        static_cast<std::size_t>(actions_);
+    std::vector<std::uint32_t> localOf(
+        static_cast<std::size_t>(store_->idBound()),
+        TransitionGraph::kLeavesRegion);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      localOf[ids[i]] = static_cast<std::uint32_t>(i);
+    for (TransitionGraph::Edge& e : g.edges) {
+      if (e.to == TransitionGraph::kLeavesRegion) continue;
+      e.to = localOf[e.to];
+      SSNO_ASSERT(e.to != TransitionGraph::kLeavesRegion);  // all expanded
+    }
+    return g;
   }
 
   [[nodiscard]] std::uint64_t transitions() const {
@@ -491,11 +473,13 @@ class Run {
 
 Result finish(Run& run, Result res,
               const std::chrono::steady_clock::time_point& start,
-              bool overflowOk, const char* overflowMessage) {
+              Explored explored, const char* tooLarge) {
   res.statesExplored = run.store().size();
   res.transitions = run.transitions();
-  if (!overflowOk) {
-    res.failure = overflowMessage;
+  if (explored == Explored::kStoreFull) {
+    res.failure = tooLarge;
+  } else if (explored == Explored::kLogFull) {
+    res.failure = kLogWidthExceeded;
   } else if (run.best()) {
     run.report(res);
   } else {
@@ -556,8 +540,8 @@ Result ParallelChecker::checkFullSpace(const Options& opt) {
     }
   });
 
-  const bool fit = run.exploreLevels(res);
-  return finish(run, std::move(res), start, fit,
+  const Explored explored = run.exploreLevels(res);
+  return finish(run, std::move(res), start, explored,
                 "state space too large for exhaustive check");
 }
 
@@ -588,8 +572,8 @@ Result ParallelChecker::checkReachable(
     }
   });
 
-  const bool fit = run.exploreLevels(res);
-  return finish(run, std::move(res), start, fit,
+  const Explored explored = run.exploreLevels(res);
+  return finish(run, std::move(res), start, explored,
                 "reachable space exceeded maxConfigs");
 }
 

@@ -33,10 +33,20 @@
 //   * closure    — a legitimate configuration with an illegitimate
 //                  successor fails;
 //   * no deadlock — an illegitimate terminal configuration fails;
-//   * convergence — after exploration, the illegitimate sub-digraph is
-//                  rebuilt in canonical (key-sorted) order and analyzed
-//                  by mc/properties: acyclicity for Fairness::kNone, no
-//                  fair-feasible SCC cycle otherwise.
+//   * convergence — while a worker expands an illegitimate state it
+//                  logs the state's out-edges (child store id, or a
+//                  leaves-the-region mark, plus the actor pair) and one
+//                  end offset.  After exploration the per-worker logs are
+//                  concatenated and remapped in place to dense local ids —
+//                  the CSR form of mc/properties — and analyzed there:
+//                  acyclicity for Fairness::kNone, no fair-feasible SCC
+//                  cycle otherwise.  The region is never expanded a second
+//                  time.  A passing check never sorts; only on a violation
+//                  is the same log relabeled in canonical (key) order and
+//                  analyzed again, so the reported state is thread-count
+//                  independent.  Store ids, local ids and edge offsets are
+//                  32-bit in the log; a check that outgrows them fails with
+//                  mc::kLogWidthExceeded at the next level barrier.
 #ifndef SSNO_MC_EXPLORER_HPP
 #define SSNO_MC_EXPLORER_HPP
 
@@ -52,7 +62,12 @@
 namespace ssno::mc {
 
 struct Options {
-  int threads = 1;  ///< 0 = std::thread::hardware_concurrency()
+  /// Worker threads; 0 (or less) = std::thread::hardware_concurrency().
+  /// A thread that cannot be started fails the check with an exception
+  /// once the started workers have joined (core/parallel.hpp).
+  int threads = 1;
+  /// Cap on stored states; any value up to 2^64 - 1 is safe (the store's
+  /// sizing saturates).
   std::uint64_t maxStates = std::uint64_t{1} << 22;
   Fairness fairness = Fairness::kNone;
   /// Verify under SYNCHRONOUS-daemon semantics: a transition executes

@@ -1,10 +1,21 @@
-// Convergence-property analysis on an explicit illegitimate sub-digraph.
+// Convergence-property analysis on the illegitimate region, stored as a
+// CSR transition graph.
 //
-// Shared by the sequential ModelChecker and the parallel src/mc
-// explorer (the SCC fairness logic formerly private to core/checker.cpp
-// lives here now).  States are dense local ids; edges carry the acting
-// (node, action) pair.  Convergence holds iff the illegitimate region
-// admits no infinite execution the daemon model allows:
+// Both checkers — the sequential ModelChecker and the parallel src/mc
+// explorer — log the region while they expand it and hand this one form
+// to findFairCycle:
+//   * states are dense local ids 0..stateCount()-1, one per
+//     illegitimate state;
+//   * state v's out-edges are edges[offsets[v], offsets[v+1]), one per
+//     enabled (processor, action) pair — one per simultaneous selection
+//     under synchronous steps — in the producer's enumeration order;
+//   * an edge into a legitimate configuration leaves the region: its
+//     `to` is kLeavesRegion.  It is kept because a state's enabled-pair
+//     mask is the union of its edges' actor pairs; there is no separate
+//     mask arena.
+//
+// Convergence holds iff the illegitimate region admits no infinite
+// execution the daemon model allows:
 //
 //   * Fairness::kNone — ANY cycle is a violation (an unfair daemon may
 //     follow it forever), i.e. the region must be acyclic;
@@ -15,15 +26,17 @@
 //     enabled at every SCC configuration (weak) or at some (strong) —
 //     fails to act on an internal transition.
 //
-// findFairCycle returns the local id of a state inside a violating
-// cycle, or -1 when convergence holds.  Given the same graph it is
-// fully deterministic, so callers that build the graph in a canonical
-// order (the explorer sorts illegitimate states by key) get
-// deterministic counterexamples.
+// findFairCycle returns the local id of a state inside a violating SCC,
+// or -1 when convergence holds.  Whether a violating SCC exists does not
+// depend on how the states are numbered; which state is returned does.
+// Given the same graph the result is fully deterministic, so a caller
+// that numbers the states canonically (the explorer relabels by key,
+// TransitionGraph::permuted) gets a reproducible counterexample.
 #ifndef SSNO_MC_PROPERTIES_HPP
 #define SSNO_MC_PROPERTIES_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,33 +52,47 @@ namespace ssno::mc {
 [[nodiscard]] std::string describeConfiguration(const Protocol& p);
 
 struct TransitionGraph {
+  /// `to` of an edge into a legitimate configuration.  Also the bound of
+  /// the 32-bit fields: local ids, store ids written to a log, and edge
+  /// offsets must all stay below it.
+  static constexpr std::uint32_t kLeavesRegion = 0xFFFFFFFFu;
+
   struct Edge {
-    int to;
-    int actorPair;  // node * actionCount + action
+    std::uint32_t to;         ///< local id, or kLeavesRegion
+    std::uint32_t actorPair;  ///< node * actionCount + action
   };
-  std::vector<std::vector<Edge>> adj;  // per illegitimate state
 
-  /// Per-state enabled-(node, action)-pair masks, multi-word: state i's
-  /// mask occupies words [i*maskWords, (i+1)*maskWords) of enabledMask
-  /// (see core/bitwords.hpp mask-arena helpers).  A single uint64_t used
-  /// to cap fairness-aware checks at node·actions <= 64 pairs; the flat
-  /// multi-word arena lifts that, so e.g. dftc on ring:12 (72 pairs) is
-  /// checkable.  Unused for Fairness::kNone.
-  int maskWords = 1;
-  std::vector<std::uint64_t> enabledMask;
+  std::vector<std::uint32_t> offsets{0};  ///< stateCount() + 1 entries
+  std::vector<Edge> edges;
+  /// Width of the actor-pair masks (nodes · actions); read only by the
+  /// fair modes.
+  std::size_t pairCount = 0;
 
-  /// Sizes the mask arena for `states` states of `pairBits` pairs each.
-  void initMasks(std::size_t states, std::size_t pairBits);
-  /// Pointer to state i's mask words (mutable for the builder).
-  [[nodiscard]] std::uint64_t* maskOf(std::size_t i) {
-    return enabledMask.data() + i * static_cast<std::size_t>(maskWords);
+  [[nodiscard]] std::size_t stateCount() const { return offsets.size() - 1; }
+
+  /// Closes the state whose edges were appended since the last call.
+  void endState() {
+    offsets.push_back(static_cast<std::uint32_t>(edges.size()));
   }
-  [[nodiscard]] const std::uint64_t* maskOf(std::size_t i) const {
-    return enabledMask.data() + i * static_cast<std::size_t>(maskWords);
-  }
+
+  /// The same graph with new state i = old state order[i]; each state's
+  /// edges keep their order.  `order` must be a permutation.
+  [[nodiscard]] TransitionGraph permuted(
+      std::span<const std::uint32_t> order) const;
 };
 
-[[nodiscard]] int findFairCycle(const TransitionGraph& g, Fairness fairness);
+/// Failure text of a check whose state ids or edge count do not fit the
+/// transition log's 32-bit fields.
+inline constexpr const char* kLogWidthExceeded =
+    "state space too large for the 32-bit transition log";
+
+/// True iff `n` ids, offsets or edges fit the transition log's fields.
+[[nodiscard]] constexpr bool fitsLog(std::uint64_t n) {
+  return n < TransitionGraph::kLeavesRegion;
+}
+
+[[nodiscard]] std::int64_t findFairCycle(const TransitionGraph& g,
+                                         Fairness fairness);
 
 }  // namespace ssno::mc
 

@@ -21,11 +21,16 @@ StateStore::StateStore(int words, std::uint64_t capacity, int shardsLog2)
   SSNO_EXPECTS(words >= 1 && shardsLog2 >= 0 && shardsLog2 <= 16);
   const std::size_t shardCount = std::size_t{1} << shardsLog2_;
   shardMask_ = shardCount - 1;
-  // 4x headroom per shard against hash skew, and at least one chunk.
+  // 4x headroom per shard against hash skew, and at least one chunk;
+  // saturating, so no capacity wraps the product.
+  const std::uint64_t maxPerShard = kMaxChunksPerShard * kChunkSize;
   const std::uint64_t perShard =
-      std::max<std::uint64_t>(capacity * 4 / shardCount, 1) + kChunkSize;
-  chunksPerShard_ = static_cast<std::size_t>(
-      (perShard + kChunkSize - 1) / kChunkSize);
+      capacity / shardCount >= maxPerShard / 4
+          ? maxPerShard
+          : std::max<std::uint64_t>(capacity * 4 / shardCount, 1) +
+                kChunkSize;
+  chunksPerShard_ = static_cast<std::size_t>(std::min(
+      (perShard + kChunkSize - 1) / kChunkSize, kMaxChunksPerShard));
   shards_ = std::vector<Shard>(shardCount);
   for (Shard& sh : shards_) {
     sh.table.assign(kInitialTable, Slot{});
@@ -171,13 +176,6 @@ std::uint64_t StateStore::idBound() const {
   std::uint64_t maxCount = 0;
   for (const Shard& sh : shards_) maxCount = std::max(maxCount, sh.count);
   return maxCount << shardsLog2_;
-}
-
-void StateStore::forEach(const std::function<void(std::uint64_t)>& fn) const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::uint64_t local = 0; local < shards_[s].count; ++local)
-      fn((local << shardsLog2_) | static_cast<std::uint64_t>(s));
-  }
 }
 
 }  // namespace ssno::mc

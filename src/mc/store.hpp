@@ -28,6 +28,10 @@
 // 4x headroom per shard against hash skew); exhausting it sets
 // overflowed() instead of reallocating, and the explorer turns that
 // into a deterministic "too large" verdict at the next level barrier.
+// The sizing saturates at kMaxChunksPerShard chunks per shard (2^26
+// states), so any capacity up to 2^64 - 1 is safe to pass: a
+// budget-sized bound far beyond memory costs a fixed 256 KiB of chunk
+// pointers per shard, never a wrapped (tiny) or unallocatable array.
 #ifndef SSNO_MC_STORE_HPP
 #define SSNO_MC_STORE_HPP
 
@@ -70,7 +74,7 @@ class StateStore {
              std::uint64_t parentId = kNoId, std::uint32_t parentMove = 0);
 
   /// Lock-free lookup; only safe while no intern() runs concurrently
-  /// (the explorer's read-only property pass).  kNoId if absent.
+  /// (the explorer's counterexample report).  kNoId if absent.
   [[nodiscard]] std::uint64_t find(const std::uint64_t* key,
                                    std::uint64_t hash) const;
 
@@ -104,14 +108,10 @@ class StateStore {
   /// every shard lock; call at level barriers, not on the hot path.
   [[nodiscard]] double loadFactor() const;
 
-  /// Visits every stored id (shard-major, insertion order within a
-  /// shard — NOT deterministic across thread counts).  Quiescent use
-  /// only.
-  void forEach(const std::function<void(std::uint64_t)>& fn) const;
-
  private:
   static constexpr int kChunkLog2 = 12;  // 4096 states per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkLog2;
+  static constexpr std::uint64_t kMaxChunksPerShard = std::uint64_t{1} << 14;
 
   struct Meta {
     std::uint64_t parent = kNoId;

@@ -115,6 +115,25 @@ TEST(StateStore, CanonicalMinParentWinsRegardlessOfOrder) {
   EXPECT_EQ(other.parentOf(other.find(child, 10)), ps2.id);
 }
 
+TEST(StateStore, HugeCapacitiesSizeWithoutWrapping) {
+  // capacity * 4 wraps for capacity >= 2^62: a one-shard store sized
+  // that way held 8192 states (4096 at 2^64 - 1).  The sizing saturates
+  // instead, so such a store holds at least what a modest one does.
+  auto no = [] { return false; };
+  for (const std::uint64_t capacity :
+       {std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    StateStore store(/*words=*/1, capacity, /*shardsLog2=*/0);
+    for (std::uint64_t k = 0; k < 20'000; ++k) {
+      const std::uint64_t key[1] = {k};
+      ASSERT_TRUE(
+          store.intern(key, k * 0x9E3779B97F4A7C15ULL, 0, no).inserted)
+          << "capacity " << capacity << ", state " << k;
+    }
+    EXPECT_FALSE(store.overflowed());
+    EXPECT_EQ(store.size(), 20'000u);
+  }
+}
+
 TEST(FrontierSpill, SpillsAndDrainsAllIds) {
   FrontierSpill spill(/*memCapacity=*/8);
   std::vector<std::uint64_t> in;
@@ -199,6 +218,21 @@ TEST(ParallelChecker, ReachableExploresOnlySeededRegion) {
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_LT(res.statesExplored, 27u);
   EXPECT_GE(res.statesExplored, 4u);
+}
+
+TEST(ParallelChecker, HugeStateBudgetsBehaveLikeTheDefault) {
+  ParallelChecker pc(zeroFactory(3, 3), zeroLegit);
+  Options opt;
+  const Result ref = pc.checkReachable({{2, 2, 2}}, opt);
+  ASSERT_TRUE(ref.ok) << ref.failure;
+  for (const std::uint64_t budget :
+       {std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    opt.maxStates = budget;
+    const Result r = pc.checkReachable({{2, 2, 2}}, opt);
+    EXPECT_TRUE(r.ok) << r.failure;
+    EXPECT_EQ(r.statesExplored, ref.statesExplored);
+    EXPECT_EQ(r.transitions, ref.transitions);
+  }
 }
 
 TEST(ParallelChecker, SpillTierPreservesResults) {

@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
+#include <utility>
 
+#include "core/parallel.hpp"
+#include "exp/canon.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "thread_start_failure.hpp"
 
 namespace ssno::exp {
 namespace {
@@ -112,6 +120,102 @@ TEST(ExperimentRunner, RejectsNonPositiveTrials) {
   EXPECT_THROW((void)ExperimentRunner(1).run(s), std::invalid_argument);
 }
 
+/// A std::thread stand-in whose failAt-th construction throws, as the
+/// std::thread constructor does when the system refuses a thread.
+struct FlakyThread {
+  static inline int started = 0;
+  static inline int failAt = 0;
+  std::thread thread;
+
+  template <class Body>
+  explicit FlakyThread(Body&& body) {
+    if (++started == failAt)
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again));
+    thread = std::thread(std::forward<Body>(body));
+  }
+  void join() { thread.join(); }
+};
+
+TEST(RunWorkers, FailedThreadStartJoinsTheStartedThreadsAndRethrows) {
+  FlakyThread::started = 0;
+  FlakyThread::failAt = 3;
+  std::atomic<int> ran{0};
+  try {
+    runWorkers<FlakyThread>(4, [&](int) { ++ran; });
+    FAIL() << "expected the failed start to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot start worker thread 3 of 4"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ran.load(), 2);  // both started workers ran to completion
+}
+
+TEST(RunWorkers, BodyExceptionIsRethrownAfterEveryWorkerFinished) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(runWorkers(4,
+                          [&](int t) {
+                            ++ran;
+                            if (t == 1) throw std::logic_error("worker 1");
+                          }),
+               std::logic_error);
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ExperimentRunner, ModelCheckThreadStartFailureFailsTheRunWithAMessage) {
+  // A refused worker thread used to abort the process ("terminate called
+  // without an active exception", e.g. on mc-threads=100000): the
+  // explorer let the exception escape while started workers were still
+  // joinable.  Now the run fails with a message and the next one works.
+  std::istringstream in(
+      "model-check:dftc central path:3 mc-threads=8 trials=1\n");
+  Scenario s = loadScenarios(in).at(0);
+  {
+    const ThreadStartFailure refuse;
+    try {
+      (void)ExperimentRunner(1).run(s);
+      FAIL() << "expected the refused thread to fail the run";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(
+          std::string(e.what()).find("cannot start worker thread 1 of 8"),
+          std::string::npos)
+          << e.what();
+    }
+  }
+  s.mcThreads = 2;
+  const ScenarioResult r = ExperimentRunner(2).run(s);
+  EXPECT_EQ(r.failedTrials, 0);
+  EXPECT_EQ(r.metric("verdicts_agree").mean, 1.0);
+}
+
+TEST(ExperimentRunner, ModelCheckBudgetIsAPositiveStateCapOfAnySize) {
+  Scenario s = parseScenario("model-check:dftc-fault/central/ring:4");
+  s.trials = 1;
+  s.mcThreads = 1;
+  const double states = ExperimentRunner(1).run(s).metric("states").mean;
+  // 2^62 used to wrap the store's sizing (capacity * 4) to 2 chunks per
+  // shard; -1 to an unallocatable one.
+  for (const StepCount huge : {StepCount{1} << 62,
+                               std::numeric_limits<StepCount>::max()}) {
+    s.budget = huge;
+    const ScenarioResult r = ExperimentRunner(1).run(s);
+    EXPECT_EQ(r.failedTrials, 0) << huge;
+    EXPECT_EQ(r.metric("states").mean, states) << huge;
+  }
+  for (const StepCount bad : {StepCount{0}, StepCount{-1}}) {
+    s.budget = bad;  // as a --budget or served override would set it
+    try {
+      (void)ExperimentRunner(1).run(s);
+      FAIL() << "expected budget " << bad << " to be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("budget must be positive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioRegistry, ParsesTriples) {
   const Scenario s = parseScenario("dftno/round-robin/chordring:16:2,5");
   EXPECT_EQ(s.protocol, ProtocolKind::kDftno);
@@ -189,6 +293,41 @@ TEST(ScenarioFile, RejectsMalformedLinesWithLineNumbers) {
   expectThrowWith("dftno central ring:8 budget=1e6\n", "trailing junk");
   expectThrowWith("dftno central ring:8 trials=3x\n", "trailing junk");
   expectThrowWith("dftno central ring:8 trials=0\n", "positive");
+  expectThrowWith("model-check:dftc central path:3 mc-threads=-3\n",
+                  "mc-threads must be >= 0");
+  expectThrowWith("dftno central ring:8 mc-threads=-1\n",
+                  "mc-threads must be >= 0");
+  expectThrowWith("model-check:dftc central path:3 budget=0\n",
+                  "budget must be positive");
+  expectThrowWith("# ok\nmodel-check:dftc central path:3 budget=-1\n",
+                  "line 2: model-check budget must be positive");
+}
+
+TEST(ScenarioFile, McThreadsZeroMeansHardwareConcurrency) {
+  std::istringstream in("model-check:dftc central path:3 mc-threads=0\n");
+  const std::vector<Scenario> scenarios = loadScenarios(in);
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].mcThreads, 0);
+}
+
+TEST(CanonicalScenario, RejectsNegativeMcThreadsAndNonPositiveBudgets) {
+  Scenario s = parseScenario("model-check:dftc/central/path:3");
+  s.mcThreads = 0;
+  EXPECT_EQ(parseCanonicalScenario(canonicalScenario(s)).mcThreads, 0);
+  auto expectRejected = [](const Scenario& bad, const char* needle) {
+    try {
+      (void)parseCanonicalScenario(canonicalScenario(bad));
+      FAIL() << "expected rejection: " << canonicalScenario(bad);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  s.mcThreads = -3;
+  expectRejected(s, "mc-threads must be >= 0");
+  s.mcThreads = 2;
+  s.budget = -1;
+  expectRejected(s, "budget must be positive");
 }
 
 TEST(ScenarioRegistry, NewGeneratorsUsableFromSimulationAndModelCheck) {

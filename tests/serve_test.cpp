@@ -24,6 +24,7 @@
 #include "exp/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
+#include "thread_start_failure.hpp"
 
 namespace ssno::serve {
 namespace {
@@ -219,6 +220,43 @@ TEST(Server, OneNodeTopologyIsRejectedAndTheSessionSurvives) {
   EXPECT_FALSE(lines[2].find("failed")->asBool());
   EXPECT_TRUE(lines[3].find("complete")->asBool());
   EXPECT_EQ(lines[4].find("computed")->asInt(), 1);
+}
+
+TEST(Server, RefusedModelCheckThreadFailsTheUnitAndTheSessionSurvives) {
+  // A refused explorer thread used to abort exp_serve through a single
+  // submit ("terminate called without an active exception", e.g. on
+  // mc-threads=100000).  Now that unit fails with the error, and the
+  // next request in the same session is answered.
+  SchedulerOptions opt;
+  opt.workers = 1;
+  ExpServer server(opt);  // its worker thread starts before the refusal
+  std::vector<JsonValue> lines;
+  {
+    const ThreadStartFailure refuse;
+    lines = session(
+        server,
+        {R"({"verb":"submit","scenarios":)"
+         R"(["model-check:dftc central path:3 mc-threads=8 trials=1"]})",
+         R"({"verb":"result","job":1})",
+         R"({"verb":"submit","scenarios":)"
+         R"(["model-check:dftc central path:3 mc-threads=1 trials=1"]})",
+         R"({"verb":"result","job":2})", R"({"verb":"stats"})"});
+  }
+  ASSERT_EQ(lines.size(), 7u);  // each result: its row + a summary line
+  EXPECT_TRUE(lines[0].find("ok")->asBool());
+  EXPECT_TRUE(lines[1].find("failed")->asBool());
+  const std::string error = lines[1].find("error")->asString();
+  EXPECT_NE(error.find("cannot start worker thread 1 of 8"),
+            std::string::npos)
+      << error;
+  EXPECT_TRUE(lines[2].find("complete")->asBool());
+  EXPECT_TRUE(lines[3].find("ok")->asBool());
+  EXPECT_EQ(lines[3].find("job")->asInt(), 2);
+  EXPECT_FALSE(lines[4].find("failed")->asBool());
+  EXPECT_NE(lines[4].find("csv")->asString().find("verdicts_agree"),
+            std::string::npos);
+  EXPECT_TRUE(lines[5].find("complete")->asBool());
+  EXPECT_TRUE(lines[6].find("ok")->asBool());
 }
 
 TEST(Server, KilledServerResumesFromCheckpointByteIdentical) {
