@@ -1,5 +1,5 @@
 // Multi-word bitmask utilities shared by the enabled-move pipeline
-// (EnabledCache / EnabledView word iteration) and the model checkers'
+// (EnabledCache / EnabledView word iteration) and the model checker's
 // fairness masks (mc/properties, which outgrew a single uint64_t once
 // node·actions > 64 instances became checkable).
 //

@@ -1,4 +1,5 @@
-// Mechanical verification of self-stabilization (Definitions 2.1.1/2.1.2).
+// Mechanical verification of self-stabilization (Definitions 2.1.1/2.1.2):
+// the property theory the model checker decides.
 //
 // For a protocol P with legitimacy predicate L on configuration set C,
 // self-stabilization =
@@ -31,58 +32,16 @@
 // an internal transition (a closed walk covering all of the SCC then
 // witnesses feasibility).
 //
-// Condition (2)/(2') is decided by mc::findFairCycle (mc/properties),
-// the analysis the parallel explorer uses too: both verify* paths log the
-// out-edges of every illegitimate configuration while they expand it —
-// one edge per enabled (processor, action) pair, edges into legitimate
-// configurations marked — and run it on that log, so no configuration is
-// expanded twice.  (An acyclic region has no SCC with an internal edge,
-// so kNone needs no separate depth-first search.)
-//
-// ModelChecker verifies exactly these conditions:
-//   * verifyFullSpace  — enumerates the complete product state space
-//                        (∏_p localStateCount(p)); the strongest check,
-//                        feasible for tiny graphs/domains;
-//   * verifyReachable  — explores only configurations reachable from a
-//                        given seed set (used e.g. to verify the overlay
-//                        layer from every overlay state × legitimate
-//                        substrate states);
-//   * monteCarlo       — randomized convergence stress for sizes beyond
-//                        exhaustive reach, under any daemon.
-//
-// Successor expansion is incremental: configurations are delta-decoded
-// (only the nodes that differ from the previously decoded configuration
-// are rewritten, see Protocol::decodeConfigurationDelta), and the
-// enabled-move set is maintained by an EnabledCache over the protocol's
-// dirty notifications instead of a full guard rescan per configuration.
-// In Debug builds the cache cross-checks the incremental enabled set
-// against the naive scan on every refresh, so exploration itself
-// exercises the dirtying contract.  setNaiveExpansion(true) restores
-// the pre-incremental behavior (full decode + full rescan per
-// expansion) for before/after benchmarking.  The parallel engine in
-// src/mc scales these same checks across threads; equivalence of the
-// two paths is pinned by tests/mc_equiv_test.cpp.
+// mc::ParallelChecker (mc/explorer) verifies exactly these conditions,
+// over the full product space (∏_p localStateCount(p)) or over the
+// configurations reachable from a seed set; with Options::threads = 1 it
+// is the sequential checker.  Condition (2)/(2') is decided by
+// mc::findFairCycle (mc/properties) on the out-edges the explorer logs
+// while it expands the illegitimate region.
 #ifndef SSNO_CORE_CHECKER_HPP
 #define SSNO_CORE_CHECKER_HPP
 
-#include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "core/daemon.hpp"
-#include "core/protocol.hpp"
-#include "core/rng.hpp"
-
 namespace ssno {
-
-struct CheckResult {
-  bool ok = false;
-  std::string failure;               ///< empty when ok
-  std::uint64_t configsExplored = 0;
-
-  explicit operator bool() const { return ok; }
-};
 
 /// Which daemons the protocol must converge under.
 enum class Fairness {
@@ -91,60 +50,6 @@ enum class Fairness {
                   ///< enabled at EVERY configuration yet never executes
   kStronglyFair,  ///< no illegitimate cycle along which some action is
                   ///< enabled at SOME configuration yet never executes
-};
-
-class ModelChecker {
- public:
-  using LegitPredicate = std::function<bool()>;
-
-  /// `legit` is evaluated against the protocol's *current* configuration;
-  /// the checker decodes configurations into the protocol before calling.
-  ModelChecker(Protocol& protocol, LegitPredicate legit)
-      : protocol_(protocol), legit_(std::move(legit)) {}
-
-  /// Exhaustive check over the full product space.  Fails fast (without
-  /// exploring) if the space exceeds `maxConfigs` or the transition log's
-  /// 32-bit configuration indices.
-  [[nodiscard]] CheckResult verifyFullSpace(
-      std::uint64_t maxConfigs, Fairness fairness = Fairness::kNone);
-
-  /// Check over all configurations reachable from `seeds`.
-  [[nodiscard]] CheckResult verifyReachable(
-      const std::vector<std::vector<std::uint64_t>>& seeds,
-      std::uint64_t maxConfigs, Fairness fairness = Fairness::kNone);
-
-  /// Randomized: scrambles the configuration `trials` times, runs under
-  /// `daemon` for at most `maxMoves` moves per trial, and requires the
-  /// legitimacy predicate to hold at some point of every trial; after it
-  /// first holds, additionally requires it to keep holding for
-  /// `closureMoves` further moves (closure spot check).
-  [[nodiscard]] CheckResult monteCarlo(Daemon& daemon, Rng& rng, int trials,
-                                       StepCount maxMoves,
-                                       StepCount closureMoves);
-
-  /// Forces full configuration decodes and naive enabled-set rescans
-  /// per expansion (the pre-incremental behavior) — the "before" side
-  /// of the model-check throughput benchmark.
-  void setNaiveExpansion(bool naive) { naive_ = naive; }
-
-  /// Verifies under SYNCHRONOUS-daemon semantics instead of the central
-  /// interleaving: a transition executes one simultaneous move set —
-  /// every enabled processor acts, each choosing one of its enabled
-  /// actions (successors = the cartesian product of per-node choices).
-  /// Move sets are executed in place by the columnar simultaneous-step
-  /// engine (core/sync_engine) — batched StateArena snapshot/restore of
-  /// the acting set with a single deferred dirty pass — instead of
-  /// per-node (node, mask) snapshot loops.  Under the synchronous
-  /// daemon every enabled processor acts each step, so the fairness-
-  /// aware modes are meaningless here: only Fairness::kNone is
-  /// accepted (the illegitimate region must be acyclic).
-  void setSynchronousSteps(bool sync) { sync_ = sync; }
-
- private:
-  Protocol& protocol_;
-  LegitPredicate legit_;
-  bool naive_ = false;
-  bool sync_ = false;
 };
 
 }  // namespace ssno

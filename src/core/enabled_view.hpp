@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -145,7 +144,7 @@ class EnabledView {
   }
 
   /// Snapshots (node, mask) pairs for enabled nodes — the compact
-  /// expansion buffer the model checkers iterate while mutating the
+  /// expansion buffer the model checker iterates while mutating the
   /// protocol (at most one entry per enabled node instead of one Move
   /// per enabled action).  Iterate a snapshot with the free
   /// forEachMove(const NodeMasks&, fn) below.
@@ -189,7 +188,7 @@ class EnabledView {
 };
 
 /// A stable (node, action-mask) snapshot of an EnabledView, as produced
-/// by appendNodeMasks — the expansion buffer both model checkers copy
+/// by appendNodeMasks — the expansion buffer the model checker copies
 /// before mutating the protocol invalidates the live view.
 using NodeMasks = std::vector<std::pair<NodeId, std::uint64_t>>;
 
@@ -211,12 +210,10 @@ void forEachMove(const NodeMasks& snapshot, Fn&& fn) {
 /// cartesian product of per-node choices, visited in lexicographic
 /// order (the last node's action varies fastest).  `fn` receives each
 /// selection as a node-ascending span valid for the duration of the
-/// call; a bool-returning `fn` stops the enumeration by returning
-/// false (the checkers' closure early-exit).  `scratch` is the reused
-/// backing buffer.  This is the checkers' synchronous-successor
-/// move-set enumeration; at model-checking scale the product is small
-/// (most processors have at most one enabled action).  No calls for an
-/// empty snapshot.
+/// call.  `scratch` is the reused backing buffer.  This is the model
+/// checker's synchronous-successor move-set enumeration; at
+/// model-checking scale the product is small (most processors have at
+/// most one enabled action).  No calls for an empty snapshot.
 template <class Fn>
 void forEachSimultaneousSelection(const NodeMasks& snapshot,
                                   std::vector<Move>& scratch, Fn&& fn) {
@@ -224,17 +221,8 @@ void forEachSimultaneousSelection(const NodeMasks& snapshot,
   scratch.clear();
   for (const auto& [p, mask] : snapshot)
     scratch.push_back(Move{p, bits::lowestBit(mask)});
-  auto visit = [&]() -> bool {
-    if constexpr (std::is_void_v<std::invoke_result_t<
-                      Fn&, std::span<const Move>>>) {
-      fn(std::span<const Move>(scratch));
-      return true;
-    } else {
-      return fn(std::span<const Move>(scratch));
-    }
-  };
   while (true) {
-    if (!visit()) return;
+    fn(std::span<const Move>(scratch));
     // Odometer advance: bump the last node that still has a higher
     // enabled action, resetting everything after it.
     std::size_t i = snapshot.size();

@@ -38,24 +38,6 @@ void Protocol::decodeConfiguration(const std::vector<std::uint64_t>& codes) {
   noteWriteAll();
 }
 
-void Protocol::decodeConfigurationDelta(
-    const std::vector<std::uint64_t>& codes,
-    std::vector<std::uint64_t>& prev) {
-  SSNO_EXPECTS(static_cast<int>(codes.size()) == graph().nodeCount());
-  if (prev.size() != codes.size()) {
-    decodeConfiguration(codes);
-    prev = codes;
-    return;
-  }
-  for (NodeId p = 0; p < graph().nodeCount(); ++p) {
-    const auto i = static_cast<std::size_t>(p);
-    if (codes[i] == prev[i]) continue;
-    doDecodeNode(p, codes[i]);
-    noteWrite(p);
-    prev[i] = codes[i];
-  }
-}
-
 std::vector<int> Protocol::rawConfiguration() const {
   std::vector<int> out;
   for (NodeId p = 0; p < graph().nodeCount(); ++p) {

@@ -153,7 +153,7 @@ class Protocol {
   /// Size of processor p's local state space; local states are indexed
   /// 0..localStateCount(p)-1.  Only meaningful at model-checking scales:
   /// for high-degree processors the count may exceed 64 bits, in which
-  /// case the codec must not be used (the ModelChecker detects overflow;
+  /// case the codec must not be used (mc::StateCodec detects overflow;
   /// the simulator and the legitimacy orbit indexes use raw values).
   [[nodiscard]] virtual std::uint64_t localStateCount(NodeId p) const = 0;
   [[nodiscard]] virtual std::uint64_t encodeNode(NodeId p) const = 0;
@@ -204,17 +204,6 @@ class Protocol {
   /// Whole-configuration encode/decode helpers built on the node codec.
   [[nodiscard]] std::vector<std::uint64_t> encodeConfiguration() const;
   void decodeConfiguration(const std::vector<std::uint64_t>& codes);
-
-  /// Delta decode: rewrites only the nodes whose code differs from
-  /// `prev`, dirtying just those closed neighborhoods, and updates
-  /// `prev` to `codes`.  A caller that threads `prev` through
-  /// successive decodes (model-checking exploration, where neighboring
-  /// configurations differ in a handful of nodes) keeps the dirty set —
-  /// and therefore an EnabledCache consumer — incremental instead of
-  /// invalidating everything per configuration.  A `prev` of the wrong
-  /// size is treated as unknown and triggers a full decode.
-  void decodeConfigurationDelta(const std::vector<std::uint64_t>& codes,
-                                std::vector<std::uint64_t>& prev);
 
   /// FNV-1a hash of the canonical encoding (for visited-set bookkeeping).
   [[nodiscard]] std::uint64_t configurationHash() const;

@@ -55,7 +55,7 @@
 // execute() cross-checks the columnar post-step configuration against
 // it bit for bit.  undo() restores the pre-step configuration of the
 // last step (with dirty notifications), which is what lets the model
-// checkers expand synchronous successors in place.
+// checker expand synchronous successors in place.
 #ifndef SSNO_CORE_SYNC_ENGINE_HPP
 #define SSNO_CORE_SYNC_ENGINE_HPP
 
@@ -88,7 +88,7 @@ class SimultaneousEngine {
   void executeLegacy(std::span<const Move> moves);
 
   /// Restores the configuration from before the last execute*() call,
-  /// with dirty notifications — the checkers' in-place successor
+  /// with dirty notifications — the model checker's in-place successor
   /// rollback.  Valid once per step.
   void undo();
 
@@ -97,7 +97,7 @@ class SimultaneousEngine {
   /// still capture, since they read pre_ for correctness.  undo() after
   /// an uncaptured step traps.  The Simulator turns this off for its
   /// internal engine (it never exposes undo); standalone engines — the
-  /// model checkers' in-place successor expansion — keep the default.
+  /// model checker's in-place successor expansion — keep the default.
   void setUndoCapture(bool on) { undoCapture_ = on; }
 
  private:

@@ -500,16 +500,23 @@ void validateMcLimits(const Scenario& s) {
 
 namespace {
 
-/// Exhaustive model-checking throughput: full-space verification of the
-/// target protocol on g, (a) by the sequential ModelChecker with naive
-/// expansion (full decode + full guard rescan per configuration — the
-/// pre-incremental baseline) and (b) by the src/mc parallel explorer at
-/// s.mcThreads workers.  Both must return the same verdict; speedup is
-/// parallel states/sec over the naive sequential states/sec.
+/// Whether two checks of the same scenario returned the same result:
+/// verdict, failure text, counterexample trace and exploration counts
+/// (everything but the wall-clock fields and the spill-run count).
+bool sameResult(const mc::Result& a, const mc::Result& b) {
+  return a.ok == b.ok && a.failure == b.failure && a.trace == b.trace &&
+         a.statesExplored == b.statesExplored &&
+         a.transitions == b.transitions && a.peakFrontier == b.peakFrontier;
+}
+
+/// Exhaustive model-checking throughput and thread scaling: the target
+/// protocol on g, verified by the src/mc explorer at 1 thread (the
+/// sequential checker) and at s.mcThreads workers.  The two results must
+/// be identical (verdicts_agree); speedup is the s.mcThreads states/sec
+/// over the 1-thread states/sec.
 TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
                             std::uint64_t) {
   validateMcLimits(s);  // overrides reach here without a parse
-  const Fairness fairness = Fairness::kWeaklyFair;
   auto factory = [&g, &s]() -> std::unique_ptr<Protocol> {
     switch (s.mcTarget) {
       case McTarget::kDftc:
@@ -527,7 +534,6 @@ TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
     }
     throw std::invalid_argument("modelCheckTrial: unknown target");
   };
-  const auto maxStates = static_cast<std::uint64_t>(s.budget);
   const bool reachableMode = s.mcTarget == McTarget::kDftcFault;
 
   // 1-fault seeds: every single-node corruption of the clean
@@ -546,36 +552,27 @@ TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
     }
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::unique_ptr<Protocol> seq = factory();
-  ModelChecker checker(*seq, [&] { return legit(*seq); });
-  checker.setNaiveExpansion(true);
-  const CheckResult seqRes =
-      reachableMode ? checker.verifyReachable(seeds, maxStates, fairness)
-                    : checker.verifyFullSpace(maxStates, fairness);
-  const double seqSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  mc::Options opt;
-  opt.threads = s.mcThreads;
-  opt.maxStates = maxStates;
-  opt.fairness = fairness;
-  mc::ParallelChecker parallel(factory, legit);
-  const mc::Result mcRes = reachableMode
-                               ? parallel.checkReachable(seeds, opt)
-                               : parallel.checkFullSpace(opt);
+  mc::ParallelChecker checker(factory, legit);
+  const auto check = [&](int threads) {
+    mc::Options opt;
+    opt.threads = threads;
+    opt.maxStates = static_cast<std::uint64_t>(s.budget);
+    opt.fairness = Fairness::kWeaklyFair;
+    return reachableMode ? checker.checkReachable(seeds, opt)
+                         : checker.checkFullSpace(opt);
+  };
+  const mc::Result seqRes = check(1);
+  const mc::Result mcRes = check(s.mcThreads);
 
   TrialResult r;
   r.converged = seqRes.ok && mcRes.ok;
-  const double naiveRate =
-      static_cast<double>(seqRes.configsExplored) / std::max(seqSecs, 1e-9);
   r.metrics = {{"states", static_cast<double>(mcRes.statesExplored)},
-               {"naive_states_per_sec", naiveRate},
+               {"seq_states_per_sec", seqRes.statesPerSec},
                {"mc_states_per_sec", mcRes.statesPerSec},
-               {"speedup", mcRes.statesPerSec / std::max(naiveRate, 1e-9)},
+               {"speedup",
+                mcRes.statesPerSec / std::max(seqRes.statesPerSec, 1e-9)},
                {"peak_frontier", static_cast<double>(mcRes.peakFrontier)},
-               {"verdicts_agree", seqRes.ok == mcRes.ok ? 1.0 : 0.0}};
+               {"verdicts_agree", sameResult(seqRes, mcRes) ? 1.0 : 0.0}};
   return r;
 }
 

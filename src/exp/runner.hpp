@@ -44,9 +44,9 @@ enum class ProtocolKind {
   kChordalProps,   ///< §2.2 chordal-labeling properties (deterministic)
   kRouting,        ///< traversal/routing message complexity (deterministic)
   kScheduler,      ///< simulator throughput, naive vs incremental cache
-  kModelCheck,     ///< exhaustive verification throughput: src/mc parallel
-                   ///< explorer vs the sequential checker (pre-incremental
-                   ///< expansion), plus a verdict-agreement check
+  kModelCheck,     ///< exhaustive verification throughput: the src/mc
+                   ///< explorer at mc-threads workers vs 1 thread (thread
+                   ///< scaling), plus an identical-result check
   kResilience,     ///< adversarial resilience campaign on DFTNO: worst-case
                    ///< daemon search vs a random reference, fault-plan
                    ///< injection, schedule replay certification (src/resil)

@@ -188,9 +188,9 @@ std::vector<Scenario> schedulerPreset() {
   // synchronous daemon (executeSimultaneously path).  CI emits this as
   // BENCH_scheduler.json and the perf smoke job compares against the
   // committed baseline.  The model-check entry tracks exhaustive-
-  // verification throughput: src/mc parallel explorer vs the
-  // pre-incremental sequential checker (its speedup depends on the
-  // runner's core count, so the perf gate skips it — trajectory only).
+  // verification throughput: the src/mc explorer at 8 threads vs 1
+  // thread (its speedup depends on the runner's core count, so the perf
+  // gate checks it only where both runs saw more than one core).
   constexpr std::uint64_t kSeed = 0x5CED;
   std::vector<Scenario> out;
   for (const char* topo : {"ring:1024", "grid:32x32"}) {
@@ -251,11 +251,10 @@ std::vector<Scenario> schedulerPreset() {
 }
 
 std::vector<Scenario> modelCheckPreset() {
-  // Exhaustive self-stabilization proofs at preset scale: the parallel
-  // explorer's verdict is cross-checked against the sequential
-  // ModelChecker within every trial.  The dftc-fault entry verifies the
-  // 1-fault recovery cone (reachable mode) on a ring beyond full-space
-  // reach.
+  // Exhaustive self-stabilization proofs at preset scale: within every
+  // trial the explorer's result at mc-threads workers must be identical
+  // to its 1-thread result.  The dftc-fault entry verifies the 1-fault
+  // recovery cone (reachable mode) on a ring beyond full-space reach.
   std::vector<Scenario> out;
   for (const char* topo : {"path:3", "ring:3", "path:4", "star:4"})
     out.push_back(modelCheckScenario(McTarget::kDftc, topo, 1, 1ull << 22));

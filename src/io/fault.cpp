@@ -212,8 +212,14 @@ std::string FaultSchedule::render() const {
   for (const Rule& rule : rules_) {
     if (!out.empty()) out += "; ";
     out += faultName(rule.fault);
-    if (rule.op) out += "@" + std::string(opName(*rule.op));
-    if (rule.nth != 0) out += ":" + std::to_string(rule.nth);
+    if (rule.op) {
+      out += '@';
+      out += opName(*rule.op);
+    }
+    if (rule.nth != 0) {
+      out += ':';
+      out += std::to_string(rule.nth);
+    }
     if (rule.p >= 0.0) {
       out += ":p=" + std::to_string(rule.p);
     }

@@ -335,8 +335,8 @@ class Run {
     return out;
   }
 
-  /// Renders the selected violation into res (failure text mirrors the
-  /// sequential ModelChecker's messages; trace is mc-only).
+  /// Renders the selected violation into res: the failure text and the
+  /// counterexample trace.
   void report(Result& res) {
     const Violation& v = *best_;
     const std::uint64_t id =
@@ -518,6 +518,10 @@ Result ParallelChecker::checkFullSpace(const Options& opt) {
       return res;
     }
     total = probeCodec.totalStates();
+  }
+  if (!fitsLog(total)) {  // every configuration gets a store id
+    res.failure = kLogWidthExceeded;
+    return res;
   }
 
   Run run(factory_, legit_, opt, total);

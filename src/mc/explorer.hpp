@@ -1,6 +1,7 @@
-// ParallelChecker — parallel explicit-state verification of
-// self-stabilization (the scalable successor of core/checker's
-// exhaustive paths; the property theory is documented there).
+// ParallelChecker — the model checker: explicit-state verification of
+// self-stabilization, parallel across threads (Options::threads = 1 is
+// the sequential checker).  The property theory is documented in
+// core/checker.hpp.
 //
 // Architecture: a level-synchronous parallel BFS over bit-packed
 // canonical states.
@@ -29,7 +30,7 @@
 // pointers.  Wall-clock fields (seconds, statesPerSec) are of course
 // not deterministic.
 //
-// Properties checked (matching ModelChecker):
+// Properties checked (core/checker.hpp):
 //   * closure    — a legitimate configuration with an illegitimate
 //                  successor fails;
 //   * no deadlock — an illegitimate terminal configuration fails;
@@ -46,7 +47,9 @@
 //                  analyzed again, so the reported state is thread-count
 //                  independent.  Store ids, local ids and edge offsets are
 //                  32-bit in the log; a check that outgrows them fails with
-//                  mc::kLogWidthExceeded at the next level barrier.
+//                  mc::kLogWidthExceeded at the next level barrier (a
+//                  full-space check whose product space cannot fit fails
+//                  before it allocates anything).
 #ifndef SSNO_MC_EXPLORER_HPP
 #define SSNO_MC_EXPLORER_HPP
 
@@ -113,8 +116,9 @@ class ParallelChecker {
       : factory_(std::move(factory)), legit_(std::move(legit)) {}
 
   /// Exhaustive check over the full product space (every configuration
-  /// is a BFS seed).  Fails fast when ∏ localStateCount exceeds
-  /// maxStates or 64-bit indexing.
+  /// is a BFS seed).  Fails fast, before allocating anything, when
+  /// ∏ localStateCount exceeds maxStates, 64-bit indexing or the
+  /// transition log's 32-bit ids (mc::kLogWidthExceeded).
   [[nodiscard]] Result checkFullSpace(const Options& opt);
 
   /// Check over all configurations reachable from `seeds` (per-node

@@ -1,9 +1,8 @@
 // Convergence-property analysis on the illegitimate region, stored as a
 // CSR transition graph.
 //
-// Both checkers — the sequential ModelChecker and the parallel src/mc
-// explorer — log the region while they expand it and hand this one form
-// to findFairCycle:
+// The explorer (mc/explorer) logs the region while it expands it and
+// hands this form to findFairCycle:
 //   * states are dense local ids 0..stateCount()-1, one per
 //     illegitimate state;
 //   * state v's out-edges are edges[offsets[v], offsets[v+1]), one per
@@ -46,9 +45,8 @@
 namespace ssno::mc {
 
 /// Renders the protocol's current configuration, one "  node q: ..."
-/// line per processor — the counterexample format shared by the
-/// sequential ModelChecker and the parallel explorer (equivalence
-/// tests compare these messages across engines).
+/// line per processor — the format of the explorer's failure texts and
+/// counterexample traces.
 [[nodiscard]] std::string describeConfiguration(const Protocol& p);
 
 struct TransitionGraph {

@@ -1,10 +1,10 @@
 // StateCodec — bit-packed canonical configuration keys.
 //
-// The sequential ModelChecker hashes configurations as per-node code
-// vectors (n × 8 bytes, heap-allocated per successor).  At exploration
-// scale that dominates: every successor differs from its parent in ONE
-// node, yet encoding rebuilds the whole vector.  The codec instead packs
-// every node's canonical code (Protocol::encodeNode, radix
+// Hashing configurations as per-node code vectors (Protocol::
+// encodeConfiguration: n × 8 bytes, heap-allocated per successor)
+// dominates at exploration scale: every successor differs from its parent
+// in ONE node, yet encoding rebuilds the whole vector.  The codec instead
+// packs every node's canonical code (Protocol::encodeNode, radix
 // localStateCount) into a fixed-width key of `words()` 64-bit words using
 // per-node bit fields, so
 //

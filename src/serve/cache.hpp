@@ -55,7 +55,9 @@ namespace ssno::serve {
 /// Code-version salt baked into every key (see header comment).
 /// v2: canonical scenario format gained fault-plan/adversary/lookahead
 /// (canon=2), so every v1 key would mismatch its stored scenario line.
-inline constexpr std::string_view kCacheSalt = "ssno-serve-v2";
+/// v3: the model-check trial's naive_states_per_sec became
+/// seq_states_per_sec (the one explorer at 1 thread).
+inline constexpr std::string_view kCacheSalt = "ssno-serve-v3";
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);

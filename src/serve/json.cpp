@@ -274,7 +274,12 @@ std::string JsonValue::dump() const {
       return std::to_string(static_cast<std::int64_t>(v));
     return exp::shortestDouble(v);
   }
-  if (isString()) return "\"" + jsonEscape(asString()) + "\"";
+  if (isString()) {
+    std::string out = "\"";
+    out += jsonEscape(asString());
+    out += '"';
+    return out;
+  }
   if (isArray()) {
     std::string out = "[";
     bool first = true;
@@ -290,7 +295,10 @@ std::string JsonValue::dump() const {
   for (const auto& [k, v] : asObject()) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + jsonEscape(k) + "\":" + v.dump();
+    out += '"';
+    out += jsonEscape(k);
+    out += "\":";
+    out += v.dump();
   }
   return out + "}";
 }

@@ -10,6 +10,7 @@
 #include "core/graph.hpp"
 #include "core/graph_algo.hpp"
 #include "core/scheduler.hpp"
+#include "mc_check.hpp"
 
 namespace ssno {
 namespace {
@@ -63,9 +64,8 @@ TEST(BfsTreeExhaustive, StrictConvergenceOnSmallGraphs) {
   for (auto g : {Graph::path(3), Graph::ring(3), Graph::path(4),
                  Graph::star(4), Graph::ring(4),
                  Graph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}})}) {
-    BfsTree tree(g);
-    ModelChecker mc(tree, [&tree] { return tree.isLegitimate(); });
-    const CheckResult res = mc.verifyFullSpace(1u << 22, Fairness::kNone);
+    const mc::Result res = checkerFor<BfsTree>(g).checkFullSpace(
+        checkOptions(1u << 22, Fairness::kNone));
     EXPECT_TRUE(res.ok) << "n=" << g.nodeCount() << ": " << res.failure;
   }
 }

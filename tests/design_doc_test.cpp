@@ -1,7 +1,8 @@
 // DESIGN.md is the errata ledger: every "erratum N" / "deviation note N"
 // cited in src/ or tests/ must have an entry (a "## Erratum N" or
 // "## Deviation note N" heading), and every test an entry names as
-// `Suite.Name` must exist as TEST(Suite, Name) under tests/.
+// `Suite.Name` must exist as TEST(Suite, Name) under tests/.  README's
+// "Registered metrics" table must list exactly the metrics src/ registers.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -83,6 +85,70 @@ TEST(DesignDoc, EveryCitedIdHasAnEntryAndEveryNamedTestExists) {
         << "DESIGN.md names missing test " << name;
   }
   EXPECT_GE(named_tests, 6);
+}
+
+/// The backticked spans of `text`.
+std::vector<std::string> codeSpans(const std::string& text) {
+  static const std::regex code("`([^`]+)`");
+  std::vector<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), code), end;
+       it != end; ++it)
+    out.push_back((*it)[1]);
+  return out;
+}
+
+TEST(DesignDoc, EveryRegisteredMetricIsDocumentedAndEveryDocumentedOneExists) {
+  const fs::path root(SSNO_SOURCE_DIR);
+  std::set<std::string> registered;
+  const std::regex registration(
+      R"re(\.(?:counter|gauge|histogram)\(\s*"(\w+)")re");
+  for (const auto& [path, text] : sources(root / "src"))
+    for (std::sregex_iterator it(text.begin(), text.end(), registration), end;
+         it != end; ++it)
+      registered.insert((*it)[1]);
+  EXPECT_GE(registered.size(), 50u);
+
+  // The table's rows, "| names | kind | unit | what it counts |", follow
+  // the heading.  A name may hold one {a,b,...} group, or <verb>, which
+  // stands for every backticked word of the row's last cell.
+  const std::string readme = slurp(root / "README.md");
+  const std::size_t at = readme.find("Registered metrics");
+  ASSERT_NE(at, std::string::npos) << "README has no metrics table";
+  std::istringstream lines(readme.substr(at));
+  std::set<std::string> documented;
+  const std::regex group(R"(\{([^}]*)\})");
+  bool inTable = false;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with("|")) {
+      if (inTable) break;
+      continue;
+    }
+    inTable = true;
+    std::vector<std::string> cells;  // "", names, kind, unit, what
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) cells.push_back(cell);
+    if (cells.size() != 5) continue;
+    for (const std::string& name : codeSpans(cells[1])) {
+      std::smatch m;
+      if (std::regex_search(name, m, group)) {
+        std::istringstream alternatives(m[1].str());
+        for (std::string alt; std::getline(alternatives, alt, ',');)
+          documented.insert(m.prefix().str() + alt + m.suffix().str());
+      } else if (const std::size_t verb = name.find("<verb>");
+                 verb != std::string::npos) {
+        for (const std::string& v : codeSpans(cells[4]))
+          documented.insert(std::string(name).replace(verb, 6, v));
+      } else {
+        documented.insert(name);
+      }
+    }
+  }
+  for (const std::string& name : registered)
+    EXPECT_TRUE(documented.contains(name))
+        << name << " is registered under src/ but missing from README";
+  for (const std::string& name : documented)
+    EXPECT_TRUE(registered.contains(name))
+        << "README lists " << name << ", which nothing under src/ registers";
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // circulation substrate and the composed DFTNO system, via exhaustive
 // model checking on small networks: from EVERY configuration, EVERY
 // central-daemon execution reaches the legitimacy predicate, and the
-// predicate is closed.
+// predicate is closed.  Beyond exhaustive reach, randomized stress runs
+// (monte_carlo.hpp) cover larger graphs under every daemon.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,53 +13,59 @@
 #include "core/graph.hpp"
 #include "dftc/dftc.hpp"
 #include "mc/explorer.hpp"
+#include "mc_check.hpp"
+#include "monte_carlo.hpp"
 #include "orientation/dftno.hpp"
+#include "toy_protocols.hpp"
 
 namespace ssno {
 namespace {
 
-CheckResult checkDftcFullSpace(Graph g, std::uint64_t maxConfigs) {
-  Dftc dftc(std::move(g));
-  ModelChecker mc(dftc, [&dftc] { return dftc.isLegitimate(); });
+/// Spaces above 500k configurations run on 4 workers; verdicts and
+/// counts do not depend on the thread count (mc_equiv_test).
+mc::Result checkDftcFullSpace(Graph g, std::uint64_t maxConfigs,
+                              int threads = 1) {
   // The substrate (like [10]) assumes a fair daemon; weak fairness at
   // action granularity is what the checker verifies.
-  return mc.verifyFullSpace(maxConfigs, Fairness::kWeaklyFair);
+  return checkerFor<Dftc>(std::move(g))
+      .checkFullSpace(
+          checkOptions(maxConfigs, Fairness::kWeaklyFair, threads));
 }
 
 TEST(DftcExhaustive, Path2) {
-  const CheckResult res = checkDftcFullSpace(Graph::path(2), 1u << 10);
+  const mc::Result res = checkDftcFullSpace(Graph::path(2), 1u << 10);
   EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_EQ(res.configsExplored, 4u * 8u);  // root(2·2) × leaf(2·2·2·1)
+  EXPECT_EQ(res.statesExplored, 4u * 8u);  // root(2·2) × leaf(2·2·2·1)
 }
 
 TEST(DftcExhaustive, Path3) {
-  const CheckResult res = checkDftcFullSpace(Graph::path(3), 1u << 16);
+  const mc::Result res = checkDftcFullSpace(Graph::path(3), 1u << 16);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, Triangle) {
-  const CheckResult res = checkDftcFullSpace(Graph::ring(3), 1u << 16);
+  const mc::Result res = checkDftcFullSpace(Graph::ring(3), 1u << 16);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, Path4) {
-  const CheckResult res = checkDftcFullSpace(Graph::path(4), 1u << 20);
+  const mc::Result res = checkDftcFullSpace(Graph::path(4), 1u << 20);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, Star4) {
-  const CheckResult res = checkDftcFullSpace(Graph::star(4), 1u << 20);
+  const mc::Result res = checkDftcFullSpace(Graph::star(4), 1u << 20);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, Cycle4) {
-  const CheckResult res = checkDftcFullSpace(Graph::ring(4), 1u << 21);
+  const mc::Result res = checkDftcFullSpace(Graph::ring(4), 1u << 21, 4);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, Paw) {
   // Triangle with a pendant vertex: mixes cycle and tree structure.
-  const CheckResult res = checkDftcFullSpace(
+  const mc::Result res = checkDftcFullSpace(
       Graph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}}), 1u << 22);
   EXPECT_TRUE(res.ok) << res.failure;
 }
@@ -66,24 +73,24 @@ TEST(DftcExhaustive, Paw) {
 TEST(DftcExhaustive, Diamond) {
   // K4 minus an edge: two triangles sharing an edge — the densest
   // 4-node case with non-uniform degrees.
-  const CheckResult res = checkDftcFullSpace(
-      Graph(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}), 1u << 22);
+  const mc::Result res = checkDftcFullSpace(
+      Graph(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}), 1u << 22, 4);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftcExhaustive, K4) {
-  const CheckResult res = checkDftcFullSpace(Graph::complete(4), 1u << 23);
+  const mc::Result res =
+      checkDftcFullSpace(Graph::complete(4), 1u << 23, 4);
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(DftnoExhaustive, ComposedSystemOnPath2) {
   // Full product space of substrate AND orientation layer.
-  Dftno dftno(Graph::path(2));
-  ModelChecker mc(dftno, [&dftno] { return dftno.isLegitimate(); });
-  const CheckResult res =
-      mc.verifyFullSpace(1u << 12, Fairness::kWeaklyFair);
+  const mc::Result res = checkerFor<Dftno>(Graph::path(2))
+                             .checkFullSpace(checkOptions(
+                                 1u << 12, Fairness::kWeaklyFair));
   EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_EQ(res.configsExplored, 2048u);
+  EXPECT_EQ(res.statesExplored, 2048u);
 }
 
 // Erratum 4 regression (see DESIGN.md): with the paper's printed guard
@@ -94,22 +101,16 @@ TEST(DftnoExhaustive, ComposedSystemOnPath2) {
 // fair-feasible divergence; under strong fairness the paper's guard is
 // fine.
 TEST(DftnoExhaustive, PaperGuardNeedsStrongFairness) {
-  {
-    Dftno dftno(Graph::path(2), EdgeLabelGuard::kPaperFaithful);
-    ModelChecker mc(dftno, [&dftno] { return dftno.isLegitimate(); });
-    const CheckResult weak =
-        mc.verifyFullSpace(1u << 12, Fairness::kWeaklyFair);
-    EXPECT_FALSE(weak.ok);
-    EXPECT_NE(weak.failure.find("fair-feasible cycle"), std::string::npos)
-        << weak.failure;
-  }
-  {
-    Dftno dftno(Graph::path(2), EdgeLabelGuard::kPaperFaithful);
-    ModelChecker mc(dftno, [&dftno] { return dftno.isLegitimate(); });
-    const CheckResult strong =
-        mc.verifyFullSpace(1u << 12, Fairness::kStronglyFair);
-    EXPECT_TRUE(strong.ok) << strong.failure;
-  }
+  mc::ParallelChecker paperGuard =
+      checkerFor<Dftno>(Graph::path(2), EdgeLabelGuard::kPaperFaithful);
+  const mc::Result weak =
+      paperGuard.checkFullSpace(checkOptions(1u << 12, Fairness::kWeaklyFair));
+  EXPECT_FALSE(weak.ok);
+  EXPECT_NE(weak.failure.find("fair-feasible cycle"), std::string::npos)
+      << weak.failure;
+  const mc::Result strong = paperGuard.checkFullSpace(
+      checkOptions(1u << 12, Fairness::kStronglyFair));
+  EXPECT_TRUE(strong.ok) << strong.failure;
 }
 
 // DESIGN.md deviation note 6: the naive legitimacy predicate
@@ -119,12 +120,14 @@ TEST(DftnoExhaustive, PaperGuardNeedsStrongFairness) {
 // orbit (Dftno::isLegitimate), on which the spec provably holds
 // (dftno_test).  This regression pins the finding.
 TEST(DftnoExhaustive, NaiveSpecPredicateIsNotClosed) {
-  Dftno dftno(Graph::path(2));
-  ModelChecker mc(dftno, [&dftno] {
-    return dftno.substrateLegitimate() && dftno.satisfiesSpecNow();
-  });
-  const CheckResult res =
-      mc.verifyFullSpace(1u << 12, Fairness::kWeaklyFair);
+  mc::ParallelChecker checker(
+      [] { return std::make_unique<Dftno>(Graph::path(2)); },
+      [](Protocol& p) {
+        auto& dftno = static_cast<Dftno&>(p);
+        return dftno.substrateLegitimate() && dftno.satisfiesSpecNow();
+      });
+  const mc::Result res =
+      checker.checkFullSpace(checkOptions(1u << 12, Fairness::kWeaklyFair));
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("closure"), std::string::npos) << res.failure;
 }
@@ -170,9 +173,9 @@ TEST(DftnoReachable, OverlayLayerOnPath3FromLegitSubstrate) {
       seeds.push_back(std::move(cfg));
     }
   }
-  ModelChecker mc(dftno, [&dftno] { return dftno.isLegitimate(); });
-  const CheckResult res =
-      mc.verifyReachable(seeds, 8'000'000, Fairness::kWeaklyFair);
+  const mc::Result res = checkerFor<Dftno>(Graph::path(3))
+                             .checkReachable(seeds, checkOptions(
+                                 8'000'000, Fairness::kWeaklyFair));
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
@@ -221,14 +224,33 @@ TEST(DftcMonteCarlo, LargerGraphsAllDaemons) {
     for (DaemonKind kind : {DaemonKind::kCentral, DaemonKind::kDistributed,
                             DaemonKind::kSynchronous, DaemonKind::kRoundRobin}) {
       Dftc dftc(g);
-      ModelChecker mc(dftc, [&dftc] { return dftc.isLegitimate(); });
       auto daemon = makeDaemon(kind);
       Rng rng(4242);
-      const CheckResult res = mc.monteCarlo(*daemon, rng, 25, 500'000, 200);
-      EXPECT_TRUE(res.ok) << "n=" << g.nodeCount() << " "
-                          << daemon->name() << ": " << res.failure;
+      const std::string failure =
+          monteCarlo(dftc, [&dftc] { return dftc.isLegitimate(); }, *daemon,
+                     rng, 25, 500'000, 200);
+      EXPECT_EQ(failure, "") << "n=" << g.nodeCount() << " "
+                             << daemon->name();
     }
   }
+}
+
+TEST(MonteCarlo, PassesOnSelfStabilizingToy) {
+  ZeroProtocol proto(Graph::ring(6), 4);
+  DistributedDaemon daemon;
+  Rng rng(5);
+  EXPECT_EQ(monteCarlo(proto, [&proto] { return proto.allZero(); }, daemon,
+                       rng, 50, 10'000, 100),
+            "");
+}
+
+TEST(MonteCarlo, FailsOnLivelockedToy) {
+  OscillateProtocol proto(Graph::path(2));
+  CentralDaemon daemon;
+  Rng rng(6);
+  EXPECT_NE(monteCarlo(proto, [&proto] { return proto.allZero(); }, daemon,
+                       rng, 5, 1000, 10),
+            "");
 }
 
 }  // namespace

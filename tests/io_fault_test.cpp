@@ -248,7 +248,9 @@ TEST(CrashPointRunner, CacheStoreSurvivesACrashAtEveryFaultSite) {
       // exact payload or a (possibly counted) miss — never a throw.
       serve::ResultCache after(dir);
       const auto got = after.fetch(s);
-      if (got) EXPECT_EQ(*got, payload) << spec;
+      if (got) {
+        EXPECT_EQ(*got, payload) << spec;
+      }
       // The record path holds no torn garbage a reader would trust:
       // either a complete record (hit above) or nothing readable.
       const auto c = after.counters();

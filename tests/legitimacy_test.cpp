@@ -272,23 +272,33 @@ TEST(Legitimacy, AgreesWithOracleAfterBulkAndExternalWrites) {
         p.setRawConfiguration(s.orbit[static_cast<std::size_t>(pick)]);
         d.note(s.compare(), "setRawConfiguration " + std::to_string(k));
       }
-      // decodeConfigurationDelta along the orbit (consecutive walk
-      // configurations differ in one processor) and to one- and two-node
-      // corruptions of each.
+      // Delta decodes along the orbit (consecutive walk configurations
+      // differ in one processor) and to one- and two-node corruptions of
+      // each: one decodeNode per processor whose code changed, the writes
+      // the model checker's StateCodec::decodeDelta issues.
       std::vector<std::vector<std::uint64_t>> orbitCodes;
       for (const std::vector<int>& config : s.orbit) {
         p.setRawConfiguration(config);
         orbitCodes.push_back(p.encodeConfiguration());
       }
-      std::vector<std::uint64_t> prev;  // empty: the first decode is full
+      std::vector<std::uint64_t> prev = orbitCodes.front();
+      p.decodeConfiguration(prev);
+      const auto decodeDelta = [&](const std::vector<std::uint64_t>& codes) {
+        for (NodeId v = 0; v < g.nodeCount(); ++v) {
+          const auto i = static_cast<std::size_t>(v);
+          if (codes[i] == prev[i]) continue;
+          p.decodeNode(v, codes[i]);
+          prev[i] = codes[i];
+        }
+      };
       for (std::vector<std::uint64_t> codes : orbitCodes) {
-        p.decodeConfigurationDelta(codes, prev);
+        decodeDelta(codes);
         d.note(s.compare(), "delta decode onto the orbit");
         for (int k = 0; k < 2; ++k) {
           const NodeId v = rng.below(g.nodeCount());
           const auto draw = static_cast<std::uint64_t>(rng.below(1 << 20));
           codes[static_cast<std::size_t>(v)] = draw % p.localStateCount(v);
-          p.decodeConfigurationDelta(codes, prev);
+          decodeDelta(codes);
           d.note(s.compare(), "delta decode, corruption " + std::to_string(k));
         }
       }

@@ -11,6 +11,7 @@
 #include "core/graph.hpp"
 #include "core/graph_algo.hpp"
 #include "core/scheduler.hpp"
+#include "mc_check.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
 #include "sptree/dfs_tree.hpp"
@@ -85,9 +86,8 @@ TEST(LexDfsTreeExhaustive, StrictConvergenceOnSmallGraphs) {
   for (auto g : {Graph::path(3), Graph::ring(3), Graph::path(4),
                  Graph::star(4),
                  Graph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}})}) {
-    LexDfsTree tree(g);
-    ModelChecker mc(tree, [&tree] { return tree.isLegitimate(); });
-    const CheckResult res = mc.verifyFullSpace(1u << 24, Fairness::kNone);
+    const mc::Result res = checkerFor<LexDfsTree>(g).checkFullSpace(
+        checkOptions(1u << 24, Fairness::kNone));
     EXPECT_TRUE(res.ok) << "n=" << g.nodeCount() << ": " << res.failure;
   }
 }

@@ -1,9 +1,10 @@
-// Parallel-vs-sequential equivalence: every protocol × tiny topology is
-// verified by BOTH the sequential ModelChecker (incremental and naive
-// expansion) and the src/mc ParallelChecker, and must produce the same
-// verdict; the parallel engine's full result — verdict, failure text,
-// counterexample trace, state and frontier counts — must be
-// bit-identical for 1 and N exploration threads.
+// Explorer-vs-oracle equivalence: every protocol × tiny topology is
+// verified by the src/mc explorer at 1, 2 and 8 threads and by the
+// brute-force exploration oracle (tests/oracle/explore_oracle.hpp); they
+// must agree on the verdict and the failure kind, and on passing cases
+// on the states explored and the transitions.  The explorer's full
+// result — verdict, failure text, counterexample trace, state and
+// frontier counts — must be bit-identical for 1 and N threads.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,6 +16,7 @@
 #include "core/graph.hpp"
 #include "dftc/dftc.hpp"
 #include "mc/explorer.hpp"
+#include "oracle/explore_oracle.hpp"
 #include "orientation/dftno.hpp"
 #include "toy_protocols.hpp"
 
@@ -70,7 +72,7 @@ std::vector<Case> equivalenceCases() {
        Fairness::kWeaklyFair,
        ""});
   // Erratum 4: the paper-faithful edge-label guard diverges under weak
-  // fairness — the parallel engine must agree on the failure too.
+  // fairness — the explorer and the oracle must agree on the failure.
   cases.push_back(
       {"dftno-paper-guard/path:2",
        [] {
@@ -83,12 +85,11 @@ std::vector<Case> equivalenceCases() {
   return cases;
 }
 
-CheckResult sequentialVerdict(const Case& c, bool naive) {
+oracle::ExploreVerdict oracleVerdict(const Case& c) {
   const std::unique_ptr<Protocol> protocol = c.factory();
-  Protocol& ref = *protocol;
-  ModelChecker checker(ref, [&c, &ref] { return c.legit(ref); });
-  checker.setNaiveExpansion(naive);
-  return checker.verifyFullSpace(1u << 22, c.fairness);
+  return oracle::bruteForceExplore(*protocol, c.legit,
+                                   oracle::allConfigurations(*protocol),
+                                   c.fairness, /*synchronous=*/false);
 }
 
 mc::Result parallelVerdict(const Case& c, int threads) {
@@ -99,28 +100,20 @@ mc::Result parallelVerdict(const Case& c, int threads) {
   return pc.checkFullSpace(opt);
 }
 
-TEST(McEquivalence, VerdictsMatchSequentialOnFullSpace) {
+TEST(McEquivalence, VerdictsMatchOracleOnFullSpace) {
   for (const Case& c : equivalenceCases()) {
-    const CheckResult incremental = sequentialVerdict(c, /*naive=*/false);
-    const CheckResult naive = sequentialVerdict(c, /*naive=*/true);
-    const mc::Result parallel = parallelVerdict(c, 2);
-    EXPECT_EQ(incremental.ok, naive.ok) << c.name;
-    EXPECT_EQ(incremental.failure, naive.failure) << c.name;
-    EXPECT_EQ(incremental.ok, parallel.ok)
-        << c.name << ": seq='" << incremental.failure << "' mc='"
-        << parallel.failure << "'";
-    if (c.expectKind.empty()) {
-      EXPECT_TRUE(parallel.ok) << c.name << ": " << parallel.failure;
-    } else {
-      EXPECT_NE(parallel.failure.find(c.expectKind), std::string::npos)
-          << c.name << ": " << parallel.failure;
-      EXPECT_NE(incremental.failure.find(c.expectKind), std::string::npos)
-          << c.name << ": " << incremental.failure;
-    }
-    // Both explore the same space exhaustively (pass cases).
-    if (parallel.ok) {
-      EXPECT_EQ(parallel.statesExplored, incremental.configsExplored)
-          << c.name;
+    const oracle::ExploreVerdict truth = oracleVerdict(c);
+    EXPECT_EQ(truth.ok(), c.expectKind.empty()) << c.name;
+    for (const int threads : {1, 2, 8}) {
+      const mc::Result parallel = parallelVerdict(c, threads);
+      EXPECT_EQ(oracle::disagreement(parallel, truth), "")
+          << c.name << " @" << threads;
+      if (c.expectKind.empty()) {
+        EXPECT_TRUE(parallel.ok) << c.name << ": " << parallel.failure;
+      } else {
+        EXPECT_NE(parallel.failure.find(c.expectKind), std::string::npos)
+            << c.name << ": " << parallel.failure;
+      }
     }
   }
 }
@@ -157,10 +150,11 @@ TEST(McEquivalence, ReachableVerdictsMatchAndTracesAreThreadFree) {
     }
   }
 
-  Dftc seq(g);
-  ModelChecker checker(seq, [&seq] { return seq.isLegitimate(); });
-  const CheckResult seqRes =
-      checker.verifyReachable(seeds, 1u << 22, Fairness::kWeaklyFair);
+  Dftc ref(g);
+  const oracle::ExploreVerdict truth = oracle::bruteForceExplore(
+      ref, [](Protocol& p) { return static_cast<Dftc&>(p).isLegitimate(); },
+      seeds, Fairness::kWeaklyFair, /*synchronous=*/false);
+  EXPECT_TRUE(truth.ok());
 
   auto factory = [&g] { return std::make_unique<Dftc>(g); };
   auto legit = [](Protocol& p) {
@@ -171,18 +165,20 @@ TEST(McEquivalence, ReachableVerdictsMatchAndTracesAreThreadFree) {
   opt.fairness = Fairness::kWeaklyFair;
   opt.threads = 1;
   const mc::Result one = pc.checkReachable(seeds, opt);
-  EXPECT_EQ(seqRes.ok, one.ok)
-      << "seq='" << seqRes.failure << "' mc='" << one.failure << "'";
+  EXPECT_EQ(oracle::disagreement(one, truth), "");
   EXPECT_TRUE(one.ok) << one.failure;
-  EXPECT_EQ(one.statesExplored, seqRes.configsExplored);
 
-  opt.threads = 8;
-  const mc::Result many = pc.checkReachable(seeds, opt);
-  EXPECT_EQ(one.ok, many.ok);
-  EXPECT_EQ(one.failure, many.failure);
-  EXPECT_EQ(one.trace, many.trace);
-  EXPECT_EQ(one.statesExplored, many.statesExplored);
-  EXPECT_EQ(one.peakFrontier, many.peakFrontier);
+  for (const int threads : {2, 8}) {
+    opt.threads = threads;
+    const mc::Result many = pc.checkReachable(seeds, opt);
+    EXPECT_EQ(oracle::disagreement(many, truth), "") << "@" << threads;
+    EXPECT_EQ(one.ok, many.ok);
+    EXPECT_EQ(one.failure, many.failure);
+    EXPECT_EQ(one.trace, many.trace);
+    EXPECT_EQ(one.statesExplored, many.statesExplored);
+    EXPECT_EQ(one.transitions, many.transitions);
+    EXPECT_EQ(one.peakFrontier, many.peakFrontier);
+  }
 }
 
 }  // namespace

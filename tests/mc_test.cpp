@@ -11,6 +11,7 @@
 
 #include "core/graph.hpp"
 #include "dftc/dftc.hpp"
+#include "mc/properties.hpp"
 #include "mc/spill.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/store.hpp"
@@ -209,6 +210,19 @@ TEST(ParallelChecker, RefusesOversizedSpace) {
   const Result res = pc.checkFullSpace(opt);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("too large"), std::string::npos);
+}
+
+TEST(ParallelChecker, FullSpaceBeyondTheLogFailsBeforeAllocating) {
+  // 256^4 = 2^32 configurations: within a 2^62 state budget, but their
+  // store ids cannot fit the transition log's 32-bit fields.  The check
+  // fails at once instead of seeding the space until memory runs out.
+  ParallelChecker pc(zeroFactory(4, 256), zeroLegit);
+  Options opt;
+  opt.maxStates = std::uint64_t{1} << 62;
+  const Result res = pc.checkFullSpace(opt);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.failure, kLogWidthExceeded);
+  EXPECT_EQ(res.statesExplored, 0u);
 }
 
 TEST(ParallelChecker, ReachableExploresOnlySeededRegion) {

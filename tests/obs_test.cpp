@@ -231,7 +231,9 @@ TEST(Trace, GoldenChromeTraceStructure) {
     EXPECT_EQ(e.find("cat")->asString(), "ssno");
     const std::string ph = e.find("ph")->asString();
     EXPECT_TRUE(ph == "X" || ph == "i") << ph;
-    if (ph == "X") ASSERT_NE(e.find("dur"), nullptr);
+    if (ph == "X") {
+      ASSERT_NE(e.find("dur"), nullptr);
+    }
   }
 
   const serve::JsonValue* outer = findEvent(*events, "outer_phase");

@@ -216,6 +216,18 @@ TEST(ExperimentRunner, ModelCheckBudgetIsAPositiveStateCapOfAnySize) {
   }
 }
 
+TEST(ExperimentRunner, ModelCheckBeyondTheLogFailsFast) {
+  // ring:6 has 1.16e10 DFTC configurations: within the budget, but beyond
+  // the transition log's 32-bit ids.  The trial fails at once instead of
+  // seeding the space until memory runs out.
+  std::istringstream in(
+      "model-check:dftc central ring:6 budget=4611686018427387904 trials=1 "
+      "mc-threads=1\n");
+  const ScenarioResult r = ExperimentRunner(1).run(loadScenarios(in).at(0));
+  EXPECT_EQ(r.trials, 1);
+  EXPECT_EQ(r.failedTrials, 1);
+}
+
 TEST(ScenarioRegistry, ParsesTriples) {
   const Scenario s = parseScenario("dftno/round-robin/chordring:16:2,5");
   EXPECT_EQ(s.protocol, ProtocolKind::kDftno);

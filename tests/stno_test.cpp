@@ -10,6 +10,7 @@
 #include "core/daemon.hpp"
 #include "core/graph.hpp"
 #include "core/scheduler.hpp"
+#include "mc_check.hpp"
 #include "sptree/dfs_tree.hpp"
 
 namespace ssno {
@@ -128,17 +129,19 @@ TEST(StnoExhaustive, FixedTreeOrientationLayerOnPath3) {
   // Full product space of the orientation layer over a legitimate fixed
   // tree, under the strictest (unfair) convergence criterion — matching
   // Chapter 5's claim that STNO needs no fairness.
-  Stno stno(Graph::path(3), {kNoNode, 0, 1});
-  ModelChecker mc(stno, [&stno] { return stno.isLegitimate(); });
-  const CheckResult res = mc.verifyFullSpace(6'000'000, Fairness::kNone);
+  // 4.78M configurations: 4 workers (verdicts and counts do not depend
+  // on the thread count).
+  const mc::Result res =
+      checkerFor<Stno>(Graph::path(3), std::vector<NodeId>{kNoNode, 0, 1})
+          .checkFullSpace(checkOptions(6'000'000, Fairness::kNone, 4));
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
 TEST(StnoExhaustive, ComposedWithBfsTreeOnPath2) {
   // Substrate and overlay together, full product space.
-  Stno stno(Graph::path(2));
-  ModelChecker mc(stno, [&stno] { return stno.isLegitimate(); });
-  const CheckResult res = mc.verifyFullSpace(1u << 12, Fairness::kNone);
+  const mc::Result res = checkerFor<Stno>(Graph::path(2))
+                             .checkFullSpace(checkOptions(1u << 12,
+                                                          Fairness::kNone));
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
@@ -156,9 +159,11 @@ TEST(StnoReachable, ComposedWithBfsTreeOnPath3FromSampledSeeds) {
     stno.randomize(rng);
     seeds.push_back(stno.encodeConfiguration());
   }
-  ModelChecker mc(stno, [&stno] { return stno.isLegitimate(); });
-  const CheckResult res =
-      mc.verifyReachable(seeds, 4'000'000, Fairness::kWeaklyFair);
+  // About 697k states: 4 workers.
+  const mc::Result res =
+      checkerFor<Stno>(Graph::path(3))
+          .checkReachable(seeds,
+                          checkOptions(4'000'000, Fairness::kWeaklyFair, 4));
   EXPECT_TRUE(res.ok) << res.failure;
 }
 
@@ -178,9 +183,10 @@ TEST(StnoReachable, ComposedSystemIsNotUnfairDaemonConvergent) {
   stno.setRawNode(1, {2, 1, 3, 1, 1, 2, 1, 1});  // par port 1 -> node 2
   stno.setRawNode(2, {2, 0, 2, 0, 1, 1});        // par port 0 -> node 1
   stno.setRawNode(0, {1, 0, 2, 1});
-  ModelChecker mc(stno, [&stno] { return stno.isLegitimate(); });
-  const CheckResult res = mc.verifyReachable(
-      {stno.encodeConfiguration()}, 4'000'000, Fairness::kNone);
+  const mc::Result res =
+      checkerFor<Stno>(Graph::path(3))
+          .checkReachable({stno.encodeConfiguration()},
+                          checkOptions(4'000'000, Fairness::kNone));
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("cycle"), std::string::npos) << res.failure;
 }
@@ -195,9 +201,9 @@ TEST(StnoReachable, FixedTreeOnTriangleWithNonTreeEdge) {
     stno.randomize(rng);
     seeds.push_back(stno.encodeConfiguration());
   }
-  ModelChecker mc(stno, [&stno] { return stno.isLegitimate(); });
-  const CheckResult res =
-      mc.verifyReachable(seeds, 4'000'000, Fairness::kNone);
+  const mc::Result res =
+      checkerFor<Stno>(Graph::ring(3), std::vector<NodeId>{kNoNode, 0, 0})
+          .checkReachable(seeds, checkOptions(4'000'000, Fairness::kNone));
   EXPECT_TRUE(res.ok) << res.failure;
 }
 

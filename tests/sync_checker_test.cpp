@@ -1,20 +1,19 @@
-// Synchronous-successor expansion in both checkers: the sequential
-// ModelChecker (incremental AND naive expansion) and the parallel
-// explorer must agree with each other and with hand-computable
-// synchronous dynamics, across thread counts, with verdicts and
-// exploration statistics bit-identical.
+// Synchronous-successor expansion in the model checker: the explorer at
+// 1, 2 and 8 threads must agree with the brute-force exploration oracle
+// (tests/oracle/explore_oracle.hpp, whose successors are composed from
+// the pre-step configuration) and with hand-computable synchronous
+// dynamics, with verdicts and exploration statistics bit-identical
+// across thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/checker.hpp"
-#include "core/enabled_cache.hpp"
 #include "core/enabled_view.hpp"
-#include "core/rng.hpp"
 #include "dftc/dftc.hpp"
 #include "mc/explorer.hpp"
+#include "oracle/explore_oracle.hpp"
 #include "sptree/bfs_tree.hpp"
 #include "toy_protocols.hpp"
 
@@ -43,160 +42,112 @@ TEST(SimultaneousSelection, EnumeratesCartesianProduct) {
   EXPECT_EQ(calls, 0);
 }
 
+/// Checks `factory`'s protocol under synchronous steps — from `seeds`,
+/// or over the full space when there are none — with the explorer at 1,
+/// 2 and 8 threads.  Each result must agree with the oracle's verdict
+/// and be bit-identical to the 1-thread one, which is returned.
+mc::Result checkSynchronously(
+    const mc::ParallelChecker::Factory& factory,
+    const mc::ParallelChecker::Legit& legit,
+    const std::vector<std::vector<std::uint64_t>>& seeds = {}) {
+  const std::unique_ptr<Protocol> ref = factory();
+  const oracle::ExploreVerdict truth = oracle::bruteForceExplore(
+      *ref, legit, seeds.empty() ? oracle::allConfigurations(*ref) : seeds,
+      Fairness::kNone, /*synchronous=*/true);
+  mc::ParallelChecker checker(factory, legit);
+  mc::Result first;
+  for (const int threads : {1, 2, 8}) {
+    mc::Options opt;
+    opt.threads = threads;
+    opt.synchronousSteps = true;
+    const mc::Result res = seeds.empty() ? checker.checkFullSpace(opt)
+                                         : checker.checkReachable(seeds, opt);
+    EXPECT_EQ(oracle::disagreement(res, truth), "") << "@" << threads;
+    if (threads == 1) {
+      first = res;
+      continue;
+    }
+    EXPECT_EQ(res.ok, first.ok) << "@" << threads;
+    EXPECT_EQ(res.failure, first.failure) << "@" << threads;
+    EXPECT_EQ(res.trace, first.trace) << "@" << threads;
+    EXPECT_EQ(res.statesExplored, first.statesExplored) << "@" << threads;
+    EXPECT_EQ(res.transitions, first.transitions) << "@" << threads;
+    EXPECT_EQ(res.peakFrontier, first.peakFrontier) << "@" << threads;
+  }
+  return first;
+}
+
+template <class P>
+mc::ParallelChecker::Factory factoryOf(Graph g, auto... args) {
+  return [g, args...] { return std::make_unique<P>(g, args...); };
+}
+
+bool allZero(Protocol& p) { return static_cast<ZeroProtocol&>(p).allZero(); }
+
 TEST(SyncChecker, ZeroProtocolConvergesSynchronously) {
   // Under the synchronous daemon every non-zero node zeroes at once:
   // every configuration reaches all-zero in ONE step; the space is
   // closed, deadlock-free and acyclic.
-  const Graph g = Graph::path(3);
-  ZeroProtocol proto(g, 3);
-  ModelChecker checker(proto, [&] { return proto.allZero(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult res = checker.verifyFullSpace(1u << 20);
+  const mc::Result res =
+      checkSynchronously(factoryOf<ZeroProtocol>(Graph::path(3), 3), allZero);
   EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_EQ(res.configsExplored, 27u);
+  EXPECT_EQ(res.statesExplored, 27u);
 }
 
 TEST(SyncChecker, OscillatorCycleIsFoundSynchronously) {
-  const Graph g = Graph::path(2);
-  OscillateProtocol proto(g);
-  ModelChecker checker(proto, [&] { return proto.allZero(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult res = checker.verifyFullSpace(1u << 20);
+  const mc::Result res = checkSynchronously(
+      factoryOf<OscillateProtocol>(Graph::path(2)), [](Protocol& p) {
+        return static_cast<OscillateProtocol&>(p).allZero();
+      });
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("cycle"), std::string::npos) << res.failure;
 }
 
 TEST(SyncChecker, DeadlockIsFoundSynchronously) {
-  const Graph g = Graph::path(2);
-  StuckProtocol proto(g);
-  ModelChecker checker(proto, [&] { return proto.allZero(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult res = checker.verifyFullSpace(1u << 20);
+  const mc::Result res = checkSynchronously(
+      factoryOf<StuckProtocol>(Graph::path(2)), [](Protocol& p) {
+        return static_cast<StuckProtocol&>(p).allZero();
+      });
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("deadlock"), std::string::npos) << res.failure;
 }
 
 TEST(SyncChecker, FairnessModesAreRejected) {
-  const Graph g = Graph::path(2);
-  ZeroProtocol proto(g, 2);
-  ModelChecker checker(proto, [&] { return proto.allZero(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult res =
-      checker.verifyFullSpace(1u << 20, Fairness::kWeaklyFair);
+  mc::ParallelChecker checker(factoryOf<ZeroProtocol>(Graph::path(2), 2),
+                              allZero);
+  mc::Options opt;
+  opt.synchronousSteps = true;
+  opt.fairness = Fairness::kWeaklyFair;
+  const mc::Result res = checker.checkFullSpace(opt);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("synchronous"), std::string::npos);
 }
 
-/// Sequential naive vs sequential incremental vs parallel (1/2/4
-/// threads) on a real protocol: verdict, failure text, and state
-/// counts must agree; the parallel Result must be bit-identical across
-/// thread counts.
-TEST(SyncChecker, SequentialAndParallelAgreeOnBfsTree) {
-  const Graph g = Graph::path(3);
-  auto factory = [&]() -> std::unique_ptr<Protocol> {
-    return std::make_unique<BfsTree>(g);
-  };
-  auto legit = [](Protocol& p) {
-    return static_cast<BfsTree&>(p).isLegitimate();
-  };
-
-  BfsTree seq(g);
-  ModelChecker checker(seq, [&] { return seq.isLegitimate(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult inc = checker.verifyFullSpace(1u << 22);
-
-  BfsTree seqNaive(g);
-  ModelChecker checkerNaive(seqNaive, [&] { return seqNaive.isLegitimate(); });
-  checkerNaive.setSynchronousSteps(true);
-  checkerNaive.setNaiveExpansion(true);
-  const CheckResult naive = checkerNaive.verifyFullSpace(1u << 22);
-
-  EXPECT_EQ(inc.ok, naive.ok);
-  EXPECT_EQ(inc.failure, naive.failure);
-  EXPECT_EQ(inc.configsExplored, naive.configsExplored);
-
-  mc::Result first;
-  for (int threads : {1, 2, 4}) {
-    mc::Options opt;
-    opt.threads = threads;
-    opt.synchronousSteps = true;
-    mc::ParallelChecker parallel(factory, legit);
-    const mc::Result res = parallel.checkFullSpace(opt);
-    EXPECT_EQ(res.ok, inc.ok) << "threads=" << threads;
-    if (threads == 1) {
-      first = res;
-    } else {
-      EXPECT_EQ(res.ok, first.ok);
-      EXPECT_EQ(res.failure, first.failure);
-      EXPECT_EQ(res.statesExplored, first.statesExplored);
-      EXPECT_EQ(res.transitions, first.transitions);
-      EXPECT_EQ(res.trace, first.trace);
-    }
-  }
+TEST(SyncChecker, ExplorerAgreesWithOracleOnBfsTree) {
+  const mc::Result res =
+      checkSynchronously(factoryOf<BfsTree>(Graph::path(3)), [](Protocol& p) {
+        return static_cast<BfsTree&>(p).isLegitimate();
+      });
+  EXPECT_EQ(res.statesExplored, 8u);
 }
 
 /// DFTC on a tiny ring under synchronous steps: whatever the verdict,
-/// all engines must agree bit for bit (the synchronous daemon is not
-/// part of the paper's assumptions, so the verdict itself is a
+/// the explorer must agree with the oracle (the synchronous daemon is
+/// not part of the paper's assumptions, so the verdict itself is a
 /// discovery, not an expectation).
-TEST(SyncChecker, SequentialAndParallelAgreeOnDftcRing) {
-  const Graph g = Graph::ring(3);
-  auto factory = [&]() -> std::unique_ptr<Protocol> {
-    return std::make_unique<Dftc>(g);
-  };
-  auto legit = [](Protocol& p) {
+TEST(SyncChecker, ExplorerAgreesWithOracleOnDftcRing) {
+  (void)checkSynchronously(factoryOf<Dftc>(Graph::ring(3)), [](Protocol& p) {
     return static_cast<Dftc&>(p).isLegitimate();
-  };
-
-  Dftc seq(g);
-  ModelChecker checker(seq, [&] { return seq.isLegitimate(); });
-  checker.setSynchronousSteps(true);
-  const CheckResult inc = checker.verifyFullSpace(1u << 22);
-
-  Dftc seqNaive(g);
-  ModelChecker checkerNaive(seqNaive, [&] { return seqNaive.isLegitimate(); });
-  checkerNaive.setSynchronousSteps(true);
-  checkerNaive.setNaiveExpansion(true);
-  const CheckResult naive = checkerNaive.verifyFullSpace(1u << 22);
-  EXPECT_EQ(inc.ok, naive.ok);
-  EXPECT_EQ(inc.failure, naive.failure);
-  EXPECT_EQ(inc.configsExplored, naive.configsExplored);
-
-  for (int threads : {1, 2}) {
-    mc::Options opt;
-    opt.threads = threads;
-    opt.synchronousSteps = true;
-    mc::ParallelChecker parallel(factory, legit);
-    const mc::Result res = parallel.checkFullSpace(opt);
-    EXPECT_EQ(res.ok, inc.ok) << "threads=" << threads;
-  }
+  });
 }
 
 /// Reachable-mode synchronous expansion: from a single seed the
 /// synchronous ZeroProtocol reaches exactly {seed, all-zero}.
 TEST(SyncChecker, ReachableSynchronousFromSeed) {
-  const Graph g = Graph::path(3);
-  ZeroProtocol proto(g, 3);
-  ModelChecker checker(proto, [&] { return proto.allZero(); });
-  checker.setSynchronousSteps(true);
-  const std::vector<std::vector<std::uint64_t>> seeds = {{2, 0, 1}};
-  const CheckResult res = checker.verifyReachable(seeds, 1u << 20);
+  const mc::Result res = checkSynchronously(
+      factoryOf<ZeroProtocol>(Graph::path(3), 3), allZero, {{2, 0, 1}});
   EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_EQ(res.configsExplored, 2u);  // the seed and all-zero
-
-  auto factory = [&]() -> std::unique_ptr<Protocol> {
-    return std::make_unique<ZeroProtocol>(g, 3);
-  };
-  auto legit = [](Protocol& p) {
-    return static_cast<ZeroProtocol&>(p).allZero();
-  };
-  mc::Options opt;
-  opt.threads = 2;
-  opt.synchronousSteps = true;
-  mc::ParallelChecker parallel(factory, legit);
-  const mc::Result mcRes = parallel.checkReachable(seeds, opt);
-  EXPECT_TRUE(mcRes.ok) << mcRes.failure;
-  EXPECT_EQ(mcRes.statesExplored, 2u);
+  EXPECT_EQ(res.statesExplored, 2u);  // the seed and all-zero
 }
 
 }  // namespace

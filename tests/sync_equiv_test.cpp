@@ -3,8 +3,9 @@
 // naive full-rescan pipeline must produce bit-identical runs — final
 // raw configurations, move/step/round accounting, RNG engine state, and
 // EnabledCache contents — across protocols × daemons × topologies.
-// Also unit-tests the engine against a brute-force shared-memory
-// reference executor and the batched StateArena snapshot/restore ops.
+// Also unit-tests the engine against the brute-force shared-memory
+// reference step (tests/oracle/step_oracle.hpp) and the batched
+// StateArena snapshot/restore ops.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/state_arena.hpp"
 #include "core/sync_engine.hpp"
 #include "dftc/dftc.hpp"
+#include "oracle/step_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -149,23 +151,6 @@ TEST(SyncEquivalence, FullSnapshotFallbackBitIdentical) {
   }
 }
 
-/// Brute-force shared-memory reference: every move executes from the
-/// full pre-step configuration; post states are composed at the end.
-std::vector<int> bruteForceStep(Protocol& proto,
-                                const std::vector<Move>& moves) {
-  const std::vector<int> pre = proto.rawConfiguration();
-  std::vector<std::vector<int>> post;
-  for (const Move& m : moves) {
-    proto.setRawConfiguration(pre);
-    proto.execute(m.node, m.action);
-    post.push_back(proto.rawNode(m.node));
-  }
-  proto.setRawConfiguration(pre);
-  for (std::size_t i = 0; i < moves.size(); ++i)
-    proto.setRawNode(moves[i].node, post[i]);
-  return proto.rawConfiguration();
-}
-
 TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
   const Graph g = Graph::grid(3, 4);
   for (Proto kind : {Proto::kDftc, Proto::kDftno, Proto::kLexDfsTree}) {
@@ -200,7 +185,7 @@ TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
       const std::vector<int> before = proto->rawConfiguration();
       engine.execute(sel);
       const std::vector<int> after = proto->rawConfiguration();
-      EXPECT_EQ(after, bruteForceStep(*ref, sel));
+      EXPECT_EQ(after, oracle::bruteForceStep(*ref, sel));
       engine.undo();
       EXPECT_EQ(proto->rawConfiguration(), before);
       // After undo, the protocol must also report the pre-step enabled

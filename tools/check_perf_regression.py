@@ -39,17 +39,18 @@ ratios toward 1x regardless of runner speed; each gated field fails
 a >2x regression) of the committed value.  Ungated absolutes are
 printed for the trajectory.
 
-``model-check/...`` rows also carry a ``speedup`` (parallel explorer
-states/sec over the naive sequential checker), but that ratio scales
-with the runner's CORE COUNT.  Rows now record the detected core count
-(``cores``); the model-check speedup is gated ONLY when both the
-baseline and the fresh run saw more than one core — a cores=1
-measurement (speedup ~1x by construction) is printed for the
-trajectory and skipped, so a single-core baseline cannot mask a real
-thread-scaling regression once a multi-core runner re-records it.
+``model-check/...`` rows also carry a ``speedup``: the model checker's
+states/sec at mc-threads workers over its own states/sec at 1 thread,
+a thread-scaling ratio that depends on the runner's CORE COUNT.  Rows
+record the detected core count (``cores``); the model-check speedup is
+gated ONLY when both the baseline and the fresh run saw more than one
+core — a cores=1 measurement (speedup ~1x by construction) is printed
+for the trajectory and skipped, so a single-core baseline cannot mask a
+real thread-scaling regression once a multi-core runner re-records it.
 What is always gated for model-check rows is ``verdicts_agree`` (the
-parallel and sequential checkers must return the same verdict) and the
-failed-trial count.
+1-thread and mc-threads results must be identical: verdict, failure
+text, counterexample trace and exploration counts) and the failed-trial
+count.
 
 ``serve/...`` rows (BENCH_serve.json, from tools/serve_smoke.py) are
 gated on CORRECTNESS fields only — ``byte_identity``,
@@ -252,7 +253,8 @@ def main():
                   f"mc_states_per_sec {fmt(rate)}  "
                   f"speedup x{fmt(ratio, '.2f')} ({note})")
             if agree < 1:
-                failures.append(f"{name}: parallel/sequential verdicts disagree")
+                failures.append(
+                    f"{name}: 1-thread and mc-threads results differ")
             if multi_core:
                 base = mean(base_row, "speedup")
                 if ratio is None:
@@ -265,7 +267,8 @@ def main():
                     r = ratio / base if base else float("inf")
                     if r < args.min_ratio:
                         failures.append(
-                            f"{name}: model-check speedup regressed to x{r:.2f}")
+                            f"{name}: model-check thread scaling (speedup) "
+                            f"regressed to x{r:.2f}")
             continue
         info = next((f for f in INFO_FIELDS
                      if mean(fresh_row, f) is not None), INFO_FIELDS[0])
