@@ -1,13 +1,15 @@
 // Multi-word bitmask utilities shared by the enabled-move pipeline
-// (EnabledCache / EnabledView word iteration) and the model checker's
+// (EnabledCache / EnabledView node iteration) and the model checker's
 // fairness masks (mc/properties, which outgrew a single uint64_t once
 // node·actions > 64 instances became checkable).
 //
-// Two layers:
+// Three layers:
 //  * free word-level helpers (popcount, lowest set bit, select-k),
 //  * WordBitset, a dynamic multi-word bitset with word access for
 //    skip-scanning, and flat *mask-arena* helpers for storing many
-//    fixed-width masks contiguously (one allocation for all of them).
+//    fixed-width masks contiguously (one allocation for all of them),
+//  * SummaryBitset, a two-level bitset for sparse sets searched on
+//    every step (EnabledCache's enabled nodes).
 #ifndef SSNO_CORE_BITWORDS_HPP
 #define SSNO_CORE_BITWORDS_HPP
 
@@ -47,8 +49,7 @@ inline constexpr int kWordBits = 64;
 }
 
 /// First set position >= from in a `nbits`-wide word array, or -1 —
-/// the word-skip scan shared by WordBitset::findFrom and
-/// EnabledView's enabled-node iteration.
+/// WordBitset's word-skip scan, O(nbits/64) at worst.
 [[nodiscard]] inline long findFrom(const std::uint64_t* words,
                                    std::size_t nbits, std::size_t from) {
   if (from >= nbits) return -1;
@@ -65,8 +66,8 @@ inline constexpr int kWordBits = 64;
 }
 
 /// Dynamic multi-word bitset.  Unlike std::vector<bool> it exposes its
-/// words, so consumers can skip runs of zeros 64 positions at a time
-/// (the whole point for enabled-node iteration at n >= 1e5).
+/// words, so consumers can skip runs of zeros 64 positions at a time.
+/// A set searched on every step while sparse wants SummaryBitset.
 class WordBitset {
  public:
   WordBitset() = default;
@@ -116,6 +117,78 @@ class WordBitset {
 
  private:
   std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
+/// A bitset with a summary level: summary bit w is set iff word w is
+/// non-zero.  A search reads one summary word per 4096 positions and
+/// only the non-zero words, so it costs O(1 + visited words + nbits/4096)
+/// where WordBitset's search costs O(nbits/64): 25 summary words instead
+/// of 1,563 words for a sparse set of 1e5 positions.  Positions are visited
+/// in ascending order, as WordBitset visits them.
+class SummaryBitset {
+ public:
+  void resize(std::size_t nbits) {
+    size_ = nbits;
+    words_.assign(wordsFor(nbits), 0);
+    summary_.assign(wordsFor(words_.size()), 0);
+  }
+  void reset() {
+    std::fill(words_.begin(), words_.end(), 0);
+    std::fill(summary_.begin(), summary_.end(), 0);
+  }
+
+  void set(std::size_t i) {
+    const std::size_t wi = i / kWordBits;
+    words_[wi] |= std::uint64_t{1} << (i % kWordBits);
+    summary_[wi / kWordBits] |= std::uint64_t{1} << (wi % kWordBits);
+  }
+  void clear(std::size_t i) {
+    const std::size_t wi = i / kWordBits;
+    words_[wi] &= ~(std::uint64_t{1} << (i % kWordBits));
+    if (words_[wi] == 0)
+      summary_[wi / kWordBits] &= ~(std::uint64_t{1} << (wi % kWordBits));
+  }
+  /// First set position >= from, or -1.
+  [[nodiscard]] long findFrom(std::size_t from) const {
+    if (from >= size_) return -1;
+    std::size_t wi = from / kWordBits;
+    const std::uint64_t w =
+        words_[wi] & (~std::uint64_t{0} << (from % kWordBits));
+    if (w != 0) return position(wi, w);
+    // The next non-zero word, found on the summary level.
+    if (++wi >= words_.size()) return -1;
+    std::size_t si = wi / kWordBits;
+    std::uint64_t s = summary_[si] & (~std::uint64_t{0} << (wi % kWordBits));
+    while (s == 0) {
+      if (++si >= summary_.size()) return -1;
+      s = summary_[si];
+    }
+    wi = si * kWordBits + static_cast<std::size_t>(lowestBit(s));
+    return position(wi, words_[wi]);
+  }
+
+  /// fn(i) for every set position i, ascending.
+  template <class Fn>
+  void forEach(Fn&& fn) const {
+    for (std::size_t si = 0; si < summary_.size(); ++si)
+      for (std::uint64_t s = summary_[si]; s != 0; s &= s - 1) {
+        const std::size_t wi =
+            si * kWordBits + static_cast<std::size_t>(lowestBit(s));
+        for (std::uint64_t w = words_[wi]; w != 0; w &= w - 1)
+          fn(wi * kWordBits + static_cast<std::size_t>(lowestBit(w)));
+      }
+  }
+
+ private:
+  [[nodiscard]] static long position(std::size_t wi, std::uint64_t w) {
+    SSNO_DBG_ASSERT(w != 0);  // a summary bit never outlives its word
+    return static_cast<long>(wi * kWordBits +
+                             static_cast<std::size_t>(lowestBit(w)));
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> summary_;  // bit w set iff words_[w] != 0
   std::size_t size_ = 0;
 };
 

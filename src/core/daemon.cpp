@@ -26,8 +26,9 @@ void Daemon::onePerNode(std::span<const Move> enabled, Rng& rng,
 
 void Daemon::onePerNode(const EnabledView& enabled, Rng& rng,
                         std::vector<Move>& out) {
-  // Same reservoir, driven by the masks: ascending nodes via word skips,
-  // ascending actions via bit extraction — the identical draw sequence.
+  // Same reservoir, driven by the masks: ascending nodes via the
+  // two-level node index, ascending actions via bit extraction — the
+  // identical draw sequence.
   out.clear();
   enabled.forEachNode([&](NodeId p) {
     std::uint64_t mask = enabled.actionMask(p);
@@ -97,8 +98,8 @@ void RoundRobinDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,
                                   std::vector<Move>& out) {
   SSNO_EXPECTS(!enabled.empty());
   // The cyclic successor of the last served pair: mask arithmetic on
-  // last_.node, then a word-skip to the next enabled node — no scan of
-  // the enabled set.
+  // last_.node, then a two-level search for the next enabled node —
+  // O(1 + n/4096), no scan of the enabled set.
   last_ = enabled.nextPairAfter(last_);
   out.clear();
   out.push_back(last_);

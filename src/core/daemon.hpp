@@ -12,8 +12,9 @@
 // Selection is bitmask-native: the primary selectInto overload consumes
 // an EnabledView (the EnabledCache's per-node action masks) and never
 // materializes a move vector — the central daemon draws in O(log n),
-// round-robin/adversarial in O(1) amortized, and the subset daemons
-// touch only enabled processors via word skips.  legacySelect is the
+// round-robin and adversarial in O(1 + n/4096) through the view's
+// two-level node index, and the subset daemons touch only enabled
+// processors, in O(#enabled + n/4096).  legacySelect is the
 // historical shim over a node-major materialized vector; both paths
 // draw from the RNG in the same order and return bit-identical
 // selections (asserted by the Simulator's debug cross-check and pinned

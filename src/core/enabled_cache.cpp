@@ -139,9 +139,8 @@ void EnabledCache::applyMask(NodeId p, std::uint64_t mask) {
 }
 
 void EnabledCache::makeView() {
-  view_ = EnabledView(n_, actions_, mask_.data(), nodeBits_.words(),
-                      nodeBits_.wordCount(), fen_.data(), fenTop_,
-                      moveCount_, nodeCount_);
+  view_ = EnabledView(n_, actions_, mask_.data(), &nodeBits_, fen_.data(),
+                      fenTop_, moveCount_, nodeCount_);
 }
 
 const EnabledView& EnabledCache::refreshView() {

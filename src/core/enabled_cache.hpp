@@ -10,10 +10,13 @@
 // reuses its buffers so steady-state refreshes perform no allocations.
 //
 // The cache's native representation is bitmask SoA: one action mask per
-// node, a WordBitset of enabled nodes, popcount-maintained move/node
-// totals, and a Fenwick tree of per-node move counts.  refreshView()
-// exposes it as an EnabledView — the hot path; daemons select directly
-// on the masks and nothing proportional to #enabled is materialized.
+// node, a two-level SummaryBitset of enabled nodes (a summary bit per
+// non-zero node word, kept in the status-flip branch of each patch and
+// in the rebuild's node loop, so it costs no pass of its own),
+// popcount-maintained move/node totals, and a Fenwick tree of per-node
+// move counts.  refreshView() exposes it as an EnabledView — the hot
+// path; daemons select directly on the masks and nothing proportional
+// to #enabled is materialized.
 // refresh() additionally builds the legacy node-major Move vector
 // (bit-identical to Protocol::enabledMoves(); asserted against the
 // naive scan after every refresh in debug builds) for the shim path,
@@ -39,6 +42,9 @@ namespace ssno {
 class EnabledCache {
  public:
   explicit EnabledCache(Protocol& protocol);
+  // The view points into this object.
+  EnabledCache(const EnabledCache&) = delete;
+  EnabledCache& operator=(const EnabledCache&) = delete;
 
   /// Brings the bitmask representation up to date with the protocol's
   /// dirty set and returns a view of it (valid until the next
@@ -110,7 +116,7 @@ class EnabledCache {
   int n_;
   int actions_;
   std::vector<std::uint64_t> mask_;  // enabled-action bitmask per node
-  bits::WordBitset nodeBits_;        // bit p set iff mask_[p] != 0
+  bits::SummaryBitset nodeBits_;     // bit p set iff mask_[p] != 0
   std::vector<std::int32_t> fen_;    // Fenwick over per-node move counts
   int fenTop_ = 0;                   // largest power of two <= n
   int moveCount_ = 0;

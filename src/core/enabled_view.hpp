@@ -7,15 +7,18 @@
 // this view exposes that representation directly so daemons can select
 // without any vector being built:
 //
-//   * word-level iteration — enabled nodes are a WordBitset, so runs of
-//     disabled processors are skipped 64 at a time;
+//   * two-level iteration — enabled nodes are a SummaryBitset, so a
+//     search reads one summary word per 4096 processors and only the
+//     non-zero node words: O(1 + visited words + n/4096) per search or
+//     walk, 25 summary words at n = 1e5;
 //   * popcount-based counts — moveCount()/enabledNodeCount() are O(1)
 //     (maintained incrementally by the cache);
 //   * O(1) membership — anyEnabled(p) / enabled(p, a) are bit tests;
 //   * O(log n) uniform selection — kthMove() descends a Fenwick tree of
 //     per-node move counts (the central daemon's draw);
-//   * O(1)-amortized cyclic successor — nextPairAfter() serves the
-//     round-robin daemon with mask arithmetic + word skips.
+//   * cyclic successor — nextPairAfter() serves the round-robin daemon
+//     with mask arithmetic and at most two two-level searches (the
+//     second only when the cursor wraps), O(1 + n/4096).
 //
 // Iteration order is exactly the node-major, ascending-action order of
 // Protocol::enabledMoves(), so daemons that consume the view draw from
@@ -62,7 +65,7 @@ class EnabledView {
     return (masks_[static_cast<std::size_t>(p)] >> action) & 1;
   }
 
-  /// First enabled node, or kNoNode.  Word-skip scan.
+  /// First enabled node, or kNoNode.  Two-level search.
   [[nodiscard]] NodeId firstNode() const { return scanFrom(0); }
   /// First enabled node strictly after p, or kNoNode.
   [[nodiscard]] NodeId nextNode(NodeId p) const { return scanFrom(p + 1); }
@@ -111,18 +114,11 @@ class EnabledView {
     return firstMove();  // wrap-around
   }
 
-  /// Visits enabled nodes in ascending order.
+  /// Visits enabled nodes in ascending order, reading only the
+  /// non-zero node words: O(#enabled + n/4096).
   template <class Fn>
   void forEachNode(Fn&& fn) const {
-    for (std::size_t wi = 0; wi < words_; ++wi) {
-      std::uint64_t w = nodeWords_[wi];
-      while (w != 0) {
-        const int b = bits::lowestBit(w);
-        w &= w - 1;
-        fn(static_cast<NodeId>(wi * bits::kWordBits +
-                               static_cast<std::size_t>(b)));
-      }
-    }
+    nodes_->forEach([&fn](std::size_t p) { fn(static_cast<NodeId>(p)); });
   }
 
   /// Visits enabled moves in node-major, ascending-action order — the
@@ -156,14 +152,12 @@ class EnabledView {
  private:
   friend class EnabledCache;
   EnabledView(int n, int actions, const std::uint64_t* masks,
-              const std::uint64_t* nodeWords, std::size_t words,
-              const std::int32_t* fen, int fenTop, int moveCount,
-              int nodeCount)
+              const bits::SummaryBitset* nodes, const std::int32_t* fen,
+              int fenTop, int moveCount, int nodeCount)
       : n_(n),
         actions_(actions),
         masks_(masks),
-        nodeWords_(nodeWords),
-        words_(words),
+        nodes_(nodes),
         fen_(fen),
         fenTop_(fenTop),
         moveCount_(moveCount),
@@ -171,16 +165,14 @@ class EnabledView {
 
   [[nodiscard]] NodeId scanFrom(NodeId from) const {
     const long hit =
-        bits::findFrom(nodeWords_, static_cast<std::size_t>(n_),
-                       static_cast<std::size_t>(from < 0 ? 0 : from));
+        nodes_->findFrom(static_cast<std::size_t>(from < 0 ? 0 : from));
     return hit < 0 ? kNoNode : static_cast<NodeId>(hit);
   }
 
   int n_ = 0;
   int actions_ = 0;
-  const std::uint64_t* masks_ = nullptr;      // per-node action masks
-  const std::uint64_t* nodeWords_ = nullptr;  // enabled-node bitset words
-  std::size_t words_ = 0;
+  const std::uint64_t* masks_ = nullptr;        // per-node action masks
+  const bits::SummaryBitset* nodes_ = nullptr;  // enabled nodes
   const std::int32_t* fen_ = nullptr;  // Fenwick tree of per-node counts
   int fenTop_ = 0;                     // largest power of two <= n
   int moveCount_ = 0;

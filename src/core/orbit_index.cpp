@@ -100,25 +100,8 @@ OrbitIndex OrbitIndex::walk(Protocol& scratch, const Pick& pick,
   for (NodeId p = 0; p < n; ++p) record(0, p);
   idx.table_.emplace(fp, 0);
   EnabledCache cache(scratch);
-  cache.setTrackStatusChanges(true);
-  std::vector<NodeId> enabled;  // ascending
   for (std::uint32_t pos = 1;; ++pos) {
-    const EnabledView& view = cache.refreshView();
-    if (cache.consumeFullInvalidate()) {
-      enabled.clear();
-      view.forEachNode([&enabled](NodeId p) { enabled.push_back(p); });
-    } else {
-      for (const NodeId p : cache.statusChanges()) {
-        const auto it = std::lower_bound(enabled.begin(), enabled.end(), p);
-        const bool listed = it != enabled.end() && *it == p;
-        if (view.anyEnabled(p) && !listed)
-          enabled.insert(it, p);
-        else if (!view.anyEnabled(p) && listed)
-          enabled.erase(it);
-      }
-    }
-    cache.clearStatusChanges();
-    const Move m = pick(view, enabled);
+    const Move m = pick(cache.refreshView());
     scratch.execute(m.node, m.action);
     record(pos, m.node);
     const auto [first, last] = idx.table_.equal_range(fp);

@@ -51,9 +51,9 @@ namespace ssno {
 class OrbitIndex {
  public:
   /// The walk's next move, chosen from the scratch protocol's enabled
-  /// view; `enabled` lists the enabled processors in ascending order.
-  using Pick = std::function<Move(const EnabledView& view,
-                                  std::span<const NodeId> enabled)>;
+  /// view (its firstNode()/nextNode() walk the enabled processors in
+  /// ascending order).
+  using Pick = std::function<Move(const EnabledView& view)>;
 
   /// Records the walk `scratch` takes from its current configuration
   /// under `pick` until a configuration repeats.  Members are every

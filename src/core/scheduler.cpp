@@ -106,6 +106,8 @@ void Simulator::accountRound(const std::vector<Move>& executed) {
   // Both the round-opening set and the neutralization test read the
   // post-step enabled set; one cache refresh serves both, and the
   // bitmask view answers both questions without materializing moves.
+  // Opening a round walks the enabled set once, O(#enabled + n/4096) on
+  // the view's two-level node index.
   //
   // Steady-state cost is O(#executed + #status-changes): instead of
   // rescanning the whole pending set per step (O(n) when a round opens

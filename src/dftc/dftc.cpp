@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/assert.hpp"
-#include "core/bitwords.hpp"
 
 namespace ssno {
 
@@ -427,9 +426,9 @@ const OrbitIndex& Dftc::orbitIndex() {
     scratch.resetClean();
     orbit_ = std::make_unique<OrbitIndex>(OrbitIndex::walk(
         scratch,
-        [](const EnabledView& view, std::span<const NodeId> enabled) {
-          SSNO_ASSERT(enabled.size() == 1 && view.moveCount() == 1);
-          return Move{enabled[0], bits::lowestBit(view.actionMask(enabled[0]))};
+        [](const EnabledView& view) {
+          SSNO_ASSERT(view.moveCount() == 1);
+          return view.firstMove();
         },
         /*prefixIsMember=*/true));
   }

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/assert.hpp"
-#include "core/bitwords.hpp"
 #include "orientation/chordal_kernel.hpp"
 
 namespace ssno {
@@ -280,11 +279,10 @@ const OrbitIndex& Dftno::orbitIndex() {
     scratch.resetClean();
     orbit_ = std::make_unique<OrbitIndex>(OrbitIndex::walk(
         scratch,
-        [](const EnabledView& view, std::span<const NodeId> enabled) {
-          SSNO_ASSERT(!enabled.empty());
-          for (const NodeId p : enabled)
+        [](const EnabledView& view) {
+          for (NodeId p = view.firstNode(); p != kNoNode; p = view.nextNode(p))
             if (view.enabled(p, kEdgeLabel)) return Move{p, kEdgeLabel};
-          return Move{enabled[0], bits::lowestBit(view.actionMask(enabled[0]))};
+          return view.firstMove();
         },
         /*prefixIsMember=*/false));
   }

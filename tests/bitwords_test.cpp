@@ -1,11 +1,14 @@
 // Unit tests for the shared bitmask utilities (core/bitwords.hpp):
-// word-level select, the WordBitset skip-scan, and the flat multi-word
-// mask arenas the fairness analysis uses.
+// word-level select, the WordBitset skip-scan, the two-level
+// SummaryBitset search, and the flat multi-word mask arenas the fairness
+// analysis uses.
 #include "core/bitwords.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -80,6 +83,155 @@ TEST(WordBitset, MatchesReferenceUnderRandomOperations) {
        i = bs.findNext(static_cast<std::size_t>(i)))
     walked.insert(static_cast<std::size_t>(i));
   EXPECT_EQ(walked, ref);
+}
+
+// ---- SummaryBitset: one summary bit per 64-position word -------------
+
+constexpr std::size_t kSummarySpan = 64 * 64;  // positions per summary word
+
+/// First set position >= from in the reference, or -1.
+long referenceFind(const std::vector<bool>& ref, std::size_t from) {
+  for (std::size_t i = from; i < ref.size(); ++i)
+    if (ref[i]) return static_cast<long>(i);
+  return -1;
+}
+
+std::vector<std::size_t> walked(const bits::SummaryBitset& bs) {
+  std::vector<std::size_t> out;
+  bs.forEach([&out](std::size_t i) { out.push_back(i); });
+  return out;
+}
+
+std::vector<std::size_t> setPositions(const std::vector<bool>& ref) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    if (ref[i]) out.push_back(i);
+  return out;
+}
+
+/// Positions on both sides of every word and summary-word boundary
+/// below n, plus n-1.
+std::vector<std::size_t> boundaryPositions(std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t b = 0; b <= n; b += bits::kWordBits)
+    for (const std::size_t p : {b == 0 ? b : b - 1, b, b + 1})
+      if (p < n) out.push_back(p);
+  out.push_back(n - 1);
+  return out;
+}
+
+const std::vector<std::size_t> kSummarySizes{
+    1, 63, 64, 65, kSummarySpan - 1, kSummarySpan, kSummarySpan + 1,
+    3 * kSummarySpan + 17};
+
+TEST(SummaryBitset, MatchesReferenceUnderRandomSetClearReset) {
+  Rng rng(0x5EED5);
+  for (const std::size_t n : kSummarySizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    bits::SummaryBitset bs;
+    bs.resize(n);
+    std::vector<bool> ref(n, false);
+    // Draw mostly from boundary positions, so words and summary words
+    // empty and refill often; the rest land anywhere.
+    const std::vector<std::size_t> hot = boundaryPositions(n);
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.below(500) == 0) {
+        bs.reset();
+        ref.assign(n, false);
+      }
+      const auto i =
+          rng.chance(0.8)
+              ? hot[static_cast<std::size_t>(
+                    rng.below(static_cast<int>(hot.size())))]
+              : static_cast<std::size_t>(rng.below(static_cast<int>(n)));
+      if (rng.chance(0.5)) {
+        bs.set(i);
+        ref[i] = true;
+      } else {
+        bs.clear(i);
+        ref[i] = false;
+      }
+      ASSERT_EQ(bs.findFrom(i) == static_cast<long>(i), ref[i]);
+      const auto from = static_cast<std::size_t>(rng.below(static_cast<int>(n)));
+      ASSERT_EQ(bs.findFrom(from), referenceFind(ref, from))
+          << "from=" << from << " step=" << step;
+      if (step % 100 == 0) {
+        ASSERT_EQ(walked(bs), setPositions(ref));
+      }
+    }
+    EXPECT_EQ(walked(bs), setPositions(ref));
+  }
+}
+
+TEST(SummaryBitset, FindFromEveryWordAndSummaryBoundary) {
+  const std::size_t n = 3 * kSummarySpan + 17;
+  const std::vector<std::size_t> boundaries = boundaryPositions(n);
+  // One set position at a time, then every boundary position at once.
+  std::vector<std::vector<std::size_t>> layouts;
+  for (const std::size_t p : {std::size_t{0}, std::size_t{63}, std::size_t{64},
+                              kSummarySpan - 1, kSummarySpan,
+                              kSummarySpan + 1, 2 * kSummarySpan, n - 1})
+    layouts.push_back({p});
+  layouts.push_back(boundaries);
+  layouts.push_back({});
+  for (const std::vector<std::size_t>& layout : layouts) {
+    bits::SummaryBitset bs;
+    bs.resize(n);
+    std::vector<bool> ref(n, false);
+    for (const std::size_t p : layout) {
+      bs.set(p);
+      ref[p] = true;
+    }
+    for (const std::size_t from : boundaries)
+      ASSERT_EQ(bs.findFrom(from), referenceFind(ref, from))
+          << "from=" << from << " first set=" << referenceFind(ref, 0);
+    EXPECT_EQ(bs.findFrom(n), -1);
+  }
+}
+
+TEST(SummaryBitset, WalkVisitsEverySetPositionInAscendingOrder) {
+  const std::size_t n = 3 * kSummarySpan + 17;
+  bits::SummaryBitset bs;
+  bs.resize(n);
+  // Inserted out of order, across all four summary words.
+  const std::vector<std::size_t> inserted{n - 1, 5, 2 * kSummarySpan + 64,
+                                          kSummarySpan, 63, 64,
+                                          kSummarySpan - 1, 4 * 64 + 7};
+  for (const std::size_t p : inserted) bs.set(p);
+  std::vector<std::size_t> expected = inserted;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(walked(bs), expected);
+  // findFrom chained from each hit visits the same sequence.
+  std::vector<std::size_t> chained;
+  for (long i = bs.findFrom(0); i >= 0 && chained.size() <= expected.size();
+       i = bs.findFrom(static_cast<std::size_t>(i) + 1))
+    chained.push_back(static_cast<std::size_t>(i));
+  EXPECT_EQ(chained, expected);
+}
+
+TEST(SummaryBitset, EmptyingAWordClearsItsSummaryBit) {
+  const std::size_t n = 3 * kSummarySpan + 17;
+  bits::SummaryBitset bs;
+  bs.resize(n);
+  // Two positions share word 5; a third sits in the next summary word.
+  bs.set(5 * 64 + 3);
+  bs.set(5 * 64 + 60);
+  const std::size_t later = kSummarySpan + 100;
+  bs.set(later);
+  bs.clear(5 * 64 + 3);
+  EXPECT_EQ(bs.findFrom(0), 5 * 64 + 60);  // word 5 is still non-zero
+  bs.clear(5 * 64 + 60);
+  // Word 5 is empty now: a stale summary bit would stop the search there.
+  EXPECT_EQ(bs.findFrom(0), static_cast<long>(later));
+  EXPECT_EQ(bs.findFrom(5 * 64), static_cast<long>(later));
+  EXPECT_EQ(walked(bs), std::vector<std::size_t>{later});
+  bs.clear(later);
+  EXPECT_EQ(bs.findFrom(0), -1);
+  EXPECT_TRUE(walked(bs).empty());
+  // Clearing an already clear position leaves the other words alone.
+  bs.set(2 * kSummarySpan);
+  bs.clear(2 * kSummarySpan + 1);
+  EXPECT_EQ(bs.findFrom(0), static_cast<long>(2 * kSummarySpan));
 }
 
 TEST(MaskArena, MultiWordSetTestAndAggregates) {

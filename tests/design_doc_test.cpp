@@ -2,7 +2,8 @@
 // cited in src/ or tests/ must have an entry (a "## Erratum N" or
 // "## Deviation note N" heading), and every test an entry names as
 // `Suite.Name` must exist as TEST(Suite, Name) under tests/.  README's
-// "Registered metrics" table must list exactly the metrics src/ registers.
+// "Registered metrics" table must list exactly the metrics src/ registers,
+// and each of its rows must state a unit.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -110,7 +111,8 @@ TEST(DesignDoc, EveryRegisteredMetricIsDocumentedAndEveryDocumentedOneExists) {
 
   // The table's rows, "| names | kind | unit | what it counts |", follow
   // the heading.  A name may hold one {a,b,...} group, or <verb>, which
-  // stands for every backticked word of the row's last cell.
+  // stands for every backticked word of the row's last cell.  The unit
+  // cell lists one unit for the whole row, or one per backticked name.
   const std::string readme = slurp(root / "README.md");
   const std::size_t at = readme.find("Registered metrics");
   ASSERT_NE(at, std::string::npos) << "README has no metrics table";
@@ -128,7 +130,16 @@ TEST(DesignDoc, EveryRegisteredMetricIsDocumentedAndEveryDocumentedOneExists) {
     std::istringstream row(line);
     for (std::string cell; std::getline(row, cell, '|');) cells.push_back(cell);
     if (cells.size() != 5) continue;
-    for (const std::string& name : codeSpans(cells[1])) {
+    const std::vector<std::string> names = codeSpans(cells[1]);
+    if (names.empty()) continue;  // the header and its rule
+    std::size_t units = 0;
+    std::istringstream unitCell(cells[3]);
+    for (std::string unit; std::getline(unitCell, unit, ',');)
+      if (unit.find_first_not_of(' ') != std::string::npos) ++units;
+    EXPECT_TRUE(units == 1 || units == names.size())
+        << "README metric row states " << units << " units for "
+        << names.size() << " names: " << line;
+    for (const std::string& name : names) {
       std::smatch m;
       if (std::regex_search(name, m, group)) {
         std::istringstream alternatives(m[1].str());

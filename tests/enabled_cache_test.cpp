@@ -29,6 +29,7 @@
 #include "sptree/bfs_tree.hpp"
 #include "sptree/dfs_tree.hpp"
 #include "sptree/lex_dfs_tree.hpp"
+#include "toy_protocols.hpp"
 
 namespace ssno {
 namespace {
@@ -150,6 +151,49 @@ TEST_P(EnabledCacheEquivalence, BitmaskMatchesLegacyVectorAndNaiveRescan) {
   }
 }
 
+// Round-robin from the clean DFTC boundary on a ring wider than one
+// summary word (4096 nodes) keeps exactly one processor enabled: the
+// daemon's cursor search runs to the end of the node index and wraps
+// whenever the token moves to a lower-numbered processor, and every
+// round opening walks the whole index.  One full token circulation must
+// match the naive rescan move for move.
+TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
+  constexpr NodeId n = 64 * 64 + 4;
+  struct Log {
+    std::vector<Move> moves;
+    RunStats stats;
+    std::vector<int> finalConfig;
+  };
+  const auto circulate = [](bool naive) {
+    Dftc dftc(Graph::ring(n));
+    dftc.resetClean();
+    int starts = 0;
+    TokenHooks hooks;
+    hooks.onRoundStart = [&starts](NodeId) { ++starts; };
+    dftc.setHooks(std::move(hooks));
+    RoundRobinDaemon daemon;
+    Rng rng(0x4C1);
+    Simulator sim(dftc, daemon, rng);
+    sim.setNaiveEnabledScan(naive);
+    Log log;
+    sim.setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
+    // Until the root starts its second token: one whole circulation.
+    log.stats = sim.runUntil([&starts] { return starts >= 2; }, 8 * n);
+    log.finalConfig = dftc.rawConfiguration();
+    dftc.setHooks(TokenHooks{});
+    return log;
+  };
+  const Log indexed = circulate(false);
+  const Log naive = circulate(true);
+  ASSERT_TRUE(indexed.stats.converged);
+  EXPECT_GE(indexed.stats.moves, 2 * (n - 1));  // the token visits every node
+  EXPECT_EQ(indexed.moves, naive.moves);
+  EXPECT_EQ(indexed.stats.moves, naive.stats.moves);
+  EXPECT_EQ(indexed.stats.steps, naive.stats.steps);
+  EXPECT_EQ(indexed.stats.rounds, naive.stats.rounds);
+  EXPECT_EQ(indexed.finalConfig, naive.finalConfig);
+}
+
 INSTANTIATE_TEST_SUITE_P(Daemons, EnabledCacheEquivalence,
                          ::testing::Values(DaemonKind::kCentral,
                                            DaemonKind::kDistributed,
@@ -217,6 +261,66 @@ TEST(EnabledView, CountsMembershipKthAndCyclicSuccessorMatchVector) {
       EXPECT_EQ(view.nextPairAfter(vec[i]), vec[(i + 1) % vec.size()]);
     if (vec.empty()) break;
     proto.execute(vec.front().node, vec.front().action);
+  }
+}
+
+// The two-level node search beyond one summary word (4096 nodes): single
+// enabled processors on every word and summary-word boundary, added and
+// then removed one at a time, each state checked against a naive scan.
+TEST(EnabledView, TwoLevelSearchMatchesNaiveScanAcrossSummaryWords) {
+  constexpr NodeId kSpan = 64 * 64;  // nodes per summary word
+  constexpr NodeId n = 3 * kSpan + 17;
+  ZeroProtocol proto(Graph::path(n), 2);
+  for (NodeId p = 0; p < n; ++p) proto.setValue(p, 0);
+  EnabledCache cache(proto);
+  const std::vector<NodeId> order{0,         63,        64,       kSpan - 1,
+                                  kSpan,     kSpan + 1, 2 * kSpan - 1,
+                                  2 * kSpan, n - 1};
+  const auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    const EnabledView& view = cache.refreshView();
+    const std::vector<Move> naive = proto.enabledMoves();
+    std::vector<NodeId> nodes;
+    for (const Move& m : naive) nodes.push_back(m.node);
+    // Naive successor of every node: the first enabled node after it.
+    std::vector<NodeId> next(static_cast<std::size_t>(n), kNoNode);
+    for (NodeId p = n - 2, after = kNoNode; p >= 0; --p) {
+      if (proto.value(p + 1) != 0) after = p + 1;
+      next[static_cast<std::size_t>(p)] = after;
+    }
+    EXPECT_EQ(view.firstNode(), nodes.empty() ? kNoNode : nodes.front());
+    for (NodeId p = 0; p < n; ++p)
+      ASSERT_EQ(view.nextNode(p), next[static_cast<std::size_t>(p)])
+          << "p=" << p;
+    std::vector<NodeId> visited;
+    view.forEachNode([&visited](NodeId p) { visited.push_back(p); });
+    EXPECT_EQ(visited, nodes);
+    std::vector<Move> moves;
+    view.appendMoves(moves);
+    EXPECT_EQ(moves, naive);
+    for (std::size_t k = 0; k < moves.size(); ++k)
+      EXPECT_EQ(view.kthMove(static_cast<int>(k)), moves[k]) << "k=" << k;
+    if (naive.empty()) return;
+    EXPECT_EQ(view.firstMove(), naive.front());
+    EXPECT_EQ(view.nextPairAfter(Move{-1, 1 << 20}), naive.front());
+    for (std::size_t i = 0; i < naive.size(); ++i)  // the last one wraps
+      EXPECT_EQ(view.nextPairAfter(naive[i]),
+                naive[(i + 1) % naive.size()]);
+    // From every boundary node, enabled or not: the next move, cyclically.
+    for (const NodeId p : order) {
+      const NodeId after = next[static_cast<std::size_t>(p)];
+      const Move expected = after == kNoNode ? naive.front() : Move{after, 0};
+      EXPECT_EQ(view.nextPairAfter(Move{p, 0}), expected) << "after p=" << p;
+    }
+  };
+  check("none enabled");
+  for (const NodeId p : order) {
+    proto.setValue(p, 1);
+    check("enabled up to " + std::to_string(p));
+  }
+  for (const NodeId p : order) {
+    proto.setValue(p, 0);
+    check("disabled up to " + std::to_string(p));
   }
 }
 
