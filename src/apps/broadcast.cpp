@@ -56,7 +56,7 @@ TraversalResult traverseWithoutOrientation(const Graph& g, NodeId source) {
   auto markEdge = [&g, &usedPort](NodeId a, Port fromA) {
     usedPort.set(g.portBase(a) + static_cast<std::size_t>(fromA));
     const NodeId b = g.neighborAt(a, fromA);
-    const Port back = g.portOf(b, a);
+    const Port back = g.backPort(a, fromA);
     usedPort.set(g.portBase(b) + static_cast<std::size_t>(back));
   };
 

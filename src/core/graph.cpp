@@ -14,42 +14,54 @@ Graph::Graph(int n, const std::vector<std::pair<NodeId, NodeId>>& edges,
     : root_(root) {
   if (n <= 0) throw std::invalid_argument("Graph: need at least one node");
   if (root < 0 || root >= n) throw std::invalid_argument("Graph: bad root");
-  // Two passes over the edge list: degrees first, then CSR fill.  Port
-  // numbering at each endpoint is edge-list insertion order, exactly as
-  // the nested-vector representation produced.
-  std::vector<int> degree(static_cast<std::size_t>(n), 0);
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (const auto& [u, v] : edges) {
-    if (u < 0 || u >= n || v < 0 || v >= n)
-      throw std::invalid_argument("Graph: edge endpoint out of range");
-    if (u == v) throw std::invalid_argument("Graph: self-loop");
-    const auto key = std::minmax(u, v);
-    if (!seen.insert({key.first, key.second}).second)
-      throw std::invalid_argument("Graph: duplicate edge");
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
-    ++edge_count_;
-  }
+  // Degrees first, counted into offsets_[p + 1].  Validating edge by edge
+  // reports a duplicate before any later bad endpoint, so the first bad
+  // endpoint only cuts the list at m here; it is thrown after the
+  // duplicate check of the edges before it.
   offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int p = 0; p < n; ++p) {
-    offsets_[static_cast<std::size_t>(p) + 1] =
-        offsets_[static_cast<std::size_t>(p)] +
-        static_cast<std::size_t>(degree[static_cast<std::size_t>(p)]);
-    max_degree_ = std::max(max_degree_, degree[static_cast<std::size_t>(p)]);
+  const auto inRange = [n](NodeId x) { return x >= 0 && x < n; };
+  std::size_t m = 0;
+  for (; m < edges.size(); ++m) {
+    const auto [u, v] = edges[m];
+    if (!inRange(u) || !inRange(v) || u == v) break;
+    ++offsets_[static_cast<std::size_t>(u) + 1];
+    ++offsets_[static_cast<std::size_t>(v) + 1];
   }
+  for (std::size_t p = 0; p < static_cast<std::size_t>(n); ++p) {
+    max_degree_ = std::max(max_degree_, static_cast<int>(offsets_[p + 1]));
+    offsets_[p + 1] += offsets_[p];
+  }
+  // CSR fill: port numbering at each endpoint is edge-list order, and
+  // each slot records the port its edge got at the other endpoint.
   nbrs_.resize(offsets_.back());
-  ports_.reserve(nbrs_.size());
+  back_.resize(offsets_.back());
   std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
-  auto addDirected = [this, &fill](NodeId u, NodeId v) {
-    const Port port = static_cast<Port>(
-        fill[static_cast<std::size_t>(u)] - offsets_[static_cast<std::size_t>(u)]);
-    nbrs_[fill[static_cast<std::size_t>(u)]++] = v;
-    ports_.emplace(edgeKey(u, v), port);
-  };
-  for (const auto& [u, v] : edges) {
-    addDirected(u, v);
-    addDirected(v, u);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto [u, v] = edges[i];
+    const std::size_t su = fill[static_cast<std::size_t>(u)]++;
+    const std::size_t sv = fill[static_cast<std::size_t>(v)]++;
+    nbrs_[su] = v;
+    nbrs_[sv] = u;
+    back_[su] = static_cast<Port>(sv - offsets_[static_cast<std::size_t>(v)]);
+    back_[sv] = static_cast<Port>(su - offsets_[static_cast<std::size_t>(u)]);
   }
+  // Duplicates: one pass over the rows, stamping each neighbour with the
+  // row's node, so a second link to the same neighbour finds its stamp.
+  std::vector<NodeId> stamp(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId p = 0; p < n; ++p) {
+    for (NodeId q : neighbors(p)) {
+      if (stamp[static_cast<std::size_t>(q)] == p)
+        throw std::invalid_argument("Graph: duplicate edge");
+      stamp[static_cast<std::size_t>(q)] = p;
+    }
+  }
+  if (m < edges.size()) {
+    const auto [u, v] = edges[m];
+    throw std::invalid_argument(inRange(u) && inRange(v)
+                                    ? "Graph: self-loop"
+                                    : "Graph: edge endpoint out of range");
+  }
+  edge_count_ = static_cast<int>(m);
 }
 
 bool Graph::isConnected() const {

@@ -6,18 +6,20 @@
 // numbers 0..Δp−1.  The Graph is immutable after construction; topology
 // builders live in this header as static factories.
 //
-// Storage is CSR (compressed sparse row): one flat offsets array plus one
-// flat neighbor array, so neighbors(p) is a contiguous span and the whole
-// structure is two cache-friendly allocations regardless of n.  A hash
-// table over directed edges backs portOf/adjacent in O(1); port numbering
-// (edge-list insertion order) is unchanged from the nested representation.
+// Storage is pure CSR (compressed sparse row): one flat offsets array, one
+// flat neighbor array and, parallel to it, a reverse-port array, so
+// neighbors(p) is a contiguous span and the whole structure is three
+// allocations regardless of n.  The reverse port answers the one
+// cross-port read the algorithms make, "the port at my neighbour that
+// leads back to me" (backPort), in O(1); portOf/adjacent are O(deg p) row
+// scans for tests and validation.  Port numbering at each endpoint is
+// edge-list insertion order.
 #ifndef SSNO_CORE_GRAPH_HPP
 #define SSNO_CORE_GRAPH_HPP
 
-#include <cstdint>
+#include <algorithm>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,8 +30,9 @@ namespace ssno {
 
 class Graph {
  public:
-  /// Builds a graph from an explicit edge list over nodes 0..n-1.
-  /// Duplicate edges and self-loops are rejected.  `root` defaults to 0.
+  /// Builds a graph from an explicit edge list over nodes 0..n-1, in
+  /// O(n + m).  Duplicate edges and self-loops are rejected.  `root`
+  /// defaults to 0.
   Graph(int n, const std::vector<std::pair<NodeId, NodeId>>& edges,
         NodeId root = 0);
 
@@ -70,15 +73,24 @@ class Graph {
   /// Total number of (node, port) slots, i.e. 2m.
   [[nodiscard]] std::size_t portSlotCount() const { return nbrs_.size(); }
 
+  /// The port at q = neighborAt(p, l) whose link leads back to p, so
+  /// neighborAt(q, backPort(p, l)) == p.  O(1).
+  [[nodiscard]] Port backPort(NodeId p, Port l) const {
+    return back_[offsets_[static_cast<std::size_t>(p)] +
+                 static_cast<std::size_t>(l)];
+  }
+
   /// The local port of p whose link leads to q; kNoPort if not adjacent.
-  /// O(1): one hash lookup in the directed-edge port table.
+  /// O(deg p): a scan of p's row, for tests and validation.  Guards and
+  /// statements that hold (p, l) use backPort instead.
   [[nodiscard]] Port portOf(NodeId p, NodeId q) const {
-    const auto it = ports_.find(edgeKey(p, q));
-    return it == ports_.end() ? kNoPort : it->second;
+    const auto row = neighbors(p);
+    const auto it = std::find(row.begin(), row.end(), q);
+    return it == row.end() ? kNoPort : static_cast<Port>(it - row.begin());
   }
 
   [[nodiscard]] bool adjacent(NodeId p, NodeId q) const {
-    return ports_.contains(edgeKey(p, q));
+    return portOf(p, q) != kNoPort;
   }
 
   [[nodiscard]] bool isConnected() const;
@@ -115,15 +127,10 @@ class Graph {
   static Graph figure221();
 
  private:
-  [[nodiscard]] static std::uint64_t edgeKey(NodeId p, NodeId q) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-           static_cast<std::uint32_t>(q);
-  }
-
   std::vector<std::size_t> offsets_;  // n+1 entries
   std::vector<NodeId> nbrs_;          // 2m entries, port order per node
-  std::unordered_map<std::uint64_t, Port> ports_;  // (p,q) -> port at p
   NodeId root_ = 0;
+  std::vector<Port> back_;            // 2m entries, parallel to nbrs_
   int edge_count_ = 0;
   int max_degree_ = 0;
 };

@@ -497,6 +497,13 @@ TopologySpec TopologySpec::parse(const std::string& text) {
   }
   // Surface bad parameter domains at parse time, not first build.
   spec.validate();
+  // One name per graph: offsets c and n − c give the same chords, and a
+  // probability or exponent of −0 is 0.
+  for (int& c : spec.chords) c = std::min(c, spec.a - c);
+  std::sort(spec.chords.begin(), spec.chords.end());
+  spec.chords.erase(std::unique(spec.chords.begin(), spec.chords.end()),
+                    spec.chords.end());
+  if (spec.p == 0.0) spec.p = 0.0;
   return spec;
 }
 

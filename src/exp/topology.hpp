@@ -89,6 +89,8 @@ struct TopologySpec {
   [[nodiscard]] Graph build() const;
 
   /// Parses the grammar above; throws std::invalid_argument on errors.
+  /// Chord offsets are folded to min(c, n − c), sorted and deduplicated,
+  /// and −0 reads as 0, so specs that build the same graph share a name().
   static TopologySpec parse(const std::string& text);
 
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;

@@ -54,8 +54,7 @@ bool hasEdgeSymmetry(const Orientation& o) {
   for (NodeId p = 0; p < g.nodeCount(); ++p) {
     for (Port l = 0; l < g.degree(p); ++l) {
       const NodeId q = g.neighborAt(p, l);
-      const Port back = g.portOf(q, p);
-      SSNO_ASSERT(back != kNoPort);
+      const Port back = g.backPort(p, l);
       if ((o.labelAt(p, l) + o.labelAt(q, back)) % o.modulus != 0)
         return false;
     }

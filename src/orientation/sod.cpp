@@ -2,8 +2,6 @@
 
 #include <map>
 
-#include "core/assert.hpp"
-
 namespace ssno {
 
 std::optional<int> walkCode(const Orientation& o, NodeId from,
@@ -36,8 +34,7 @@ int nameFromCode(const Orientation& o, NodeId p, int code) {
 int translateCode(const Orientation& o, NodeId p, Port l, int code) {
   const Graph& g = *o.graph;
   const NodeId q = g.neighborAt(p, l);
-  const Port back = g.portOf(q, p);
-  SSNO_ASSERT(back != kNoPort);
+  const Port back = g.backPort(p, l);
   // η_q − η_t = (η_q − η_p) + (η_p − η_t) = π_q[back] + code.
   return (o.labelAt(q, back) + code) % o.modulus;
 }

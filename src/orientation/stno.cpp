@@ -20,14 +20,14 @@ Stno::Stno(Graph graph)
   view_ = bfs_.get();
 }
 
-Stno::Stno(Graph graph, std::vector<NodeId> fixedParents)
+Stno::Stno(Graph graph, const std::vector<NodeId>& fixedParents)
     : Protocol(graph),
       arena_(this->graph()),
       weight_(arena_.nodeColumn(1)),
       eta_(arena_.nodeColumn(0)),
       start_(arena_.portColumn(0)),
       pi_(arena_.portColumn(0)) {
-  fixed_ = std::make_unique<FixedTree>(this->graph(), std::move(fixedParents));
+  fixed_ = std::make_unique<FixedTree>(this->graph(), fixedParents);
   view_ = fixed_.get();
 }
 
@@ -47,7 +47,8 @@ std::string Stno::actionName(int action) const {
 }
 
 bool Stno::isChild(NodeId p, NodeId q) const {
-  return q != graph().root() && view_->parentOf(q) == p;
+  return q != graph().root() &&
+         graph().neighborAt(q, view_->parentPort(q)) == p;
 }
 
 int Stno::expectedWeight(NodeId p) const {
@@ -58,11 +59,9 @@ int Stno::expectedWeight(NodeId p) const {
 }
 
 int Stno::startFromParent(NodeId p) const {
-  const NodeId a = view_->parentOf(p);
-  SSNO_EXPECTS(a != kNoNode);
-  const Port l = graph().portOf(a, p);
-  SSNO_ASSERT(l != kNoPort);
-  return start_.at(a, l);
+  const Port l = view_->parentPort(p);
+  SSNO_EXPECTS(l != kNoPort);
+  return start_.at(graph().neighborAt(p, l), graph().backPort(p, l));
 }
 
 bool Stno::startInconsistent(NodeId p) const {

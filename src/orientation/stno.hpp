@@ -70,7 +70,7 @@ class Stno final : public Protocol {
 
   /// STNO over a fixed spanning tree (parent[root] == kNoNode); used for
   /// the DFS-tree ablation and for model checking the orientation layer.
-  Stno(Graph graph, std::vector<NodeId> fixedParents);
+  Stno(Graph graph, const std::vector<NodeId>& fixedParents);
 
   // ---- Protocol interface ----
   [[nodiscard]] int actionCount() const override { return kActionCount; }
@@ -143,7 +143,8 @@ class Stno final : public Protocol {
   /// Allocation-free child test used by the hot guard paths.
   [[nodiscard]] bool isChild(NodeId p, NodeId q) const;
   [[nodiscard]] int expectedWeight(NodeId p) const;
-  /// Start_{A_p}[p]: the parent's Start entry for p (kNoPort-safe).
+  /// Start_{A_p}[p]: the parent's Start entry for p, at the back port of
+  /// p's parent port.  O(1).
   [[nodiscard]] int startFromParent(NodeId p) const;
   [[nodiscard]] bool startInconsistent(NodeId p) const;
   [[nodiscard]] bool invalidNodeLabel(NodeId p) const;

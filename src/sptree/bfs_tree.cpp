@@ -135,9 +135,8 @@ std::string BfsTree::dumpNode(NodeId p) const {
   return out.str();
 }
 
-NodeId BfsTree::parentOf(NodeId p) const {
-  if (p == graph().root()) return kNoNode;
-  return graph().neighborAt(p, par_[p]);
+Port BfsTree::parentPort(NodeId p) const {
+  return p == graph().root() ? kNoPort : par_[p];
 }
 
 bool BfsTree::isLegitimate() {

@@ -59,7 +59,7 @@ class BfsTree final : public Protocol, public TreeView {
   }
 
   // ---- TreeView interface ----
-  [[nodiscard]] NodeId parentOf(NodeId p) const override;
+  [[nodiscard]] Port parentPort(NodeId p) const override;
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   // ---- Substrate-specific API ----

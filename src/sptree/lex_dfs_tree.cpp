@@ -47,7 +47,7 @@ LexDfsTree::Cand LexDfsTree::candidateVia(NodeId p, Port l) const {
     return c;  // longer than any simple path: ⊤
   c.valid = true;
   c.prefix = word_.row(q);
-  c.last = graph().portOf(q, p);
+  c.last = graph().backPort(p, l);
   c.port = l;
   return c;
 }
@@ -225,9 +225,8 @@ std::string LexDfsTree::dumpNode(NodeId p) const {
   return out.str();
 }
 
-NodeId LexDfsTree::parentOf(NodeId p) const {
-  if (p == graph().root()) return kNoNode;
-  return graph().neighborAt(p, par_[p]);
+Port LexDfsTree::parentPort(NodeId p) const {
+  return p == graph().root() ? kNoPort : par_[p];
 }
 
 bool LexDfsTree::isLegitimate() const {

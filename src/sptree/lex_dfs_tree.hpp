@@ -62,7 +62,7 @@ class LexDfsTree final : public Protocol, public TreeView {
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
 
   // ---- TreeView interface ----
-  [[nodiscard]] NodeId parentOf(NodeId p) const override;
+  [[nodiscard]] Port parentPort(NodeId p) const override;
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   void collectArenas(std::vector<StateArena*>& out) override {

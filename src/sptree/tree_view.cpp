@@ -23,9 +23,12 @@ TreeRole TreeView::roleOf(NodeId p) const {
   return TreeRole::kLeaf;
 }
 
-FixedTree::FixedTree(const Graph& graph, std::vector<NodeId> parent)
-    : graph_(&graph), parent_(std::move(parent)) {
-  SSNO_EXPECTS(isSpanningTree(graph, parent_));
+FixedTree::FixedTree(const Graph& graph, const std::vector<NodeId>& parent)
+    : graph_(&graph) {
+  SSNO_EXPECTS(isSpanningTree(graph, parent));
+  // The root's parent is kNoNode, which no row holds: kNoPort.
+  for (NodeId p = 0; p < graph.nodeCount(); ++p)
+    parentPort_.push_back(graph.portOf(p, parent[static_cast<std::size_t>(p)]));
 }
 
 }  // namespace ssno

@@ -5,7 +5,9 @@
 // A_p and descendant set D_p, and a role classification root / internal /
 // leaf.  Both the self-stabilizing BFS tree (bfs_tree.hpp) and fixed
 // trees (e.g. a DFS tree extracted from the token circulation) implement
-// this interface.
+// this interface.  Besides A_p a tree exposes the port of p that leads to
+// it, so STNO reads the parent's entry for p, Start_{A_p}[p], at
+// treeGraph().backPort(p, parentPort(p)) in O(1).
 #ifndef SSNO_SPTREE_TREE_VIEW_HPP
 #define SSNO_SPTREE_TREE_VIEW_HPP
 
@@ -22,8 +24,15 @@ class TreeView {
  public:
   virtual ~TreeView() = default;
 
+  /// The port of p whose link leads to its parent A_p (kNoPort for the
+  /// root): the one accessor each tree implements.
+  [[nodiscard]] virtual Port parentPort(NodeId p) const = 0;
+
   /// A_p: the processor's current parent (kNoNode for the root).
-  [[nodiscard]] virtual NodeId parentOf(NodeId p) const = 0;
+  [[nodiscard]] NodeId parentOf(NodeId p) const {
+    const Port l = parentPort(p);
+    return l == kNoPort ? kNoNode : treeGraph().neighborAt(p, l);
+  }
 
   /// D_p: processors that currently designate p as their parent, in p's
   /// port order (this ordering makes STNO's Distribute deterministic).
@@ -39,18 +48,16 @@ class TreeView {
 /// checking the orientation layer with the substrate held legitimate.
 class FixedTree final : public TreeView {
  public:
-  FixedTree(const Graph& graph, std::vector<NodeId> parent);
+  FixedTree(const Graph& graph, const std::vector<NodeId>& parent);
 
-  [[nodiscard]] NodeId parentOf(NodeId p) const override {
-    return parent_[static_cast<std::size_t>(p)];
+  [[nodiscard]] Port parentPort(NodeId p) const override {
+    return parentPort_[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] const Graph& treeGraph() const override { return *graph_; }
 
-  [[nodiscard]] const std::vector<NodeId>& parents() const { return parent_; }
-
  private:
   const Graph* graph_;
-  std::vector<NodeId> parent_;
+  std::vector<Port> parentPort_;  // computed once, at construction
 };
 
 }  // namespace ssno

@@ -23,6 +23,7 @@
 #include "core/graph.hpp"
 #include "core/scheduler.hpp"
 #include "dftc/dftc.hpp"
+#include "exp/topology.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -358,6 +359,42 @@ TEST(EnabledCache, PicksUpExternalWrites) {
   (void)cache.refresh();
   stno.setRawConfiguration(snapshot);
   EXPECT_EQ(cache.refresh(), stno.enabledMoves());
+}
+
+// STNO on star:64, over the BFS substrate and over the fixed star tree:
+// every leaf's NodeLabel guard reads the hub's Start entry for it through
+// parentPort and backPort, and a hub Distribute dirties all 63 leaves.
+// After every central-daemon step the incremental view must list exactly
+// Protocol::enabledMoves().  This check runs in every build type; the
+// cache's batch-vs-scalar guard cross-check runs only in Debug.
+TEST(EnabledCache, StnoOnAStarMatchesFullScanAfterEveryStep) {
+  const Graph g = exp::TopologySpec::parse("star:64").build();
+  std::vector<NodeId> hubParents(64, 0);
+  hubParents[0] = kNoNode;
+  for (const bool fixedTree : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(fixedTree ? "fixed" : "bfs") + " seed " +
+                   std::to_string(seed));
+      const auto made = fixedTree ? std::make_unique<Stno>(g, hubParents)
+                                  : std::make_unique<Stno>(g);
+      Stno& stno = *made;
+      Rng rng(seed);
+      stno.randomize(rng);
+      EnabledCache cache(stno);
+      const auto daemon = makeDaemon(DaemonKind::kCentral);
+      std::vector<Move> listed;
+      std::vector<Move> chosen;
+      for (int step = 0; step < 200; ++step) {
+        const EnabledView& view = cache.refreshView();
+        listed.clear();
+        view.appendMoves(listed);
+        ASSERT_EQ(listed, stno.enabledMoves()) << "step " << step;
+        if (view.empty()) break;
+        daemon->selectInto(view, rng, chosen);
+        for (const Move& m : chosen) stno.execute(m.node, m.action);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "exp/canon.hpp"
+#include "exp/scenario.hpp"
 
 namespace ssno::exp {
 namespace {
@@ -135,6 +139,39 @@ TEST(TopologySpec, NameRoundTripsAwkwardProbability) {
   const TopologySpec reparsed = TopologySpec::parse(spec.name());
   EXPECT_EQ(reparsed, spec);
   EXPECT_EQ(adjacency(reparsed.build()), adjacency(spec.build()));
+}
+
+// Specs that build the same graph parse to one spec and one name():
+// chord offsets c and n − c give the same chords, repeats and order do
+// not matter, and −0 is 0.  The result cache keys on the name.
+TEST(TopologySpec, EquivalentSpecsShareOneCanonicalName) {
+  const std::vector<std::vector<const char*>> classes = {
+      {"chordring:10:2,3", "chordring:10:3,2", "chordring:10:2,3,3",
+       "chordring:10:8,3", "chordring:10:7,8,2"},
+      {"chordring:12:2,4", "chordring:12:4,2", "chordring:12:10,8"},
+      {"chordring:16:2,5", "chordring:16:14,11,5"},
+      {"er:10:-0", "er:10:0", "er:10:0.0:0"},
+      {"plaw:100:-0", "plaw:100:0", "plaw:100:-0.0:0"},
+  };
+  for (const auto& cls : classes) {
+    const TopologySpec first = TopologySpec::parse(cls.front());
+    for (const char* text : cls) {
+      const TopologySpec spec = TopologySpec::parse(text);
+      EXPECT_EQ(spec, first) << text;
+      EXPECT_EQ(spec.name(), first.name()) << text;
+      EXPECT_EQ(TopologySpec::parse(spec.name()), spec) << text;
+      EXPECT_EQ(adjacency(spec.build()), adjacency(first.build())) << text;
+    }
+  }
+  // Already-canonical names are unchanged.
+  for (const char* text :
+       {"chordring:16:2,5", "chordring:12:2,4", "chordring:15:2,6",
+        "er:10:0:0", "plaw:100:0:0"})
+    EXPECT_EQ(TopologySpec::parse(text).name(), text);
+  EXPECT_EQ(TopologySpec::parse("chordring:10:8,3,2").name(),
+            "chordring:10:2,3");
+  EXPECT_EQ(canonicalScenario(parseScenario("dftno/central/chordring:12:4,2")),
+            canonicalScenario(parseScenario("dftno/central/chordring:12:2,4")));
 }
 
 TEST(TopologySpec, RandomFamiliesDeterministicUnderFixedSeed) {
