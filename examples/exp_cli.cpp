@@ -170,7 +170,7 @@ void listScenarios() {
       "  protocols: dftno stno stno-fixed-tree dftno-churn baseline-churn\n"
       "             dftc bfs-tree lex-dfs-tree dftno-recovery stno-recovery\n"
       "             stno-crash-reset ablation-naming space chordal-props\n"
-      "             routing scheduler guard-kernel\n"
+      "             routing scheduler\n"
       "             model-check[:dftc|:dftno|:dftc-fault]\n"
       "  daemons:   central distributed synchronous round-robin adversarial\n"
       "  topology:  ring:N path:N star:N complete:N hypercube:D grid:RxC\n"

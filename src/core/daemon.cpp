@@ -1,34 +1,16 @@
 #include "core/daemon.hpp"
 
-#include <algorithm>
-
 #include "core/assert.hpp"
 #include "core/bitwords.hpp"
 
 namespace ssno {
 
-void Daemon::onePerNode(std::span<const Move> enabled, Rng& rng,
-                        std::vector<Move>& out) {
-  // Reservoir-sample one action per node so that every enabled action has
-  // equal probability of representing its processor.  Node-major input
-  // means one contiguous run per node; draws happen in input order, the
-  // same sequence the historical map-based implementation produced.
-  out.clear();
-  for (std::size_t i = 0; i < enabled.size();) {
-    const NodeId node = enabled[i].node;
-    Move chosen = enabled[i];
-    int k = 1;
-    for (++i; i < enabled.size() && enabled[i].node == node; ++i)
-      if (rng.below(++k) == 0) chosen = enabled[i];
-    out.push_back(chosen);
-  }
-}
-
 void Daemon::onePerNode(const EnabledView& enabled, Rng& rng,
                         std::vector<Move>& out) {
-  // Same reservoir, driven by the masks: ascending nodes via the
-  // two-level node index, ascending actions via bit extraction — the
-  // identical draw sequence.
+  // Reservoir-sample one action per node so that every enabled action
+  // has equal probability of representing its processor: ascending
+  // nodes via the two-level node index, ascending actions via bit
+  // extraction.
   out.clear();
   enabled.forEachNode([&](NodeId p) {
     std::uint64_t mask = enabled.actionMask(p);
@@ -51,14 +33,6 @@ void CentralDaemon::selectInto(const EnabledView& enabled, Rng& rng,
   out.push_back(enabled.kthMove(rng.below(enabled.moveCount())));
 }
 
-void CentralDaemon::legacySelect(std::span<const Move> enabled, Rng& rng,
-                                 std::vector<Move>& out) {
-  SSNO_EXPECTS(!enabled.empty());
-  out.clear();
-  out.push_back(enabled[static_cast<std::size_t>(
-      rng.below(static_cast<int>(enabled.size())))]);
-}
-
 void DistributedDaemon::pickSubset(Rng& rng, std::vector<Move>& out) {
   out.clear();
   for (const Move& m : perNode_)
@@ -75,21 +49,8 @@ void DistributedDaemon::selectInto(const EnabledView& enabled, Rng& rng,
   pickSubset(rng, out);
 }
 
-void DistributedDaemon::legacySelect(std::span<const Move> enabled, Rng& rng,
-                                     std::vector<Move>& out) {
-  SSNO_EXPECTS(!enabled.empty());
-  onePerNode(enabled, rng, perNode_);
-  pickSubset(rng, out);
-}
-
 void SynchronousDaemon::selectInto(const EnabledView& enabled, Rng& rng,
                                    std::vector<Move>& out) {
-  SSNO_EXPECTS(!enabled.empty());
-  onePerNode(enabled, rng, out);
-}
-
-void SynchronousDaemon::legacySelect(std::span<const Move> enabled, Rng& rng,
-                                     std::vector<Move>& out) {
   SSNO_EXPECTS(!enabled.empty());
   onePerNode(enabled, rng, out);
 }
@@ -105,48 +66,11 @@ void RoundRobinDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,
   out.push_back(last_);
 }
 
-void RoundRobinDaemon::legacySelect(std::span<const Move> enabled,
-                                    Rng& /*rng*/, std::vector<Move>& out) {
-  SSNO_EXPECTS(!enabled.empty());
-  // Serve the enabled (node, action) pair that follows the last served
-  // pair in cyclic lexicographic order: every continuously enabled pair
-  // is reached within one sweep (weak fairness at action granularity).
-  auto follows = [this](const Move& m) {
-    return m.node > last_.node ||
-           (m.node == last_.node && m.action > last_.action);
-  };
-  auto lexLess = [](const Move& a, const Move& b) {
-    return a.node < b.node || (a.node == b.node && a.action < b.action);
-  };
-  const Move* best = nullptr;
-  const Move* wrap = nullptr;  // smallest pair overall (used on wrap-around)
-  for (const Move& m : enabled) {
-    if (follows(m) && (best == nullptr || lexLess(m, *best))) best = &m;
-    if (wrap == nullptr || lexLess(m, *wrap)) wrap = &m;
-  }
-  if (best == nullptr) best = wrap;
-  last_ = *best;
-  out.clear();
-  out.push_back(*best);
-}
-
 void AdversarialDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,
                                    std::vector<Move>& out) {
   SSNO_EXPECTS(!enabled.empty());
   out.clear();
   out.push_back(enabled.firstMove());
-}
-
-void AdversarialDaemon::legacySelect(std::span<const Move> enabled,
-                                     Rng& /*rng*/, std::vector<Move>& out) {
-  SSNO_EXPECTS(!enabled.empty());
-  const Move* best = &enabled.front();
-  for (const Move& m : enabled)
-    if (m.node < best->node ||
-        (m.node == best->node && m.action < best->action))
-      best = &m;
-  out.clear();
-  out.push_back(*best);
 }
 
 std::unique_ptr<Daemon> makeDaemon(DaemonKind kind) {

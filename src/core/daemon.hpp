@@ -9,21 +9,20 @@
 // AdversarialDaemon greedily tries to starve progress (it prefers moves
 // that keep the system away from quiescence) and is *unfair*.
 //
-// Selection is bitmask-native: the primary selectInto overload consumes
-// an EnabledView (the EnabledCache's per-node action masks) and never
-// materializes a move vector — the central daemon draws in O(log n),
-// round-robin and adversarial in O(1 + n/4096) through the view's
-// two-level node index, and the subset daemons touch only enabled
-// processors, in O(#enabled + n/4096).  legacySelect is the
-// historical shim over a node-major materialized vector; both paths
-// draw from the RNG in the same order and return bit-identical
-// selections (asserted by the Simulator's debug cross-check and pinned
-// by tests/daemon_test.cpp across randomized configurations).
+// Selection is bitmask-native: selectInto consumes an EnabledView (the
+// EnabledCache's per-node action masks) and never materializes a move
+// vector — the central daemon draws in O(log n), round-robin and
+// adversarial in O(1 + n/4096) through the view's two-level node
+// index, and the subset daemons touch only enabled processors, in
+// O(#enabled + n/4096).  The reference selections over a node-major
+// move vector live in tests/oracle/daemon_oracle.hpp; every daemon
+// draws from the RNG in the same order and returns the same selection
+// as its reference (pinned by tests/daemon_test.cpp across randomized
+// configurations).
 #ifndef SSNO_CORE_DAEMON_HPP
 #define SSNO_CORE_DAEMON_HPP
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,35 +44,11 @@ class Daemon {
   virtual void selectInto(const EnabledView& enabled, Rng& rng,
                           std::vector<Move>& out) = 0;
 
-  /// Legacy shim: selection over the materialized move vector.
-  /// Precondition: `enabled` is non-empty, node-major (all moves of a
-  /// node contiguous, nodes ascending — the order Protocol::enabledMoves
-  /// and EnabledCache::refresh produce), with at most actionCount()
-  /// moves per node.  Draw-order and result identical to the bitmask
-  /// overload on the same enabled set.
-  virtual void legacySelect(std::span<const Move> enabled, Rng& rng,
-                            std::vector<Move>& out) = 0;
-
-  /// Deep copy including fairness state (round-robin's cursor), so a
-  /// cross-check can replay a selection without disturbing the daemon.
-  [[nodiscard]] virtual std::unique_ptr<Daemon> clone() const = 0;
-
-  /// Convenience wrapper for tests and one-off callers (legacy path).
-  [[nodiscard]] std::vector<Move> select(const std::vector<Move>& enabled,
-                                         Rng& rng) {
-    std::vector<Move> out;
-    legacySelect(enabled, rng, out);
-    return out;
-  }
-
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
-  /// Utility: keep at most one (uniformly chosen) move per processor.
-  /// Both overloads visit moves in node-major order, so per-node
-  /// reservoir sampling draws from the RNG in the identical sequence.
-  static void onePerNode(std::span<const Move> enabled, Rng& rng,
-                         std::vector<Move>& out);
+  /// Utility: keep at most one (uniformly chosen) move per processor,
+  /// reservoir-sampled over each node's actions in ascending order.
   static void onePerNode(const EnabledView& enabled, Rng& rng,
                          std::vector<Move>& out);
 };
@@ -83,11 +58,6 @@ class CentralDaemon final : public Daemon {
  public:
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<CentralDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "central"; }
 };
 
@@ -97,11 +67,6 @@ class DistributedDaemon final : public Daemon {
  public:
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<DistributedDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "distributed"; }
 
  private:
@@ -115,11 +80,6 @@ class SynchronousDaemon final : public Daemon {
  public:
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<SynchronousDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "synchronous"; }
 };
 
@@ -133,11 +93,6 @@ class RoundRobinDaemon final : public Daemon {
  public:
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<RoundRobinDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "round-robin"; }
 
  private:
@@ -151,11 +106,6 @@ class AdversarialDaemon final : public Daemon {
  public:
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<AdversarialDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "adversarial"; }
 };
 

@@ -14,14 +14,11 @@
 // non-zero node word, kept in the status-flip branch of each patch and
 // in the rebuild's node loop, so it costs no pass of its own),
 // popcount-maintained move/node totals, and a Fenwick tree of per-node
-// move counts.  refreshView() exposes it as an EnabledView — the hot
-// path; daemons select directly on the masks and nothing proportional
-// to #enabled is materialized.
-// refresh() additionally builds the legacy node-major Move vector
-// (bit-identical to Protocol::enabledMoves(); asserted against the
-// naive scan after every refresh in debug builds) for the shim path,
-// tests, and before/after benchmarks.  setForceNaive(true) replaces the
-// incremental update with a full rescan per refresh.
+// move counts.  refreshView() exposes it as an EnabledView; daemons
+// select directly on the masks and nothing proportional to #enabled is
+// materialized.  Debug builds check all of it against
+// Protocol::enabledMoves() after every refresh: the listed moves, both
+// totals, the node index and every k-th move of the Fenwick descent.
 //
 // Exactly one EnabledCache may drain a Protocol at a time (draining
 // clears the dirty set); the Simulator owns one per run.
@@ -48,32 +45,18 @@ class EnabledCache {
 
   /// Brings the bitmask representation up to date with the protocol's
   /// dirty set and returns a view of it (valid until the next
-  /// refresh/mutation).  The hot path: no move vector is built.
+  /// refresh/mutation).  No move vector is built.
   [[nodiscard]] const EnabledView& refreshView();
-
-  /// Same, plus the materialized legacy move list (valid until the next
-  /// refresh/mutation).
-  [[nodiscard]] const std::vector<Move>& refresh();
 
   /// View of the representation as of the last refresh (no update).
   [[nodiscard]] const EnabledView& view() const { return view_; }
-
-  /// Replaces the incremental path with a full naive rescan per refresh
-  /// (for equivalence testing and before/after benchmarking).  The
-  /// bitmask view stays valid — it is rebuilt from the scan.
-  void setForceNaive(bool force) { force_naive_ = force; }
-
-  /// Forces guard evaluation through the scalar virtual enabled() loop
-  /// instead of the protocol's batch evaluateGuards kernel (the pre-
-  /// batch-kernel behavior; equivalence testing, before/after benches).
-  void setScalarGuardEval(bool scalar) { scalar_guard_eval_ = scalar; }
 
   /// ---- Enabled-status change feed (single consumer) -----------------
   /// When enabled, refreshes record every node whose ANY-action-enabled
   /// status flipped, letting a consumer (the Simulator's round
   /// accounting) react to O(#changed) nodes instead of rescanning its
-  /// whole working set per step.  A full rebuild (whole-configuration
-  /// write, naive mode) is reported via fullInvalidate instead of
+  /// whole working set per step.  A full rebuild (first refresh or a
+  /// whole-configuration write) is reported via fullInvalidate instead of
   /// per-node entries.  Off by default so checker-style consumers that
   /// never drain the feed pay nothing.
   void setTrackStatusChanges(bool on) {
@@ -101,6 +84,12 @@ class EnabledCache {
   /// this — so live introspection lags by at most the batch window.
   void flushStats();
 
+  /// Guard evaluations since construction (node × action, the
+  /// sim_guard_evals_total convention), flushed or not.
+  [[nodiscard]] std::uint64_t guardEvals() const {
+    return flushedEvals_ + statEvals_;
+  }
+
   ~EnabledCache() { flushStats(); }
 
  private:
@@ -122,11 +111,7 @@ class EnabledCache {
   int moveCount_ = 0;
   int nodeCount_ = 0;
   EnabledView view_;
-  std::vector<Move> moves_;  // legacy materialization (refresh() only)
-  bool movesStale_ = true;
   bool primed_ = false;  // first refresh always rescans everything
-  bool force_naive_ = false;
-  bool scalar_guard_eval_ = false;  // bypass batch kernels (old path)
   bool deferFenwick_ = false;  // dense refresh: one O(n) rebuild instead
   bool track_changes_ = false;
   bool full_invalidate_ = true;
@@ -141,6 +126,7 @@ class EnabledCache {
   std::uint64_t statRefreshes_ = 0;
   std::uint64_t statRebuilds_ = 0;
   std::uint64_t statEvals_ = 0;
+  std::uint64_t flushedEvals_ = 0;  // statEvals_ already published
 };
 
 }  // namespace ssno

@@ -22,11 +22,12 @@
 //
 // Iteration order is exactly the node-major, ascending-action order of
 // Protocol::enabledMoves(), so daemons that consume the view draw from
-// the RNG in the same sequence as the legacy vector path (pinned by
-// tests/daemon_test.cpp and the Simulator's debug cross-check).
+// the RNG in the same sequence as the reference selections over the
+// move vector (tests/oracle/daemon_oracle.hpp, pinned by
+// tests/daemon_test.cpp).
 //
 // A view is a non-owning snapshot of its EnabledCache: valid until the
-// next refresh or protocol mutation, like the legacy move vector.
+// next refresh or protocol mutation.
 #ifndef SSNO_CORE_ENABLED_VIEW_HPP
 #define SSNO_CORE_ENABLED_VIEW_HPP
 
@@ -134,7 +135,8 @@ class EnabledView {
     });
   }
 
-  /// Materializes the legacy node-major move vector (shim/debug path).
+  /// Materializes the node-major move vector (Debug checks, tests, and
+  /// daemons that score every candidate).
   void appendMoves(std::vector<Move>& out) const {
     forEachMove([&out](const Move& m) { out.push_back(m); });
   }

@@ -26,59 +26,27 @@ void Simulator::flushStats() {
 
 const std::vector<Move>& Simulator::stepOnce() {
   obs::TraceSpan stepSpan("sim_step");
-  if (naiveScan_ || legacySelect_) {
-    const std::vector<Move>* enabledPtr = nullptr;
-    {
-      obs::TraceSpan refreshSpan("sim_refresh");
-      enabledPtr = &cache_.refresh();
-    }
-    const std::vector<Move>& enabled = *enabledPtr;
-    if (enabled.empty()) {
-      selected_.clear();
-      return selected_;
-    }
+  const EnabledView* viewPtr = nullptr;
+  {
+    obs::TraceSpan refreshSpan("sim_refresh");
+    viewPtr = &cache_.refreshView();
+  }
+  const EnabledView& enabled = *viewPtr;
+  if (enabled.empty()) {
+    selected_.clear();
+    return selected_;
+  }
+  {
     obs::TraceSpan selectSpan("sim_select");
-    selectSpan.arg("enabled_moves", enabled.size());
-    daemon_.legacySelect(enabled, rng_, selected_);
-  } else {
-    const EnabledView* viewPtr = nullptr;
-    {
-      obs::TraceSpan refreshSpan("sim_refresh");
-      viewPtr = &cache_.refreshView();
-    }
-    const EnabledView& enabled = *viewPtr;
-    if (enabled.empty()) {
-      selected_.clear();
-      return selected_;
-    }
-#ifndef NDEBUG
-    // Cross-check: the bitmask selection must be bit-identical (moves
-    // AND RNG consumption) to the legacy materialized-vector path, for
-    // every daemon.  Cloning daemon and RNG keeps the real step's state
-    // untouched.
-    std::vector<Move> materialized;
-    enabled.appendMoves(materialized);
-    const std::unique_ptr<Daemon> shadow = daemon_.clone();
-    Rng shadowRng = rng_;
-    std::vector<Move> shadowOut;
-    shadow->legacySelect(materialized, shadowRng, shadowOut);
-#endif
-    {
-      obs::TraceSpan selectSpan("sim_select");
-      selectSpan.arg("enabled_moves",
-                     static_cast<std::uint64_t>(enabled.moveCount()));
-      daemon_.selectInto(enabled, rng_, selected_);
-    }
-#ifndef NDEBUG
-    SSNO_ASSERT(shadowOut == selected_);
-    SSNO_ASSERT(shadowRng.engine() == rng_.engine());
-#endif
+    selectSpan.arg("enabled_moves",
+                   static_cast<std::uint64_t>(enabled.moveCount()));
+    daemon_.selectInto(enabled, rng_, selected_);
   }
   SSNO_ASSERT(!selected_.empty());
   if (selected_.size() == 1) {
     protocol_.execute(selected_.front().node, selected_.front().action);
   } else {
-    executeSimultaneously(selected_);
+    engine_.execute(selected_);
   }
   if (observer_) {
     for (const Move& m : selected_) observer_(m);
@@ -88,18 +56,6 @@ const std::vector<Move>& Simulator::stepOnce() {
   stepSpan.arg("moves", selected_.size());
   accountRound(selected_);
   return selected_;
-}
-
-void Simulator::executeSimultaneously(const std::vector<Move>& moves) {
-  // Shared-memory semantics live in the SimultaneousEngine: the columnar
-  // fast path snapshots/restores acting processors column-batched over
-  // the protocol's StateArena columns and defers dirtying to one
-  // deduplicated pass; the legacy knob (and naive mode, matching the
-  // historical stack) keeps the per-node-vector pipeline.
-  if (legacySim_ || naiveScan_)
-    engine_.executeLegacy(moves);
-  else
-    engine_.execute(moves);
 }
 
 void Simulator::accountRound(const std::vector<Move>& executed) {
@@ -114,9 +70,8 @@ void Simulator::accountRound(const std::vector<Move>& executed) {
   // with Θ(n) enabled processors), neutralization consumes the cache's
   // status-change feed — a pending processor not in the feed was
   // enabled at the last check and still is.  A full cache rebuild
-  // (whole-configuration write, naive mode) falls back to the full
-  // pending-list compaction, which keeps the naive pipeline's round
-  // accounting bit-identical to the historical implementation.
+  // (whole-configuration write) falls back to the full pending-list
+  // compaction.
   const EnabledView& now = cache_.refreshView();
   const bool fullInvalidate = cache_.consumeFullInvalidate();
   if (statusObserver_)
@@ -140,7 +95,8 @@ void Simulator::accountRound(const std::vector<Move>& executed) {
   if (!roundActive_) {
     // A round opens with the processors that executed or remain enabled
     // now (operational simplification of "continuously enabled since the
-    // round began"; see the naive accountRound in the git history).
+    // round began"; the reference simulator in tests/oracle recomputes
+    // it from the whole pending set).
     for (const Move& m : executed) mark(m.node);
     now.forEachNode(mark);
     roundActive_ = pendingCount_ > 0;

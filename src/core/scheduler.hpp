@@ -15,22 +15,21 @@
 // against the configuration at the beginning of the step — executed by
 // the columnar SimultaneousEngine (core/sync_engine): column-batched
 // snapshot/restore over the protocol's StateArena columns plus one
-// deferred, deduplicated dirty pass per step.  setLegacySimultaneous
-// restores the per-node-vector pipeline for before/after benchmarking;
-// Debug builds cross-check the columnar post-step configuration against
-// it on every step.
+// deferred, deduplicated dirty pass per step.
 //
 // Hot path: the simulator maintains the enabled-move set incrementally
 // (EnabledCache over the Protocol's dirty notifications) and hands the
 // daemon the cache's bitmask EnabledView directly — no O(#enabled) move
 // vector is materialized per step, and all buffers are reused, so
 // steady-state stepping evaluates only the guards a move could have
-// changed and performs no heap allocations.  In debug builds every
-// selection is cross-checked for bit-identity against the legacy
-// materialized-vector path (cloned daemon + cloned RNG).  A Simulator
-// must be the only driver of its Protocol while in use; state writes
-// from outside a step (fault injection, restores in goal predicates)
-// are picked up through the dirtying API.
+// changed and performs no heap allocations.  The reference simulator
+// the tests hold this one to (tests/oracle/sim_oracle.hpp) rescans the
+// guards every step, selects over the materialized move vector,
+// executes multi-move steps by brute force and recomputes rounds from
+// the whole pending set.  Nothing else may step a Simulator's Protocol
+// while the Simulator is in use; state writes from outside a step
+// (fault injection, restores in goal predicates) are picked up through
+// the dirtying API.
 #ifndef SSNO_CORE_SCHEDULER_HPP
 #define SSNO_CORE_SCHEDULER_HPP
 
@@ -116,32 +115,13 @@ class Simulator {
     statusObserver_ = std::move(obs);
   }
 
-  /// Forces a full naive enabled-set rescan every step instead of the
-  /// incremental cache, and selection over the materialized vector
-  /// (the pre-PR-2 behavior; equivalence testing, before/after benches).
-  void setNaiveEnabledScan(bool naive) {
-    cache_.setForceNaive(naive);
-    naiveScan_ = naive;
+  /// Guard evaluations since construction (node × action), the
+  /// simulator's share of sim_guard_evals_total.
+  [[nodiscard]] std::uint64_t guardEvals() const {
+    return cache_.guardEvals();
   }
 
-  /// Keeps the incremental cache but feeds daemons the materialized
-  /// node-major move vector via Daemon::legacySelect — the PR-3-era
-  /// pipeline, the "before" side of the bitmask-selection benchmark.
-  void setLegacyVectorSelect(bool legacy) { legacySelect_ = legacy; }
-
-  /// Runs simultaneous steps through the PR-4-era per-node-vector
-  /// snapshot/restore pipeline with immediate dirtying instead of the
-  /// columnar engine — the "before" side of the sync_speedup benchmark.
-  /// (Naive-scan mode implies this, matching the historical stack.)
-  void setLegacySimultaneous(bool legacy) { legacySim_ = legacy; }
-
-  /// Evaluates guards through the scalar virtual enabled() loop instead
-  /// of the protocol's batch evaluateGuards kernels — the pre-batch-
-  /// kernel refresh path (equivalence testing, before/after benches).
-  void setScalarGuardEval(bool scalar) { cache_.setScalarGuardEval(scalar); }
-
  private:
-  void executeSimultaneously(const std::vector<Move>& moves);
   void accountRound(const std::vector<Move>& executed);
   void resetRound();
 
@@ -152,9 +132,6 @@ class Simulator {
   SimultaneousEngine engine_;
   MoveObserver observer_;
   StatusObserver statusObserver_;
-  bool naiveScan_ = false;     // naive rescans imply vector selection
-  bool legacySelect_ = false;  // vector selection on the incremental cache
-  bool legacySim_ = false;     // per-node-vector simultaneous steps
 
   // Reused buffers (no allocations in steady state).
   std::vector<Move> selected_;

@@ -36,10 +36,10 @@ void SimultaneousEngine::execute(std::span<const Move> moves) {
   if (!protocol_.guardsAreNeighborhoodLocal()) {
     if (columnar()) {
 #ifndef NDEBUG
-      // Cross-check the write-logging path against the historical
-      // full-configuration-snapshot pipeline, same pattern as below.
+      // Cross-check the write-logging path against the raw-vector
+      // full-configuration step, same pattern as below.
       const std::vector<int> preCheck = protocol_.rawConfiguration();
-      executeLegacyFull(moves);
+      executeRawFull(moves);
       const std::vector<int> expected = protocol_.rawConfiguration();
       protocol_.setRawConfiguration(preCheck);
 #endif
@@ -48,22 +48,22 @@ void SimultaneousEngine::execute(std::span<const Move> moves) {
       SSNO_ASSERT(protocol_.rawConfiguration() == expected);
 #endif
     } else {
-      executeLegacyFull(moves);
+      executeRawFull(moves);
     }
     return;
   }
   if (!columnar()) {
-    executeLegacyNeighborhood(moves);
+    executeRawNeighborhood(moves);
     return;
   }
 #ifndef NDEBUG
-  // Cross-check: the columnar step must be bit-identical to the legacy
-  // per-node-vector pipeline.  Run legacy first, note its post-step
+  // Cross-check: the columnar step must be bit-identical to the
+  // raw-vector step.  Run the raw step first, note its post-step
   // configuration, rewind, then run the real (columnar) step.  The
   // rewind dirties everything, which only makes the consumer's next
   // refresh a full (still canonical) rebuild.
   const std::vector<int> preCheck = protocol_.rawConfiguration();
-  executeLegacyNeighborhood(moves);
+  executeRawNeighborhood(moves);
   const std::vector<int> expected = protocol_.rawConfiguration();
   protocol_.setRawConfiguration(preCheck);
 #endif
@@ -71,15 +71,6 @@ void SimultaneousEngine::execute(std::span<const Move> moves) {
 #ifndef NDEBUG
   SSNO_ASSERT(protocol_.rawConfiguration() == expected);
 #endif
-}
-
-void SimultaneousEngine::executeLegacy(std::span<const Move> moves) {
-  SSNO_ASSERT(!moves.empty());
-  if (!protocol_.guardsAreNeighborhoodLocal()) {
-    executeLegacyFull(moves);
-    return;
-  }
-  executeLegacyNeighborhood(moves);
 }
 
 void SimultaneousEngine::capturePost(NodeId p) {
@@ -216,10 +207,10 @@ void SimultaneousEngine::executeColumnarFull(std::span<const Move> moves) {
   last_ = Mode::kColumnar;  // undo() restores the actors from pre_
 }
 
-void SimultaneousEngine::executeLegacyNeighborhood(
+void SimultaneousEngine::executeRawNeighborhood(
     std::span<const Move> moves) {
-  // The PR 4 pipeline, verbatim: per-actor rawNode/setRawNode vector
-  // round-trips with immediate dirty notifications.
+  // Per-actor rawNode/setRawNode vector round-trips with immediate
+  // dirty notifications.
   const std::size_t k = moves.size();
   if (preVec_.size() < k) {
     preVec_.resize(k);
@@ -250,10 +241,10 @@ void SimultaneousEngine::executeLegacyNeighborhood(
     actingIndex_[static_cast<std::size_t>(moves[i].node)] = -1;
   }
   lastMoves_.assign(moves.begin(), moves.end());
-  last_ = Mode::kLegacy;
+  last_ = Mode::kRaw;
 }
 
-void SimultaneousEngine::executeLegacyFull(std::span<const Move> moves) {
+void SimultaneousEngine::executeRawFull(std::span<const Move> moves) {
   // Full-configuration snapshots through the raw-vector API; the post
   // states live in one reused flat buffer (postOff_ records extents)
   // instead of a fresh vector<vector<int>> per step.
@@ -277,7 +268,7 @@ void SimultaneousEngine::executeLegacyFull(std::span<const Move> moves) {
         std::span<const int>(post).subspan(postOff_[i],
                                            postOff_[i + 1] - postOff_[i]));
   }
-  last_ = Mode::kLegacyFull;
+  last_ = Mode::kRawFull;
 }
 
 void SimultaneousEngine::undo() {
@@ -292,11 +283,11 @@ void SimultaneousEngine::undo() {
         arenas_[a]->restoreNodes(actors_, pre_[a]);
       for (const NodeId p : actors_) protocol_.noteExternalWrite(p);
       break;
-    case Mode::kLegacy:
+    case Mode::kRaw:
       for (std::size_t i = 0; i < lastMoves_.size(); ++i)
         protocol_.setRawNode(lastMoves_[i].node, preVec_[i]);
       break;
-    case Mode::kLegacyFull:
+    case Mode::kRawFull:
       protocol_.setRawConfiguration(preConfig_);
       break;
     case Mode::kNone:

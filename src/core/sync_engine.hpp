@@ -47,15 +47,16 @@
 // back — the configuration is inductively pre-step before every
 // execution — then re-apply the logged post states at the end (O(k·
 // state) instead of snapshotting and restoring every column per move).
-// Protocols without arenas use the reused raw-vector scratch.
 //
-// executeLegacy() preserves the PR 4 per-node-vector pipeline with
-// immediate dirtying — the "before" side of the sync_speedup benchmark
-// and the Simulator's setLegacySimultaneous knob; in Debug builds
-// execute() cross-checks the columnar post-step configuration against
-// it bit for bit.  undo() restores the pre-step configuration of the
-// last step (with dirty notifications), which is what lets the model
-// checker expand synchronous successors in place.
+// Protocols that register no arenas run the raw-vector step: per-actor
+// rawNode()/setRawNode() round-trips with immediate dirtying (or full-
+// configuration snapshots for non-local guards).  It is private, never
+// chosen for a protocol with arenas, and is the Debug reference for
+// every columnar step: Debug builds run it first, rewind, run the
+// columnar step and assert the two post-step configurations are
+// identical.  undo() restores the pre-step configuration of the last
+// step (with dirty notifications), which is what lets the model checker
+// expand synchronous successors in place.
 #ifndef SSNO_CORE_SYNC_ENGINE_HPP
 #define SSNO_CORE_SYNC_ENGINE_HPP
 
@@ -83,11 +84,7 @@ class SimultaneousEngine {
   /// guards, or the raw-vector path for protocols without arenas.
   void execute(std::span<const Move> moves);
 
-  /// The historical per-node-vector pipeline (immediate dirtying):
-  /// results are bit-identical to execute(), costs are the PR 4 ones.
-  void executeLegacy(std::span<const Move> moves);
-
-  /// Restores the configuration from before the last execute*() call,
+  /// Restores the configuration from before the last execute() call,
   /// with dirty notifications — the model checker's in-place successor
   /// rollback.  Valid once per step.
   void undo();
@@ -101,12 +98,12 @@ class SimultaneousEngine {
   void setUndoCapture(bool on) { undoCapture_ = on; }
 
  private:
-  enum class Mode { kNone, kColumnar, kLegacy, kLegacyFull };
+  enum class Mode { kNone, kColumnar, kRaw, kRawFull };
 
   void executeColumnar(std::span<const Move> moves);
   void executeColumnarFull(std::span<const Move> moves);
-  void executeLegacyNeighborhood(std::span<const Move> moves);
-  void executeLegacyFull(std::span<const Move> moves);
+  void executeRawNeighborhood(std::span<const Move> moves);
+  void executeRawFull(std::span<const Move> moves);
 
   /// Appends `p`'s current (post) state to the flat capture buffers.
   void capturePost(NodeId p);
@@ -129,11 +126,9 @@ class SimultaneousEngine {
   std::vector<NodeId> captured_;              // capture order
   std::vector<std::uint8_t> capturedFlag_;    // per actor slot
 
-  // Full-configuration raw-vector fallback scratch.
-  std::vector<int> preConfig_;
-  std::vector<int> postFlat_;   // raw-vector fallback post states
-
-  // Legacy-path scratch (the historical buffers).
+  // Raw-vector step scratch.
+  std::vector<int> preConfig_;  // full-configuration pre state
+  std::vector<int> postFlat_;   // full-configuration post states
   std::vector<std::vector<int>> preVec_;
   std::vector<std::vector<int>> postVec_;
   std::vector<int> actingIndex_;  // node -> move index, or -1

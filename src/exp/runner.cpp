@@ -354,63 +354,47 @@ TrialResult routingTrial(const Graph& g, const Scenario&, std::uint64_t) {
   return r;
 }
 
-/// Simulator throughput on DFTNO, up to four pipelines on identical work:
-///   * bitmask      — incremental cache + EnabledView daemon selection +
-///                    columnar simultaneous steps (the default path;
-///                    reported as incremental_moves_per_sec for baseline
-///                    continuity),
-///   * legacy-sim   — scalar per-node virtual guard evaluation
-///                    (setScalarGuardEval) and simultaneous steps on the
-///                    PR-4-era per-node-vector snapshot/restore pipeline
-///                    (setLegacySimultaneous; measured only under the
-///                    synchronous daemon, where executeSimultaneously is
-///                    the hot path) — the full pre-batch-kernel stack,
-///                    the "before" side of dftno_sync_speedup,
-///   * legacy-vector — incremental cache, but the O(#enabled) node-major
-///                    move vector is materialized per step and handed to
-///                    Daemon::legacySelect (the PR-3-era pipeline),
-///   * naive        — full guard rescan per step (the pre-PR-2 baseline;
-///                    skipped at n > kNaiveNodeCap, where a single
-///                    trial would take minutes).
-/// All runs execute exactly s.budget moves from the same scrambled
-/// start, so the measured work is identical move for move; in Debug
-/// builds the bitmask run cross-checks every selection against the
-/// legacy path and every columnar simultaneous step against the
-/// per-node-vector pipeline.
+/// Simulator throughput on DFTNO through the production pipeline
+/// (incremental cache, EnabledView daemon selection, columnar
+/// simultaneous steps): s.budget moves from a scrambled start.  Each run
+/// reports its exact counts — moves, steps, rounds and guard
+/// evaluations, fixed per seed on every machine and at any thread
+/// count — and its rate, timed from the first refresh on.  Synchronous
+/// rows add dense stepping on LexDfsTree (lex_ fields), the fat-state
+/// protocol: a bounded perturbation gives `perturb` distinct non-root
+/// processors short random path words, so every synchronous step
+/// executes on the order of `perturb` simultaneous moves (the perturbed
+/// processors and their activated neighbors) — a dense simultaneous
+/// step even at n = 1e5, with memory bounded at any n.
 TrialResult schedulerTrial(const Graph& g, const Scenario& s,
                            std::uint64_t seed) {
-  constexpr int kNaiveNodeCap = 20'000;
-  enum class Mode { kBitmask, kLegacySim, kLegacyVector, kNaive };
-  auto movesPerSec = [&](Mode mode) {
+  TrialResult r;
+  const auto record = [&r](const std::string& prefix, Simulator& sim,
+                           StepCount budget) {
+    const auto start = std::chrono::steady_clock::now();
+    const RunStats stats = sim.runToQuiescence(budget);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    r.metrics.emplace_back(prefix + "moves", static_cast<double>(stats.moves));
+    r.metrics.emplace_back(prefix + "steps", static_cast<double>(stats.steps));
+    r.metrics.emplace_back(prefix + "rounds",
+                           static_cast<double>(stats.rounds));
+    r.metrics.emplace_back(prefix + "guard_evals",
+                           static_cast<double>(sim.guardEvals()));
+    r.metrics.emplace_back(prefix + "moves_per_sec",
+                           static_cast<double>(stats.moves) /
+                               std::max(secs, 1e-9));
+  };
+  {
     Dftno dftno(g);
     Rng rng(seed);
     dftno.randomize(rng);
     auto daemon = makeDaemon(s.daemon);
     Simulator sim(dftno, *daemon, rng);
-    if (mode == Mode::kNaive) sim.setNaiveEnabledScan(true);
-    if (mode == Mode::kLegacyVector) sim.setLegacyVectorSelect(true);
-    if (mode == Mode::kLegacySim) {
-      sim.setLegacySimultaneous(true);
-      sim.setScalarGuardEval(true);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    const RunStats stats = sim.runToQuiescence(s.budget);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return static_cast<double>(stats.moves) / std::max(secs, 1e-9);
-  };
-  // Dense synchronous stepping on LexDfsTree — the fat-state protocol.
-  // Its raw snapshot format is a padded (n+3)-int vector per processor,
-  // so the legacy per-node-vector simultaneous pipeline copies Θ(n)
-  // ints per actor per step, while the columnar engine copies each
-  // actor's actual state (a few ints plus its real path word).  A
-  // bounded perturbation keeps the workload memory-feasible at any n:
-  // `perturb` distinct non-root processors get short random words, so
-  // every synchronous step executes on the order of `perturb`
-  // simultaneous moves (the perturbed processors and their activated
-  // neighbors) — a dense simultaneous step even at n = 1e5.
-  auto lexMovesPerSec = [&](bool legacySim) {
+    record("", sim, s.budget);
+  }
+  if (s.daemon == DaemonKind::kSynchronous) {
     constexpr int kPerturbCap = 256;
     constexpr int kWordCap = 8;
     LexDfsTree lex(g);
@@ -440,46 +424,7 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
     }
     auto daemon = makeDaemon(s.daemon);
     Simulator sim(lex, *daemon, rng);
-    if (legacySim) sim.setLegacySimultaneous(true);
-    const StepCount budget = 3 * static_cast<StepCount>(perturb);
-    const auto start = std::chrono::steady_clock::now();
-    const RunStats stats = sim.runToQuiescence(budget);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return static_cast<double>(stats.moves) / std::max(secs, 1e-9);
-  };
-  TrialResult r;
-  const double legacyVector = movesPerSec(Mode::kLegacyVector);
-  const double bitmask = movesPerSec(Mode::kBitmask);
-  r.metrics = {{"incremental_moves_per_sec", bitmask},
-               {"legacy_vector_moves_per_sec", legacyVector},
-               {"bitmask_speedup", bitmask / std::max(legacyVector, 1e-9)}};
-  if (s.daemon == DaemonKind::kSynchronous) {
-    // DFTNO pipeline ratio.  Thin 8-int state means shared guard
-    // re-evaluation and statement execution dominate, which is exactly
-    // what the batch kernels attack: the default path refreshes guards
-    // through the columnar evaluateGuards kernels and executes dense
-    // steps through doExecuteSimultaneous, while the legacy-sim side
-    // runs the full pre-batch stack (scalar virtual guard evaluation +
-    // per-node-vector simultaneous pipeline).
-    const double legacySim = movesPerSec(Mode::kLegacySim);
-    r.metrics.emplace_back("legacy_sim_moves_per_sec", legacySim);
-    r.metrics.emplace_back("dftno_sync_speedup",
-                           bitmask / std::max(legacySim, 1e-9));
-    // Columnar-engine ratio on the fat-state protocol (the headline:
-    // legacy copies Θ(n) ints per actor, the columnar engine does not).
-    const double lexLegacy = lexMovesPerSec(true);
-    const double lexColumnar = lexMovesPerSec(false);
-    r.metrics.emplace_back("lex_sync_moves_per_sec", lexColumnar);
-    r.metrics.emplace_back("lex_legacy_sync_moves_per_sec", lexLegacy);
-    r.metrics.emplace_back("sync_speedup",
-                           lexColumnar / std::max(lexLegacy, 1e-9));
-  }
-  if (g.nodeCount() <= kNaiveNodeCap) {
-    const double naive = movesPerSec(Mode::kNaive);
-    r.metrics.emplace_back("naive_moves_per_sec", naive);
-    r.metrics.emplace_back("speedup", bitmask / std::max(naive, 1e-9));
+    record("lex_", sim, 3 * static_cast<StepCount>(perturb));
   }
   return r;
 }
@@ -657,8 +602,8 @@ TrialResult resilienceTrial(const Graph& g, const Scenario& s,
   return r;
 }
 
-/// Telemetry overhead proof (the <2% CI gate).  The same DFTNO hot loop
-/// as schedulerTrial's bitmask mode runs with obs enabled and disabled.
+/// Telemetry overhead proof (the <2% CI gate).  schedulerTrial's DFTNO
+/// hot loop runs with obs enabled and disabled.
 /// Clock-frequency drift on a shared machine moves the absolute rate by
 /// several percent between runs seconds apart — more than the effect
 /// being measured — so the estimator is PAIRED: each rep times the two
@@ -715,72 +660,6 @@ TrialResult obsOverheadTrial(const Graph& g, const Scenario& s,
   return r;
 }
 
-/// Raw guard-kernel throughput on DFTNO: full-configuration batch
-/// evaluation through the columnar Protocol::evaluateGuards overrides
-/// vs the scalar per-node virtual enabled() loop (the Protocol default,
-/// reached by a qualified call), on identical scrambled state.  Rates
-/// count node x action guard evaluations, the sim_guard_evals_total
-/// convention.  Clock drift on a shared runner moves absolute rates by
-/// several percent between runs, so guard_batch_speedup is PAIRED per
-/// rep (alternating which side runs first) and reports the median
-/// ratio — hardware-independent and CI-gated, like obsOverheadTrial.
-/// Best-of absolute rates ride along; guard_evals_per_sec is gated too
-/// (ratio-to-baseline with the usual floor).  The budget is the number
-/// of per-node evaluations each timed side performs per rep.
-TrialResult guardKernelTrial(const Graph& g, const Scenario& s,
-                             std::uint64_t seed) {
-  constexpr int kReps = 7;
-  Dftno dftno(g);
-  Rng rng(seed);
-  dftno.randomize(rng);
-  const int n = g.nodeCount();
-  const double evalsPerPass =
-      static_cast<double>(n) * static_cast<double>(dftno.actionCount());
-  std::vector<NodeId> nodes(static_cast<std::size_t>(n));
-  for (NodeId p = 0; p < n; ++p) nodes[static_cast<std::size_t>(p)] = p;
-  std::vector<std::uint64_t> masks(nodes.size());
-  const int passes = static_cast<int>(
-      std::max<StepCount>(1, s.budget / std::max(1, n)));
-  auto evalsPerSec = [&](bool scalar) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int pass = 0; pass < passes; ++pass) {
-      if (scalar)
-        dftno.Protocol::evaluateGuards(nodes, masks.data());
-      else
-        dftno.evaluateGuards(nodes, masks.data());
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return static_cast<double>(passes) * evalsPerPass / std::max(secs, 1e-9);
-  };
-  evalsPerSec(false);  // untimed warmup: page-faults, branch history
-  std::vector<double> ratios;
-  double bestBatch = 0, bestScalar = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const bool batchFirst = (rep % 2) == 0;
-    const double first = evalsPerSec(!batchFirst);
-    const double second = evalsPerSec(batchFirst);
-    const double batch = batchFirst ? first : second;
-    const double scalar = batchFirst ? second : first;
-    bestBatch = std::max(bestBatch, batch);
-    bestScalar = std::max(bestScalar, scalar);
-    ratios.push_back(batch / std::max(scalar, 1e-9));
-  }
-  std::sort(ratios.begin(), ratios.end());
-  // Release-mode equivalence signal (Debug builds assert this in the
-  // cache on every refresh): the kernel masks must equal the scalar ones.
-  std::vector<std::uint64_t> ref(nodes.size());
-  dftno.evaluateGuards(nodes, masks.data());
-  dftno.Protocol::evaluateGuards(nodes, ref.data());
-  TrialResult r;
-  r.metrics = {{"guard_evals_per_sec", bestBatch},
-               {"scalar_guard_evals_per_sec", bestScalar},
-               {"guard_batch_speedup", ratios[ratios.size() / 2]},
-               {"kernel_matches_scalar", masks == ref ? 1.0 : 0.0}};
-  return r;
-}
-
 }  // namespace
 
 std::string protocolKindName(ProtocolKind kind) {
@@ -804,7 +683,6 @@ std::string protocolKindName(ProtocolKind kind) {
     case ProtocolKind::kModelCheck: return "model-check";
     case ProtocolKind::kResilience: return "resilience";
     case ProtocolKind::kObsOverhead: return "obs-overhead";
-    case ProtocolKind::kGuardKernel: return "guard-kernel";
   }
   return "?";
 }
@@ -867,7 +745,6 @@ TrialResult runTrial(const Graph& g, const Scenario& s, std::uint64_t seed) {
     case ProtocolKind::kModelCheck: return modelCheckTrial(g, s, seed);
     case ProtocolKind::kResilience: return resilienceTrial(g, s, seed);
     case ProtocolKind::kObsOverhead: return obsOverheadTrial(g, s, seed);
-    case ProtocolKind::kGuardKernel: return guardKernelTrial(g, s, seed);
   }
   throw std::invalid_argument("runTrial: unknown protocol kind");
 }

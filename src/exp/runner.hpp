@@ -43,7 +43,9 @@ enum class ProtocolKind {
   kSpace,          ///< per-node space accounting (deterministic)
   kChordalProps,   ///< §2.2 chordal-labeling properties (deterministic)
   kRouting,        ///< traversal/routing message complexity (deterministic)
-  kScheduler,      ///< simulator throughput, naive vs incremental cache
+  kScheduler,      ///< simulator throughput and exact step counts of the
+                   ///< production pipeline (DFTNO; LexDfsTree too when
+                   ///< synchronous)
   kModelCheck,     ///< exhaustive verification throughput: the src/mc
                    ///< explorer at mc-threads workers vs 1 thread (thread
                    ///< scaling), plus an identical-result check
@@ -53,10 +55,6 @@ enum class ProtocolKind {
   kObsOverhead,    ///< telemetry overhead proof: the ring:1e5 scheduler
                    ///< hot loop timed with obs enabled vs disabled
                    ///< (interleaved best-of reps; gated < 2% in CI)
-  kGuardKernel,    ///< raw guard-evaluation throughput: the columnar
-                   ///< Protocol::evaluateGuards kernels vs the scalar
-                   ///< per-node virtual enabled() loop on identical
-                   ///< DFTNO state (paired reps, median ratio)
 };
 
 [[nodiscard]] std::string protocolKindName(ProtocolKind kind);

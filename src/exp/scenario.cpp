@@ -182,37 +182,39 @@ Scenario modelCheckScenario(McTarget target, const std::string& topology,
 }
 
 std::vector<Scenario> schedulerPreset() {
-  // Fixed simulator-throughput preset: DFTNO steady-state stepping on
-  // ring/grid at n >= 1024, incremental enabled cache vs forced naive
-  // rescan — under the round-robin daemon (one move per step) and the
-  // synchronous daemon (executeSimultaneously path).  CI emits this as
-  // BENCH_scheduler.json and the perf smoke job compares against the
-  // committed baseline.  The model-check entry tracks exhaustive-
-  // verification throughput: the src/mc explorer at 8 threads vs 1
-  // thread (its speedup depends on the runner's core count, so the perf
-  // gate checks it only where both runs saw more than one core).
+  // Fixed simulator-throughput preset: DFTNO stepping on ring/grid at
+  // n >= 1024 through the production pipeline, under the round-robin
+  // daemon (one move per step) and the synchronous daemon (the columnar
+  // simultaneous-step engine).  CI emits this as BENCH_scheduler.json
+  // and the perf smoke job gates every row's exact counts (moves, steps,
+  // rounds equal; guard evaluations at most the baseline) and its rates
+  // (a floor at half the baseline).  The model-check entry tracks
+  // exhaustive-verification throughput: the src/mc explorer at 8 threads
+  // vs 1 thread (its speedup depends on the runner's core count, so the
+  // perf gate checks it only where both runs saw more than one core).
   constexpr std::uint64_t kSeed = 0x5CED;
   std::vector<Scenario> out;
+  // 200k moves keep each timed run in the tens of milliseconds, long
+  // enough for a rate that the gate's floor can compare across runs.
   for (const char* topo : {"ring:1024", "grid:32x32"}) {
     Scenario s = triple(ProtocolKind::kScheduler, DaemonKind::kRoundRobin,
                         topo, 3, kSeed);
-    s.budget = 20'000;  // moves measured per mode
+    s.budget = 200'000;  // moves per run
     out.push_back(s);
   }
   {
     Scenario s = triple(ProtocolKind::kScheduler, DaemonKind::kSynchronous,
                         "grid:32x32", 3, kSeed);
-    s.budget = 20'000;
+    s.budget = 200'000;
     out.push_back(s);
   }
   {
-    // Large-n row: at ring:100000 a randomized DFTNO start keeps
-    // Θ(n) processors enabled for the whole run, so materializing the
-    // node-major move vector per step is Θ(n) work per move — the cost
-    // the bitmask EnabledView pipeline removes.  The naive full-rescan
-    // mode is skipped above schedulerTrial's node cap (a single trial
-    // would take minutes); the gated ratio for this row is
-    // bitmask_speedup (bitmask vs legacy-vector, hardware-independent).
+    // Large-n row: at ring:100000 a randomized DFTNO start keeps Θ(n)
+    // processors enabled for the whole run, so any per-step work
+    // proportional to the enabled set (materializing the move vector,
+    // rescanning the guards) costs Θ(n) per move and collapses the rate
+    // by orders of magnitude; a full rescan also multiplies the guard
+    // evaluations.
     Scenario s = triple(ProtocolKind::kScheduler, DaemonKind::kRoundRobin,
                         "ring:100000", 3, kSeed);
     s.budget = 4'000;
@@ -222,27 +224,11 @@ std::vector<Scenario> schedulerPreset() {
     // Dense synchronous large-n row: from a random DFTNO start nearly
     // every processor is enabled, so the first few synchronous steps
     // execute Θ(n) simultaneous moves each; a budget of ~2n keeps the
-    // whole run inside that dense transient.  Synchronous rows gate two
-    // within-trial (hardware-independent) ratios of the columnar
-    // simultaneous-step engine vs the per-node-vector pipeline:
-    // dftno_sync_speedup (thin 8-int state — modest, shared guard
-    // re-evaluation dominates) and sync_speedup (LexDfsTree's padded
-    // Θ(n)-int raw vectors — the engine's headline).  Naive mode is
-    // skipped above the node cap, as for the round-robin large-n row.
+    // whole run inside that dense transient.  Its LexDfsTree run steps
+    // the fat-state protocol through the columnar engine.
     Scenario s = triple(ProtocolKind::kScheduler, DaemonKind::kSynchronous,
                         "ring:100000", 3, kSeed);
     s.budget = 200'000;
-    out.push_back(s);
-  }
-  {
-    // Guard-kernel row: raw batch-vs-scalar guard evaluation throughput
-    // on the same dense ring:1e5 DFTNO state the synchronous row steps.
-    // Gated: guard_batch_speedup (paired within-trial median ratio,
-    // hardware-independent) and guard_evals_per_sec (ratio to the
-    // committed baseline with the usual floor).
-    Scenario s = triple(ProtocolKind::kGuardKernel, DaemonKind::kCentral,
-                        "ring:100000", 3, kSeed);
-    s.budget = 2'000'000;  // per-node evaluations per timed side per rep
     out.push_back(s);
   }
   out.push_back(
@@ -332,19 +318,25 @@ std::vector<Scenario> daemonSweepPreset() {
 }  // namespace
 
 ProtocolKind parseProtocolKind(const std::string& name) {
-  for (ProtocolKind kind :
-       {ProtocolKind::kDftno, ProtocolKind::kStno,
-        ProtocolKind::kStnoFixedTree, ProtocolKind::kDftnoChurn,
-        ProtocolKind::kBaselineChurn, ProtocolKind::kDftc,
-        ProtocolKind::kBfsTree, ProtocolKind::kLexDfsTree,
-        ProtocolKind::kDftnoRecovery, ProtocolKind::kStnoRecovery,
-        ProtocolKind::kStnoCrashReset, ProtocolKind::kAblationNaming,
-        ProtocolKind::kSpace, ProtocolKind::kChordalProps,
-        ProtocolKind::kRouting, ProtocolKind::kScheduler,
-        ProtocolKind::kModelCheck, ProtocolKind::kResilience,
-        ProtocolKind::kObsOverhead, ProtocolKind::kGuardKernel})
+  constexpr ProtocolKind kKinds[] = {
+      ProtocolKind::kDftno,          ProtocolKind::kStno,
+      ProtocolKind::kStnoFixedTree,  ProtocolKind::kDftnoChurn,
+      ProtocolKind::kBaselineChurn,  ProtocolKind::kDftc,
+      ProtocolKind::kBfsTree,        ProtocolKind::kLexDfsTree,
+      ProtocolKind::kDftnoRecovery,  ProtocolKind::kStnoRecovery,
+      ProtocolKind::kStnoCrashReset, ProtocolKind::kAblationNaming,
+      ProtocolKind::kSpace,          ProtocolKind::kChordalProps,
+      ProtocolKind::kRouting,        ProtocolKind::kScheduler,
+      ProtocolKind::kModelCheck,     ProtocolKind::kResilience,
+      ProtocolKind::kObsOverhead};
+  for (ProtocolKind kind : kKinds)
     if (protocolKindName(kind) == name) return kind;
-  throw std::invalid_argument("unknown protocol '" + name + "'");
+  std::string msg = "unknown protocol '" + name + "'; valid kinds:";
+  for (ProtocolKind kind : kKinds) {
+    msg += ' ';
+    msg += protocolKindName(kind);
+  }
+  throw std::invalid_argument(msg);
 }
 
 DaemonKind parseDaemonKind(const std::string& name) {
@@ -393,10 +385,6 @@ Scenario parseScenario(const std::string& name) {
                            // convergence budget would be far too large
   if (s.protocol == ProtocolKind::kObsOverhead)
     s.budget = 200'000;  // moves measured per telemetry mode per rep
-  if (s.protocol == ProtocolKind::kGuardKernel)
-    s.budget = 2'000'000;  // per-node guard evaluations per timed side
-                           // per rep (the default convergence budget
-                           // would make a single rep run for minutes)
   return s;
 }
 

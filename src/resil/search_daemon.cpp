@@ -45,11 +45,6 @@ void SearchingDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,
   choose(viewMoves_, out);
 }
 
-void SearchingDaemon::legacySelect(std::span<const Move> enabled,
-                                   Rng& /*rng*/, std::vector<Move>& out) {
-  choose(enabled, out);
-}
-
 void SearchingDaemon::choose(std::span<const Move> enabled,
                              std::vector<Move>& out) {
   SSNO_EXPECTS(!enabled.empty());
@@ -180,22 +175,6 @@ void ReplayDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,
                              std::to_string(cursor_));
   const Move m = schedule_[cursor_];
   if (!enabled.enabled(m.node, m.action))
-    throw std::runtime_error(
-        "replay daemon: scheduled move (" + std::to_string(m.node) + "," +
-        std::to_string(m.action) + ") not enabled at step " +
-        std::to_string(cursor_) + " — replay diverged");
-  ++cursor_;
-  out.clear();
-  out.push_back(m);
-}
-
-void ReplayDaemon::legacySelect(std::span<const Move> enabled, Rng& /*rng*/,
-                                std::vector<Move>& out) {
-  if (cursor_ >= schedule_.size())
-    throw std::runtime_error("replay daemon: schedule exhausted at step " +
-                             std::to_string(cursor_));
-  const Move m = schedule_[cursor_];
-  if (std::find(enabled.begin(), enabled.end(), m) == enabled.end())
     throw std::runtime_error(
         "replay daemon: scheduled move (" + std::to_string(m.node) + "," +
         std::to_string(m.action) + ") not enabled at step " +

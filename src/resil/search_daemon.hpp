@@ -18,10 +18,8 @@
 // The search is deterministic and consumes NO randomness: ties break
 // toward the first candidate in node-major order, so the same seed
 // (which only drives fault injection and initial scrambling) reproduces
-// the same schedule bit-identically, and the Simulator's debug
-// cross-check (shadow clone runs legacySelect first, then the real
-// daemon runs selectInto; both selections and RNG states must match)
-// holds because scoring mutations are perfectly undone.
+// the same schedule bit-identically, because scoring mutations are
+// perfectly undone.
 //
 // Fairness safeguard: DFTNO is only guaranteed to stabilize under a
 // weakly fair daemon, so a pure greedy adversary could starve it
@@ -45,7 +43,6 @@
 #ifndef SSNO_RESIL_SEARCH_DAEMON_HPP
 #define SSNO_RESIL_SEARCH_DAEMON_HPP
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,11 +65,6 @@ class SearchingDaemon final : public Daemon {
 
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<SearchingDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override;
 
   /// The moves served so far, in order (the worst-case schedule).
@@ -120,11 +112,6 @@ class ReplayDaemon final : public Daemon {
 
   void selectInto(const EnabledView& enabled, Rng& rng,
                   std::vector<Move>& out) override;
-  void legacySelect(std::span<const Move> enabled, Rng& rng,
-                    std::vector<Move>& out) override;
-  [[nodiscard]] std::unique_ptr<Daemon> clone() const override {
-    return std::make_unique<ReplayDaemon>(*this);
-  }
   [[nodiscard]] std::string name() const override { return "replay"; }
 
   /// Moves served so far (== the cursor into the schedule).

@@ -57,7 +57,9 @@ namespace ssno::serve {
 /// (canon=2), so every v1 key would mismatch its stored scenario line.
 /// v3: the model-check trial's naive_states_per_sec became
 /// seq_states_per_sec (the one explorer at 1 thread).
-inline constexpr std::string_view kCacheSalt = "ssno-serve-v3";
+/// v4: the scheduler trial reports exact counts and production rates
+/// in place of its before/after ratios.
+inline constexpr std::string_view kCacheSalt = "ssno-serve-v4";
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);

@@ -1,7 +1,8 @@
 // Unit tests for the daemon implementations (paper §2.1.2 execution
 // models): selection contracts, fairness, adversarial starvation, and
-// RNG-draw-order compatibility of the bitmask EnabledView path with the
-// legacy materialized-vector path.
+// move-for-move, draw-for-draw agreement of every bitmask-native daemon
+// with its reference selection over the node-major move vector
+// (tests/oracle/daemon_oracle.hpp).
 #include "core/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include "core/enabled_cache.hpp"
 #include "core/graph.hpp"
 #include "core/rng.hpp"
+#include "oracle/daemon_oracle.hpp"
 #include "orientation/dftno.hpp"
+#include "toy_protocols.hpp"
 
 namespace ssno {
 namespace {
@@ -21,6 +24,26 @@ namespace {
 std::vector<Move> threeNodesEnabled() {
   return {Move{0, 0}, Move{0, 1}, Move{1, 0}, Move{2, 0}};
 }
+
+/// Drives a production daemon on a fixed enabled set through a real
+/// EnabledCache view.
+class FixedSet {
+ public:
+  explicit FixedSet(const std::vector<Move>& moves)
+      : proto_(Graph::path(3), 2), cache_(proto_) {
+    set(moves);
+  }
+  void set(const std::vector<Move>& moves) { proto_.setMoves(moves); }
+  std::vector<Move> select(Daemon& d, Rng& rng) {
+    std::vector<Move> out;
+    d.selectInto(cache_.refreshView(), rng, out);
+    return out;
+  }
+
+ private:
+  FixedMovesProtocol proto_;
+  EnabledCache cache_;
+};
 
 void expectSubsetOnePerNode(const std::vector<Move>& selected,
                             const std::vector<Move>& enabled) {
@@ -36,9 +59,10 @@ void expectSubsetOnePerNode(const std::vector<Move>& selected,
 
 TEST(CentralDaemon, SelectsExactlyOne) {
   CentralDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(1);
   for (int i = 0; i < 50; ++i) {
-    const auto sel = d.select(threeNodesEnabled(), rng);
+    const auto sel = set.select(d, rng);
     EXPECT_EQ(sel.size(), 1u);
     expectSubsetOnePerNode(sel, threeNodesEnabled());
   }
@@ -46,45 +70,50 @@ TEST(CentralDaemon, SelectsExactlyOne) {
 
 TEST(CentralDaemon, EventuallySelectsEveryMove) {
   CentralDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(2);
   std::set<std::pair<NodeId, int>> seen;
   for (int i = 0; i < 400; ++i)
-    for (const Move& m : d.select(threeNodesEnabled(), rng))
+    for (const Move& m : set.select(d, rng))
       seen.insert({m.node, m.action});
   EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(DistributedDaemon, NonEmptySubsetOnePerNode) {
   DistributedDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(3);
   for (int i = 0; i < 100; ++i)
-    expectSubsetOnePerNode(d.select(threeNodesEnabled(), rng),
+    expectSubsetOnePerNode(set.select(d, rng),
                            threeNodesEnabled());
 }
 
 TEST(DistributedDaemon, SometimesSelectsMultiple) {
   DistributedDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(4);
   bool sawMulti = false;
   for (int i = 0; i < 100; ++i)
-    sawMulti = sawMulti || d.select(threeNodesEnabled(), rng).size() > 1;
+    sawMulti = sawMulti || set.select(d, rng).size() > 1;
   EXPECT_TRUE(sawMulti);
 }
 
 TEST(SynchronousDaemon, SelectsEveryEnabledNode) {
   SynchronousDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(5);
-  const auto sel = d.select(threeNodesEnabled(), rng);
+  const auto sel = set.select(d, rng);
   EXPECT_EQ(sel.size(), 3u);  // nodes 0, 1, 2
   expectSubsetOnePerNode(sel, threeNodesEnabled());
 }
 
 TEST(RoundRobinDaemon, CyclesThroughActionPairs) {
   RoundRobinDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(6);
   std::vector<std::pair<NodeId, int>> order;
   for (int i = 0; i < 8; ++i) {
-    const Move m = d.select(threeNodesEnabled(), rng).front();
+    const Move m = set.select(d, rng).front();
     order.emplace_back(m.node, m.action);
   }
   const std::vector<std::pair<NodeId, int>> want{
@@ -97,10 +126,11 @@ TEST(RoundRobinDaemon, IsWeaklyFairAtActionGranularity) {
   // sweep — in particular node 0's SECOND action is not starved by its
   // first one.
   RoundRobinDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(7);
   std::map<std::pair<NodeId, int>, int> served;
   for (int i = 0; i < 32; ++i) {
-    const Move m = d.select(threeNodesEnabled(), rng).front();
+    const Move m = set.select(d, rng).front();
     served[{m.node, m.action}]++;
   }
   EXPECT_EQ((served[{0, 0}]), 8);
@@ -111,34 +141,38 @@ TEST(RoundRobinDaemon, IsWeaklyFairAtActionGranularity) {
 
 TEST(RoundRobinDaemon, SkipsDisabledPairs) {
   RoundRobinDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(8);
-  (void)d.select(threeNodesEnabled(), rng);  // serves (0,0)
+  (void)set.select(d, rng);  // serves (0,0)
   // Now only node 2 is enabled: the rotation must jump to it.
-  const Move m = d.select({Move{2, 0}}, rng).front();
+  set.set({Move{2, 0}});
+  const Move m = set.select(d, rng).front();
   EXPECT_EQ(m.node, 2);
 }
 
 TEST(AdversarialDaemon, StarvesHighNodesWhileLowEnabled) {
   AdversarialDaemon d;
+  FixedSet set(threeNodesEnabled());
   Rng rng(8);
   for (int i = 0; i < 20; ++i) {
-    const auto sel = d.select(threeNodesEnabled(), rng);
+    const auto sel = set.select(d, rng);
     ASSERT_EQ(sel.size(), 1u);
     EXPECT_EQ(sel.front().node, 0);  // node 2 never runs
     EXPECT_EQ(sel.front().action, 0);
   }
 }
 
-// Every daemon must produce bit-identical selections — and consume the
-// RNG identically — whether it reads the bitmask EnabledView or the
+// Every daemon must produce the selection of its reference daemon — and
+// consume the RNG identically — on the same enabled set: the production
+// daemon reads the bitmask EnabledView, the reference scans the
 // materialized node-major move vector.  Randomized DFTNO configurations
 // give dense, multi-action enabled sets (up to 7 actions per node);
-// evolving the configuration by the selected moves walks both paths
-// through hundreds of distinct enabled sets per topology.
-class BitmaskLegacyCompatibility
+// evolving the configuration by the selected moves walks both through
+// hundreds of distinct enabled sets per topology.
+class ReferenceDaemonEquivalence
     : public ::testing::TestWithParam<DaemonKind> {};
 
-TEST_P(BitmaskLegacyCompatibility, SelectionsAndDrawsAreBitIdentical) {
+TEST_P(ReferenceDaemonEquivalence, SelectionsAndDrawsMatchTheReference) {
   const DaemonKind kind = GetParam();
   Rng topoRng(0x5E1EC7);
   const std::vector<Graph> graphs = {
@@ -150,23 +184,20 @@ TEST_P(BitmaskLegacyCompatibility, SelectionsAndDrawsAreBitIdentical) {
     proto.randomize(scramble);
     EnabledCache cache(proto);
 
-    const auto viewDaemon = makeDaemon(kind);
-    const auto legacyDaemon = makeDaemon(kind);
-    Rng viewRng(42), legacyRng(42);
-    std::vector<Move> fromView, fromLegacy, materialized;
+    const auto daemon = makeDaemon(kind);
+    const auto reference = oracle::makeReferenceDaemon(kind);
+    Rng viewRng(42), referenceRng(42);
+    std::vector<Move> fromView, fromReference;
     for (int step = 0; step < 400; ++step) {
       const EnabledView& view = cache.refreshView();
       if (view.empty()) break;
-      materialized.clear();
-      view.appendMoves(materialized);
-      ASSERT_EQ(static_cast<int>(materialized.size()), view.moveCount());
-
-      viewDaemon->selectInto(view, viewRng, fromView);
-      legacyDaemon->legacySelect(materialized, legacyRng, fromLegacy);
-      ASSERT_EQ(fromView, fromLegacy)
+      const std::vector<Move> scanned = proto.enabledMoves();
+      daemon->selectInto(view, viewRng, fromView);
+      reference->select(scanned, referenceRng, fromReference);
+      ASSERT_EQ(fromView, fromReference)
           << daemonKindName(kind) << " diverged at step " << step << " (n="
           << g.nodeCount() << ")";
-      ASSERT_TRUE(viewRng.engine() == legacyRng.engine())
+      ASSERT_TRUE(viewRng.engine() == referenceRng.engine())
           << daemonKindName(kind) << " consumed the RNG differently at step "
           << step;
       // Evolve by one of the selected moves (single execution keeps the
@@ -176,7 +207,7 @@ TEST_P(BitmaskLegacyCompatibility, SelectionsAndDrawsAreBitIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDaemons, BitmaskLegacyCompatibility,
+INSTANTIATE_TEST_SUITE_P(AllDaemons, ReferenceDaemonEquivalence,
                          ::testing::Values(DaemonKind::kCentral,
                                            DaemonKind::kDistributed,
                                            DaemonKind::kSynchronous,
@@ -188,20 +219,6 @@ INSTANTIATE_TEST_SUITE_P(AllDaemons, BitmaskLegacyCompatibility,
                              if (c == '-') c = '_';
                            return name;
                          });
-
-// clone() must duplicate fairness state: a cloned round-robin resumes
-// the rotation from the original's cursor.
-TEST(DaemonClone, RoundRobinCursorIsCopied) {
-  RoundRobinDaemon d;
-  Rng rng(1);
-  (void)d.select(threeNodesEnabled(), rng);  // serves (0,0)
-  (void)d.select(threeNodesEnabled(), rng);  // serves (0,1)
-  const auto copy = d.clone();
-  const Move fromCopy = copy->select(threeNodesEnabled(), rng).front();
-  const Move fromOriginal = d.select(threeNodesEnabled(), rng).front();
-  EXPECT_EQ(fromCopy, fromOriginal);  // both serve (1,0) next
-  EXPECT_EQ(fromCopy, (Move{1, 0}));
-}
 
 TEST(MakeDaemon, CoversAllKinds) {
   for (DaemonKind k :

@@ -1,13 +1,15 @@
 // Equivalence suite for the incremental enabled-move cache: every
-// protocol × {central, distributed, fair} daemon × several topologies,
-// run twice from the same seed — once with the incremental EnabledCache
-// (the default) and once with a forced naive full rescan — must produce
-// bit-identical move sequences, step/round counts, and final raw
-// configurations.  Because daemons draw from the RNG based on the
-// enabled set they are handed, any discrepancy in the incremental set
-// (content OR order) diverges the runs immediately; fault injection
-// mid-run additionally exercises the dirty paths of randomizeNode and
-// decodeNode.
+// protocol × {central, distributed, fair, adversarial, synchronous}
+// daemon × several topologies, run twice from the same seed — once by
+// the production Simulator (incremental EnabledCache, bitmask daemon
+// selection) and once by the reference simulator of
+// tests/oracle/sim_oracle.hpp (a full guard rescan and a reference
+// daemon over the move vector every step) — must produce identical
+// move sequences, step/round counts, and final raw configurations.
+// Because daemons draw from the RNG based on the enabled set they are
+// handed, any discrepancy in the incremental set (content OR order)
+// diverges the runs immediately; fault injection mid-run additionally
+// exercises the dirty paths of randomizeNode and decodeNode.
 #include "core/enabled_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/scheduler.hpp"
 #include "dftc/dftc.hpp"
 #include "exp/topology.hpp"
+#include "oracle/sim_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -83,20 +86,14 @@ struct RunLog {
   std::vector<int> finalConfig;
 };
 
-enum class SimMode {
-  kBitmask,       // incremental cache + EnabledView selection (default)
-  kLegacyVector,  // incremental cache + materialized-vector selection
-  kNaive,         // full rescan + materialized-vector selection
-};
-
-/// One deterministic scenario: scramble, run, inject 2 faults, run again.
-RunLog runLogged(Protocol& protocol, Daemon& daemon, SimMode mode,
-                 std::uint64_t seed, StepCount budget) {
+/// One deterministic scenario: scramble, run, inject 2 faults, run again
+/// — on the production Simulator, or on the reference simulator.
+template <class Sim, class SimDaemon>
+RunLog runLogged(Protocol& protocol, SimDaemon& daemon, std::uint64_t seed,
+                 StepCount budget) {
   Rng rng(seed);
   protocol.randomize(rng);
-  Simulator sim(protocol, daemon, rng);
-  if (mode == SimMode::kNaive) sim.setNaiveEnabledScan(true);
-  if (mode == SimMode::kLegacyVector) sim.setLegacyVectorSelect(true);
+  Sim sim(protocol, daemon, rng);
   RunLog log;
   sim.setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
   log.phase1 = sim.runToQuiescence(budget);
@@ -106,10 +103,38 @@ RunLog runLogged(Protocol& protocol, Daemon& daemon, SimMode mode,
   return log;
 }
 
+RunLog runProduction(const ProtocolCase& proto, const Graph& g,
+                     DaemonKind kind, std::uint64_t seed, StepCount budget) {
+  auto protocol = proto.make(g);
+  auto daemon = makeDaemon(kind);
+  return runLogged<Simulator>(*protocol, *daemon, seed, budget);
+}
+
+RunLog runReference(const ProtocolCase& proto, const Graph& g,
+                    DaemonKind kind, std::uint64_t seed, StepCount budget) {
+  auto protocol = proto.make(g);
+  auto daemon = oracle::makeReferenceDaemon(kind);
+  return runLogged<oracle::ReferenceSimulator>(*protocol, *daemon, seed,
+                                               budget);
+}
+
+void expectSameRun(const RunLog& production, const RunLog& reference) {
+  EXPECT_EQ(production.moves, reference.moves);
+  EXPECT_EQ(production.phase1.moves, reference.phase1.moves);
+  EXPECT_EQ(production.phase1.steps, reference.phase1.steps);
+  EXPECT_EQ(production.phase1.rounds, reference.phase1.rounds);
+  EXPECT_EQ(production.phase1.terminal, reference.phase1.terminal);
+  EXPECT_EQ(production.phase2.moves, reference.phase2.moves);
+  EXPECT_EQ(production.phase2.steps, reference.phase2.steps);
+  EXPECT_EQ(production.phase2.rounds, reference.phase2.rounds);
+  EXPECT_EQ(production.phase2.terminal, reference.phase2.terminal);
+  EXPECT_EQ(production.finalConfig, reference.finalConfig);
+}
+
 class EnabledCacheEquivalence
     : public ::testing::TestWithParam<DaemonKind> {};
 
-TEST_P(EnabledCacheEquivalence, BitmaskMatchesLegacyVectorAndNaiveRescan) {
+TEST_P(EnabledCacheEquivalence, SimulatorMatchesTheReferenceSimulator) {
   const DaemonKind daemonKind = GetParam();
   constexpr StepCount kBudget = 1'500;  // non-silent protocols never stop
   for (const TopologyCase& topo : topologyCases()) {
@@ -117,37 +142,8 @@ TEST_P(EnabledCacheEquivalence, BitmaskMatchesLegacyVectorAndNaiveRescan) {
       SCOPED_TRACE(proto.name + " × " + daemonKindName(daemonKind) + " × " +
                    topo.name);
       const std::uint64_t seed = 0xD1147 + topo.g.nodeCount();
-
-      auto bitmaskProto = proto.make(topo.g);
-      auto bitmaskDaemon = makeDaemon(daemonKind);
-      const RunLog bitmask = runLogged(*bitmaskProto, *bitmaskDaemon,
-                                       SimMode::kBitmask, seed, kBudget);
-
-      auto legacyProto = proto.make(topo.g);
-      auto legacyDaemon = makeDaemon(daemonKind);
-      const RunLog legacy = runLogged(*legacyProto, *legacyDaemon,
-                                      SimMode::kLegacyVector, seed, kBudget);
-
-      auto rescanned = proto.make(topo.g);
-      auto naiveDaemon = makeDaemon(daemonKind);
-      const RunLog naive =
-          runLogged(*rescanned, *naiveDaemon, SimMode::kNaive, seed, kBudget);
-
-      // Bitmask selection over the EnabledView ≡ legacy selection over
-      // the materialized vector (same incremental cache)...
-      EXPECT_EQ(bitmask.moves, legacy.moves);
-      EXPECT_EQ(bitmask.finalConfig, legacy.finalConfig);
-      // ...≡ the naive full-rescan pipeline, move for move.
-      EXPECT_EQ(bitmask.moves, naive.moves);
-      EXPECT_EQ(bitmask.phase1.moves, naive.phase1.moves);
-      EXPECT_EQ(bitmask.phase1.steps, naive.phase1.steps);
-      EXPECT_EQ(bitmask.phase1.rounds, naive.phase1.rounds);
-      EXPECT_EQ(bitmask.phase1.terminal, naive.phase1.terminal);
-      EXPECT_EQ(bitmask.phase2.moves, naive.phase2.moves);
-      EXPECT_EQ(bitmask.phase2.rounds, naive.phase2.rounds);
-      EXPECT_EQ(bitmask.finalConfig, naive.finalConfig);
-      EXPECT_EQ(legacy.phase1.rounds, naive.phase1.rounds);
-      EXPECT_EQ(legacy.phase2.rounds, naive.phase2.rounds);
+      expectSameRun(runProduction(proto, topo.g, daemonKind, seed, kBudget),
+                    runReference(proto, topo.g, daemonKind, seed, kBudget));
     }
   }
 }
@@ -157,7 +153,7 @@ TEST_P(EnabledCacheEquivalence, BitmaskMatchesLegacyVectorAndNaiveRescan) {
 // daemon's cursor search runs to the end of the node index and wraps
 // whenever the token moves to a lower-numbered processor, and every
 // round opening walks the whole index.  One full token circulation must
-// match the naive rescan move for move.
+// match the reference simulator move for move.
 TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
   constexpr NodeId n = 64 * 64 + 4;
   struct Log {
@@ -165,34 +161,39 @@ TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
     RunStats stats;
     std::vector<int> finalConfig;
   };
-  const auto circulate = [](bool naive) {
+  const auto circulate = [](auto&& makeSim) {
     Dftc dftc(Graph::ring(n));
     dftc.resetClean();
     int starts = 0;
     TokenHooks hooks;
     hooks.onRoundStart = [&starts](NodeId) { ++starts; };
     dftc.setHooks(std::move(hooks));
-    RoundRobinDaemon daemon;
     Rng rng(0x4C1);
-    Simulator sim(dftc, daemon, rng);
-    sim.setNaiveEnabledScan(naive);
     Log log;
-    sim.setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
+    auto sim = makeSim(dftc, rng);
+    sim->setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
     // Until the root starts its second token: one whole circulation.
-    log.stats = sim.runUntil([&starts] { return starts >= 2; }, 8 * n);
+    log.stats = sim->runUntil([&starts] { return starts >= 2; }, 8 * n);
     log.finalConfig = dftc.rawConfiguration();
     dftc.setHooks(TokenHooks{});
     return log;
   };
-  const Log indexed = circulate(false);
-  const Log naive = circulate(true);
+  RoundRobinDaemon daemon;
+  oracle::ReferenceRoundRobin referenceDaemon;
+  const Log indexed = circulate([&daemon](Protocol& p, Rng& rng) {
+    return std::make_unique<Simulator>(p, daemon, rng);
+  });
+  const Log reference = circulate([&referenceDaemon](Protocol& p, Rng& rng) {
+    return std::make_unique<oracle::ReferenceSimulator>(p, referenceDaemon,
+                                                        rng);
+  });
   ASSERT_TRUE(indexed.stats.converged);
   EXPECT_GE(indexed.stats.moves, 2 * (n - 1));  // the token visits every node
-  EXPECT_EQ(indexed.moves, naive.moves);
-  EXPECT_EQ(indexed.stats.moves, naive.stats.moves);
-  EXPECT_EQ(indexed.stats.steps, naive.stats.steps);
-  EXPECT_EQ(indexed.stats.rounds, naive.stats.rounds);
-  EXPECT_EQ(indexed.finalConfig, naive.finalConfig);
+  EXPECT_EQ(indexed.moves, reference.moves);
+  EXPECT_EQ(indexed.stats.moves, reference.stats.moves);
+  EXPECT_EQ(indexed.stats.steps, reference.stats.steps);
+  EXPECT_EQ(indexed.stats.rounds, reference.stats.rounds);
+  EXPECT_EQ(indexed.finalConfig, reference.finalConfig);
 }
 
 INSTANTIATE_TEST_SUITE_P(Daemons, EnabledCacheEquivalence,
@@ -207,28 +208,15 @@ INSTANTIATE_TEST_SUITE_P(Daemons, EnabledCacheEquivalence,
                            return name;
                          });
 
-// The synchronous daemon drives executeSimultaneously (the neighborhood-
-// limited snapshot/restore path); cover it against the naive rescan too.
+// The synchronous daemon drives the simultaneous-step engine; cover it
+// against the reference simulator's brute-force step too.
 TEST(EnabledCacheEquivalence, SynchronousSimultaneousStepsMatch) {
   for (const TopologyCase& topo : topologyCases()) {
     for (const ProtocolCase& proto : protocolCases()) {
       SCOPED_TRACE(proto.name + " × synchronous × " + topo.name);
-      auto incremental = proto.make(topo.g);
-      SynchronousDaemon d1;
-      const RunLog inc =
-          runLogged(*incremental, d1, SimMode::kBitmask, 0xAB, 1'500);
-      auto legacyProto = proto.make(topo.g);
-      SynchronousDaemon d2;
-      const RunLog legacy =
-          runLogged(*legacyProto, d2, SimMode::kLegacyVector, 0xAB, 1'500);
-      auto rescanned = proto.make(topo.g);
-      SynchronousDaemon d3;
-      const RunLog naive =
-          runLogged(*rescanned, d3, SimMode::kNaive, 0xAB, 1'500);
-      EXPECT_EQ(inc.moves, legacy.moves);
-      EXPECT_EQ(inc.moves, naive.moves);
-      EXPECT_EQ(inc.finalConfig, naive.finalConfig);
-      EXPECT_EQ(inc.phase2.rounds, naive.phase2.rounds);
+      expectSameRun(
+          runProduction(proto, topo.g, DaemonKind::kSynchronous, 0xAB, 1'500),
+          runReference(proto, topo.g, DaemonKind::kSynchronous, 0xAB, 1'500));
     }
   }
 }
@@ -325,6 +313,13 @@ TEST(EnabledView, TwoLevelSearchMatchesNaiveScanAcrossSummaryWords) {
   }
 }
 
+/// The refreshed view's moves, in node-major order.
+std::vector<Move> refreshedMoves(EnabledCache& cache) {
+  std::vector<Move> moves;
+  cache.refreshView().appendMoves(moves);
+  return moves;
+}
+
 // Direct cache unit test: after a single move, only the dirty region is
 // re-evaluated, yet the refreshed set equals a fresh full scan.
 TEST(EnabledCache, RefreshTracksSingleMoves) {
@@ -333,7 +328,7 @@ TEST(EnabledCache, RefreshTracksSingleMoves) {
   dftc.resetClean();
   EnabledCache cache(dftc);
   for (int step = 0; step < 200; ++step) {
-    const std::vector<Move>& cached = cache.refresh();
+    const std::vector<Move> cached = refreshedMoves(cache);
     EXPECT_EQ(cached, dftc.enabledMoves());
     ASSERT_FALSE(cached.empty());  // the token never stops
     dftc.execute(cached.front().node, cached.front().action);
@@ -346,19 +341,19 @@ TEST(EnabledCache, PicksUpExternalWrites) {
   Rng rng(7);
   stno.randomize(rng);
   EnabledCache cache(stno);
-  (void)cache.refresh();
+  (void)cache.refreshView();
   // External single-node writes (fault injection style) must dirty their
   // neighborhood and be reflected by the next refresh.
   for (NodeId p = 0; p < g.nodeCount(); ++p) {
     stno.randomizeNode(p, rng);
-    EXPECT_EQ(cache.refresh(), stno.enabledMoves());
+    EXPECT_EQ(refreshedMoves(cache), stno.enabledMoves());
   }
   // Whole-configuration restore marks everything dirty.
   const std::vector<int> snapshot = stno.rawConfiguration();
   stno.randomize(rng);
-  (void)cache.refresh();
+  (void)cache.refreshView();
   stno.setRawConfiguration(snapshot);
-  EXPECT_EQ(cache.refresh(), stno.enabledMoves());
+  EXPECT_EQ(refreshedMoves(cache), stno.enabledMoves());
 }
 
 // STNO on star:64, over the BFS substrate and over the fixed star tree:

@@ -2,10 +2,12 @@
 // every columnar kernel override must be bit-identical to the scalar
 // per-node virtual enabled() loop — on raw masks over randomized
 // configurations (including unaligned batch sizes: 1, word-boundary,
-// full n), and on whole runs: forcing the scalar path through
-// Simulator::setScalarGuardEval must reproduce the exact move
-// sequences, round counts, and final configurations across the
-// overriding protocols × daemons × topologies.  Also pins the sync
+// full n), and on whole runs: the production Simulator, which refreshes
+// guards through the kernels, must reproduce the move, step and round
+// counts, final configurations and enabled sets of the reference
+// simulator (tests/oracle/sim_oracle.hpp), which scans the scalar
+// enabled() loop every step, across the overriding protocols × daemons
+// × topologies.  Also pins the sync
 // engine's write-logging restore on the full-configuration path
 // (non-neighborhood-local guards): execute + undo must round-trip the
 // configuration exactly, and a re-execute must land on the same post
@@ -22,6 +24,7 @@
 #include "core/scheduler.hpp"
 #include "core/sync_engine.hpp"
 #include "dftc/dftc.hpp"
+#include "oracle/sim_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -131,15 +134,21 @@ struct RunRecord {
 };
 
 RunRecord runPipeline(Proto kind, const Graph& g, DaemonKind daemonKind,
-                      std::uint64_t seed, bool scalarGuards) {
+                      std::uint64_t seed, bool reference) {
   const std::unique_ptr<Protocol> proto = makeProto(kind, g);
   Rng rng(seed);
   proto->randomize(rng);
-  const std::unique_ptr<Daemon> daemon = makeDaemon(daemonKind);
-  Simulator sim(*proto, *daemon, rng);
-  sim.setScalarGuardEval(scalarGuards);
+  RunStats stats;
+  if (reference) {
+    const auto daemon = oracle::makeReferenceDaemon(daemonKind);
+    oracle::ReferenceSimulator sim(*proto, *daemon, rng);
+    stats = sim.runToQuiescence(4000);
+  } else {
+    const std::unique_ptr<Daemon> daemon = makeDaemon(daemonKind);
+    Simulator sim(*proto, *daemon, rng);
+    stats = sim.runToQuiescence(4000);
+  }
   RunRecord rec;
-  const RunStats stats = sim.runToQuiescence(4000);
   rec.config = proto->rawConfiguration();
   rec.moves = stats.moves;
   rec.steps = stats.steps;
@@ -148,7 +157,7 @@ RunRecord runPipeline(Proto kind, const Graph& g, DaemonKind daemonKind,
   return rec;
 }
 
-TEST(GuardBatch, RunsBitIdenticalWithScalarKnob) {
+TEST(GuardBatch, RunsMatchTheScalarReferenceSimulator) {
   const DaemonKind daemons[] = {DaemonKind::kCentral,
                                 DaemonKind::kDistributed,
                                 DaemonKind::kSynchronous};

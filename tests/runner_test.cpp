@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -251,6 +252,46 @@ TEST(ScenarioRegistry, RejectsMalformedNames) {
   EXPECT_THROW(parseScenario("stno/nope/ring:8"), std::invalid_argument);
   EXPECT_THROW(parseScenario("stno/central/ring:two"),
                std::invalid_argument);
+}
+
+// The retired guard-kernel trial kind is an unknown kind everywhere a
+// kind is named — a scenario name (a serve request's "target"), a
+// scenario-file line (a serve request's "scenarios") and a canonical
+// scenario (a cache record) — and fails with the error that lists the
+// valid kinds.
+TEST(ScenarioRegistry, RetiredGuardKernelKindIsAnUnknownKind) {
+  const auto expectUnknownKind = [](const std::function<void()>& parse) {
+    try {
+      parse();
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown protocol 'guard-kernel'; valid kinds:"),
+                std::string::npos)
+          << what;
+      for (const ProtocolKind kind :
+           {ProtocolKind::kDftno, ProtocolKind::kStno,
+            ProtocolKind::kScheduler, ProtocolKind::kModelCheck,
+            ProtocolKind::kObsOverhead})
+        EXPECT_NE(what.find(" " + protocolKindName(kind)), std::string::npos)
+            << what;
+    }
+  };
+  expectUnknownKind([] { (void)parseScenario("guard-kernel/central/ring:8"); });
+  expectUnknownKind(
+      [] { (void)resolve("guard-kernel/central/ring:100000"); });
+  expectUnknownKind([] {
+    std::istringstream in(
+        "guard-kernel central ring:100000 trials=1 seed=7 budget=1000000\n");
+    (void)loadScenarios(in);
+  });
+  std::string canonical =
+      canonicalScenario(parseScenario("dftno/central/ring:8"));
+  const std::string from = "protocol=dftno";
+  const auto at = canonical.find(from);
+  ASSERT_NE(at, std::string::npos) << canonical;
+  canonical.replace(at, from.size(), "protocol=guard-kernel");
+  expectUnknownKind([&canonical] { (void)parseCanonicalScenario(canonical); });
 }
 
 TEST(ScenarioRegistry, ParsesModelCheckTargets) {

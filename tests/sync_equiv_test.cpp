@@ -1,14 +1,16 @@
 // Simultaneous-step equivalence suite (the columnar engine's contract):
-// the columnar pipeline, the legacy per-node-vector pipeline, and the
-// naive full-rescan pipeline must produce bit-identical runs — final
+// the production Simulator and the reference simulator of
+// tests/oracle/sim_oracle.hpp (full guard rescans, reference daemons,
+// brute-force shared-memory steps) must produce identical runs — final
 // raw configurations, move/step/round accounting, RNG engine state, and
-// EnabledCache contents — across protocols × daemons × topologies.
-// Also unit-tests the engine against the brute-force shared-memory
-// reference step (tests/oracle/step_oracle.hpp) and the batched
-// StateArena snapshot/restore ops.
+// the enabled set — across protocols × daemons × topologies.  Also
+// unit-tests the engine against the brute-force reference step
+// (tests/oracle/step_oracle.hpp) and the batched StateArena
+// snapshot/restore ops.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/daemon.hpp"
@@ -18,6 +20,7 @@
 #include "core/state_arena.hpp"
 #include "core/sync_engine.hpp"
 #include "dftc/dftc.hpp"
+#include "oracle/sim_oracle.hpp"
 #include "oracle/step_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
@@ -61,28 +64,44 @@ struct RunRecord {
   Rng rng{0};
 };
 
-/// Runs `maxMoves` moves from the scrambled start in one pipeline mode.
-RunRecord runPipeline(Proto kind, const Graph& g, DaemonKind daemonKind,
-                      std::uint64_t seed, StepCount maxMoves, int mode) {
-  const std::unique_ptr<Protocol> proto = makeProto(kind, g);
+/// Runs `maxMoves` moves of `proto` from the scrambled start, on the
+/// production Simulator or on the reference simulator.
+RunRecord runPipeline(Protocol& proto, DaemonKind daemonKind,
+                      std::uint64_t seed, StepCount maxMoves,
+                      bool reference) {
   Rng rng(seed);
-  proto->randomize(rng);
-  const std::unique_ptr<Daemon> daemon = makeDaemon(daemonKind);
-  Simulator sim(*proto, *daemon, rng);
-  if (mode == 1) sim.setLegacySimultaneous(true);
-  if (mode == 2) sim.setNaiveEnabledScan(true);
+  proto.randomize(rng);
+  RunStats stats;
+  if (reference) {
+    const auto daemon = oracle::makeReferenceDaemon(daemonKind);
+    oracle::ReferenceSimulator sim(proto, *daemon, rng);
+    stats = sim.runToQuiescence(maxMoves);
+  } else {
+    const std::unique_ptr<Daemon> daemon = makeDaemon(daemonKind);
+    Simulator sim(proto, *daemon, rng);
+    stats = sim.runToQuiescence(maxMoves);
+  }
   RunRecord rec;
-  const RunStats stats = sim.runToQuiescence(maxMoves);
-  rec.config = proto->rawConfiguration();
+  rec.config = proto.rawConfiguration();
   rec.moves = stats.moves;
   rec.steps = stats.steps;
   rec.rounds = stats.rounds;
-  rec.enabled = proto->enabledMoves();
+  rec.enabled = proto.enabledMoves();
   rec.rng = rng;
   return rec;
 }
 
-TEST(SyncEquivalence, ColumnarLegacyNaiveBitIdentical) {
+void expectSameRecord(RunRecord columnar, RunRecord reference,
+                      const std::string& ctx) {
+  EXPECT_EQ(columnar.config, reference.config) << ctx;
+  EXPECT_EQ(columnar.moves, reference.moves) << ctx;
+  EXPECT_EQ(columnar.steps, reference.steps) << ctx;
+  EXPECT_EQ(columnar.rounds, reference.rounds) << ctx;
+  EXPECT_EQ(columnar.enabled, reference.enabled) << ctx;
+  EXPECT_TRUE(columnar.rng.engine() == reference.rng.engine()) << ctx;
+}
+
+TEST(SyncEquivalence, ColumnarMatchesTheReferenceSimulator) {
   const std::vector<Graph> graphs = topologies();
   for (Proto kind : {Proto::kDftc, Proto::kDftno, Proto::kStno,
                      Proto::kBfsTree, Proto::kLexDfsTree}) {
@@ -90,26 +109,17 @@ TEST(SyncEquivalence, ColumnarLegacyNaiveBitIdentical) {
          {DaemonKind::kSynchronous, DaemonKind::kDistributed}) {
       for (std::size_t t = 0; t < graphs.size(); ++t) {
         for (std::uint64_t seed : {7ull, 1234ull}) {
-          RunRecord columnar =
-              runPipeline(kind, graphs[t], daemon, seed, 400, 0);
-          RunRecord legacy =
-              runPipeline(kind, graphs[t], daemon, seed, 400, 1);
-          RunRecord naive =
-              runPipeline(kind, graphs[t], daemon, seed, 400, 2);
           const std::string ctx = "proto=" + std::to_string(int(kind)) +
                                   " daemon=" + daemonKindName(daemon) +
                                   " topo=" + std::to_string(t) +
                                   " seed=" + std::to_string(seed);
-          EXPECT_EQ(columnar.config, legacy.config) << ctx;
-          EXPECT_EQ(columnar.config, naive.config) << ctx;
-          EXPECT_EQ(columnar.moves, legacy.moves) << ctx;
-          EXPECT_EQ(columnar.steps, legacy.steps) << ctx;
-          EXPECT_EQ(columnar.rounds, legacy.rounds) << ctx;
-          EXPECT_EQ(columnar.rounds, naive.rounds) << ctx;
-          EXPECT_EQ(columnar.enabled, legacy.enabled) << ctx;
-          EXPECT_EQ(columnar.enabled, naive.enabled) << ctx;
-          EXPECT_TRUE(columnar.rng.engine() == legacy.rng.engine()) << ctx;
-          EXPECT_TRUE(columnar.rng.engine() == naive.rng.engine()) << ctx;
+          const std::unique_ptr<Protocol> columnar =
+              makeProto(kind, graphs[t]);
+          const std::unique_ptr<Protocol> reference =
+              makeProto(kind, graphs[t]);
+          expectSameRecord(
+              runPipeline(*columnar, daemon, seed, 400, false),
+              runPipeline(*reference, daemon, seed, 400, true), ctx);
         }
       }
     }
@@ -119,35 +129,15 @@ TEST(SyncEquivalence, ColumnarLegacyNaiveBitIdentical) {
 /// The non-neighborhood-local fallback: InitBasedOrientation's Number
 /// guard reads a non-neighbor, so simultaneous steps take the
 /// full-configuration path (columnar, since baseline opts in).
-TEST(SyncEquivalence, FullSnapshotFallbackBitIdentical) {
+TEST(SyncEquivalence, FullSnapshotFallbackMatchesTheReferenceSimulator) {
   const Graph g = Graph::grid(3, 4);
   for (std::uint64_t seed : {3ull, 77ull}) {
-    std::vector<RunRecord> recs;
-    for (int mode = 0; mode < 3; ++mode) {
-      const std::unique_ptr<Protocol> proto =
-          std::make_unique<InitBasedOrientation>(g);
-      Rng rng(seed);
-      proto->randomize(rng);
-      const std::unique_ptr<Daemon> daemon =
-          makeDaemon(DaemonKind::kSynchronous);
-      Simulator sim(*proto, *daemon, rng);
-      if (mode == 1) sim.setLegacySimultaneous(true);
-      if (mode == 2) sim.setNaiveEnabledScan(true);
-      RunRecord rec;
-      const RunStats stats = sim.runToQuiescence(300);
-      rec.config = proto->rawConfiguration();
-      rec.moves = stats.moves;
-      rec.rounds = stats.rounds;
-      rec.enabled = proto->enabledMoves();
-      rec.rng = rng;
-      recs.push_back(std::move(rec));
-    }
-    EXPECT_EQ(recs[0].config, recs[1].config);
-    EXPECT_EQ(recs[0].config, recs[2].config);
-    EXPECT_EQ(recs[0].moves, recs[1].moves);
-    EXPECT_EQ(recs[0].rounds, recs[1].rounds);
-    EXPECT_EQ(recs[0].enabled, recs[1].enabled);
-    EXPECT_TRUE(recs[0].rng.engine() == recs[1].rng.engine());
+    InitBasedOrientation columnar(g);
+    InitBasedOrientation reference(g);
+    expectSameRecord(
+        runPipeline(columnar, DaemonKind::kSynchronous, seed, 300, false),
+        runPipeline(reference, DaemonKind::kSynchronous, seed, 300, true),
+        "seed=" + std::to_string(seed));
   }
 }
 
@@ -191,7 +181,9 @@ TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
       // After undo, the protocol must also report the pre-step enabled
       // relation (dirtying propagated through the undo restores).
       EnabledCache cache(*proto);
-      EXPECT_EQ(cache.refresh(), proto->enabledMoves());
+      std::vector<Move> cached;
+      cache.refreshView().appendMoves(cached);
+      EXPECT_EQ(cached, proto->enabledMoves());
     }
   }
 }

@@ -4,6 +4,8 @@
 #ifndef SSNO_TESTS_TOY_PROTOCOLS_HPP
 #define SSNO_TESTS_TOY_PROTOCOLS_HPP
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,6 +158,45 @@ class StuckProtocol final : public Protocol {
 
  private:
   std::vector<int> v_;
+};
+
+/// A fixed enabled set: setMoves() enables exactly the given moves, and
+/// executing a move changes nothing, so the set stays as given.  Lets
+/// daemon tests hand a production daemon an EnabledView with any
+/// content through a real EnabledCache.
+class FixedMovesProtocol final : public Protocol {
+ public:
+  FixedMovesProtocol(Graph g, int actions)
+      : Protocol(std::move(g)), actions_(actions) {
+    masks_.assign(static_cast<std::size_t>(graph().nodeCount()), 0);
+  }
+  void setMoves(const std::vector<Move>& moves) {
+    std::fill(masks_.begin(), masks_.end(), 0);
+    for (const Move& m : moves)
+      masks_[static_cast<std::size_t>(m.node)] |= std::uint64_t{1}
+                                                  << m.action;
+    dirtyAll();
+  }
+
+  [[nodiscard]] int actionCount() const override { return actions_; }
+  [[nodiscard]] std::string actionName(int) const override { return "Nop"; }
+  [[nodiscard]] bool enabled(NodeId p, int a) const override {
+    return (masks_[static_cast<std::size_t>(p)] >> a) & 1;
+  }
+  void doExecute(NodeId, int) override {}
+  void doRandomizeNode(NodeId, Rng&) override {}
+  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
+    return 1;
+  }
+  [[nodiscard]] std::uint64_t encodeNode(NodeId) const override { return 0; }
+  void doDecodeNode(NodeId, std::uint64_t) override {}
+  [[nodiscard]] std::vector<int> rawNode(NodeId) const override { return {}; }
+  void doSetRawNode(NodeId, std::span<const int>) override {}
+  [[nodiscard]] std::string dumpNode(NodeId) const override { return ""; }
+
+ private:
+  int actions_;
+  std::vector<std::uint64_t> masks_;
 };
 
 }  // namespace ssno

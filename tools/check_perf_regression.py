@@ -1,114 +1,128 @@
 #!/usr/bin/env python3
-"""Perf smoke check: compare a fresh scheduler-preset JSON against the
-committed baseline (BENCH_scheduler.json).
+"""Perf and certification gate: compare a fresh BENCH_*.json run against
+its committed baseline through one declarative rule table, GATES.
 
-Scheduler rows carry up to two gated ratios, both measured within the
-same trial on the same machine and therefore hardware-independent:
+Each rule names a baseline file, a row prefix, a field and a check; it
+applies to every baseline row of that file whose scenario starts with
+the prefix.  Fields are metric means (``row["metrics"][f]["mean"]``);
+``failed_trials`` is read from the row itself.  The checks:
 
-  * ``speedup``          — incremental-cache (bitmask) steps/sec over a
-    forced naive full-rescan (absent on large-n rows, where a naive
-    trial would take minutes);
-  * ``bitmask_speedup``  — bitmask EnabledView selection over the
-    legacy materialized-move-vector pipeline (same incremental cache);
-  * ``sync_speedup``     — (synchronous rows) the columnar
-    simultaneous-step engine over the legacy per-node-vector
-    snapshot/restore pipeline on dense LexDfsTree stepping, whose
-    padded raw vectors are Theta(n) ints per actor — the engine's
-    headline ratio;
-  * ``dftno_sync_speedup`` — the same engine ratio on DFTNO's thin
-    8-int state.  The "before" side runs the full pre-batch-kernel
-    stack (scalar virtual guard evaluation + per-node-vector
-    simultaneous pipeline), so this now measures the columnar
-    evaluateGuards kernels and the batched doExecuteSimultaneous path
-    together;
-  * ``guard_batch_speedup`` — (guard-kernel rows) batch evaluateGuards
-    kernels over the scalar per-node virtual enabled() loop on
-    identical state, a paired within-trial median ratio;
-  * ``guard_evals_per_sec`` — (guard-kernel rows) absolute batch-kernel
-    guard evaluations per second, gated as a ratio to the committed
-    baseline like the rest.
+  * ``exact``     — equal to the constant given, else to the baseline
+    (every summary statistic the baseline records: min, max, mean);
+  * ``at_most``   — at most the baseline;
+  * ``not_below`` — at least the constant given, else the baseline;
+  * ``ratio``     — fresh / baseline at least R (``--min-ratio``,
+    default 0.5: a >2x slowdown fails);
+  * ``ceiling``   — at most the constant (``--max-obs-overhead`` for
+    the telemetry overhead, default 2.0 %).
 
-The gate set is DECLARATIVE per row: a row is gated on exactly the
-RATIO_GATES fields its committed baseline row records (plus a loud
-failure when the fresh run records a gate the baseline lacks — the fix
-is to re-record the baseline), so kernel rows carry only their own
-fields and never need dummy speedup entries.  An accidental
-O(n)-per-step reintroduction on the simulator hot path collapses the
-ratios toward 1x regardless of runner speed; each gated field fails
-(exit 1) if the fresh value drops below --min-ratio (default 0.5, i.e.
-a >2x regression) of the committed value.  Ungated absolutes are
-printed for the trajectory.
+Two rules are conditional:
 
-``model-check/...`` rows also carry a ``speedup``: the model checker's
-states/sec at mc-threads workers over its own states/sec at 1 thread,
-a thread-scaling ratio that depends on the runner's CORE COUNT.  Rows
-record the detected core count (``cores``); the model-check speedup is
-gated ONLY when both the baseline and the fresh run saw more than one
-core — a cores=1 measurement (speedup ~1x by construction) is printed
-for the trajectory and skipped, so a single-core baseline cannot mask a
-real thread-scaling regression once a multi-core runner re-records it.
-What is always gated for model-check rows is ``verdicts_agree`` (the
-1-thread and mc-threads results must be identical: verdict, failure
-text, counterexample trace and exploration counts) and the failed-trial
-count.
+  * the model-check thread-scaling ``speedup`` depends on the runner's
+    core count, so it is gated only when the baseline and the fresh row
+    both record more than one core (``cores``);
+  * the resilience ``search_gain`` floor of 2 applies only on rows whose
+    baseline reached 2 (a collapse toward 1x means the worst-case search
+    degenerated into a random walk).
 
-``serve/...`` rows (BENCH_serve.json, from tools/serve_smoke.py) are
-gated on CORRECTNESS fields only — ``byte_identity``,
-``resume_identity``, ``metrics_ok`` and ``concurrent_ok`` (N parallel
-clients with interleaved cancels see only well-formed responses and
-deduplicated computation) must be exactly 1 and ``cache_hits`` nonzero
-in the fresh run; timing fields like ``smoke_seconds`` are
-trajectory-only, so a slow runner can never fail the serve smoke.
+The families, all hardware-independent except the rates and the
+overhead:
 
-``chaos/...`` rows (BENCH_chaos.json, from tools/chaos_smoke.py) are
-the crash-point certification: every correctness flag
-(``cache_identity``, ``resume_identity``, ``spill_ok``,
-``enospc_resume_identity``, ``degraded_ok``) must be exactly 1,
-``unclean_exits`` exactly 0, and ``sites_swept`` must not shrink below
-the committed baseline (a smaller sweep means fault sites silently
-lost coverage).  ``chaos_seconds`` is trajectory-only.
+  * ``scheduler/...`` (BENCH_scheduler.json): the production pipeline's
+    exact counts per seed — moves, steps and rounds equal, guard
+    evaluations at most the baseline — and its rates at half the
+    baseline or better; synchronous rows do the same for their
+    LexDfsTree run (``lex_`` fields).  An O(n)-per-step reintroduction
+    multiplies the guard evaluations (a rescan) or collapses the rate
+    by orders of magnitude (any per-step pass over the enabled set at
+    ring n = 1e5);
+  * ``model-check...``: identical 1-thread and mc-threads results
+    (``verdicts_agree``), and the conditional speedup;
+  * ``serve/...`` (BENCH_serve.json): correctness flags exactly 1 and a
+    cache hit in the smoke load;
+  * ``chaos/...`` (BENCH_chaos.json): every recovery invariant exactly
+    1, no unclean exit, and no fault site lost from the sweep;
+  * ``resilience/...`` (BENCH_resilience.json): rerun and replay
+    identity, convergence under the adversary, and the gain floor;
+  * ``obs/...`` (BENCH_obs.json): always-on telemetry overhead under
+    the ceiling.
 
-``resilience/...`` rows (BENCH_resilience.json, the adversarial
-campaign preset) are likewise correctness-gated, hardware-independent:
-``rerun_identity`` and ``replay_identity`` must be exactly 1 (same seed
-reproduces the same schedule bit-for-bit; a recorded schedule replays
-to the identical outcome), ``search_converged`` must be 1 (the
-adversary may delay convergence, never defeat it within budget), and
-``search_gain`` — searching-daemon moves over the random-daemon
-average on the same instance — must stay at or above the ADVERSARY
-FLOOR of 2x on rows where the committed baseline reached 2x (a
-collapse toward 1x means the worst-case search degenerated into a
-random walk).  Raw move counts ride along for the trajectory.
+Every fresh row must report no failed trial, and every baseline row
+must appear in the fresh run.  A malformed BENCH file — a row without
+"scenario"/"metrics" — or a baseline that lacks a gated field the fresh
+run records fails with a message naming the file and field; the fix for
+a stale baseline is to re-record it.  Timing fields are printed for the
+trajectory only when no rule names them.
 
-``obs/...`` rows (BENCH_obs.json, the telemetry-overhead preset) gate
-the always-on telemetry budget: ``obs_overhead_pct`` — how much faster
-the same ring:1e5 hot loop runs with telemetry disabled, in percent —
-must stay below the OVERHEAD CEILING (--max-obs-overhead, default 2.0).
-The on/off absolute rates ride along for the trajectory.
-
-A malformed BENCH file — a row without "scenario"/"metrics", or a
-committed baseline that lacks a gated field the fresh run records —
-fails with a clear message naming the file and field instead of a
-KeyError traceback; the fix for a stale baseline is to re-record it.
-
-Usage: check_perf_regression.py BASELINE.json FRESH.json [--min-ratio R]
+Usage: check_perf_regression.py BASELINE.json FRESH.json
+           [--min-ratio R] [--max-obs-overhead PCT]
+       check_perf_regression.py --selftest
 """
 import argparse
+import copy
 import json
+import os
 import sys
+import tempfile
 
-# Per-row info metric: the first of these the fresh row records rides
-# along in the gate printout (trajectory only, never gated).
-INFO_FIELDS = ("incremental_moves_per_sec", "scalar_guard_evals_per_sec")
-RATIO_GATES = ("speedup", "bitmask_speedup", "sync_speedup",
-               "dftno_sync_speedup", "guard_batch_speedup",
-               "guard_evals_per_sec")
+EXACT, AT_MOST, NOT_BELOW, RATIO, CEILING = (
+    "exact", "at_most", "not_below", "ratio", "ceiling")
+MIN_RATIO = "--min-ratio"          # tolerance taken from the option
+MAX_OBS = "--max-obs-overhead"     # tolerance taken from the option
+MULTI_CORE = "both runs saw more than one core"
+BASELINE_REACHED = "the baseline reached the floor"
+
+# file, row prefix, field, check, tolerance, condition
+GATES = [
+    ("*", "", "failed_trials", EXACT, 0, None),
+]
+for prefix, runs in (("scheduler/", ("",)),
+                     ("scheduler/synchronous/", ("lex_",))):
+    for run in runs:
+        GATES += [
+            ("BENCH_scheduler.json", prefix, run + "moves", EXACT, None, None),
+            ("BENCH_scheduler.json", prefix, run + "steps", EXACT, None, None),
+            ("BENCH_scheduler.json", prefix, run + "rounds", EXACT, None,
+             None),
+            ("BENCH_scheduler.json", prefix, run + "guard_evals", AT_MOST,
+             None, None),
+            ("BENCH_scheduler.json", prefix, run + "moves_per_sec", RATIO,
+             MIN_RATIO, None),
+        ]
+GATES += [
+    ("BENCH_scheduler.json", "model-check", "verdicts_agree", EXACT, 1, None),
+    ("BENCH_scheduler.json", "model-check", "speedup", RATIO, MIN_RATIO,
+     MULTI_CORE),
+    ("BENCH_serve.json", "serve/", "cache_hits", NOT_BELOW, 1, None),
+    ("BENCH_serve.json", "serve/", "byte_identity", EXACT, 1, None),
+    ("BENCH_serve.json", "serve/", "resume_identity", EXACT, 1, None),
+    ("BENCH_serve.json", "serve/", "metrics_ok", EXACT, 1, None),
+    ("BENCH_serve.json", "serve/", "concurrent_ok", EXACT, 1, None),
+    ("BENCH_chaos.json", "chaos/", "sites_swept", NOT_BELOW, None, None),
+    ("BENCH_chaos.json", "chaos/", "unclean_exits", EXACT, 0, None),
+    ("BENCH_chaos.json", "chaos/", "cache_identity", EXACT, 1, None),
+    ("BENCH_chaos.json", "chaos/", "resume_identity", EXACT, 1, None),
+    ("BENCH_chaos.json", "chaos/", "spill_ok", EXACT, 1, None),
+    ("BENCH_chaos.json", "chaos/", "enospc_resume_identity", EXACT, 1, None),
+    ("BENCH_chaos.json", "chaos/", "degraded_ok", EXACT, 1, None),
+    ("BENCH_resilience.json", "resilience/", "rerun_identity", EXACT, 1,
+     None),
+    ("BENCH_resilience.json", "resilience/", "replay_identity", EXACT, 1,
+     None),
+    ("BENCH_resilience.json", "resilience/", "search_converged", EXACT, 1,
+     None),
+    ("BENCH_resilience.json", "resilience/", "search_gain", NOT_BELOW, 2.0,
+     BASELINE_REACHED),
+    ("BENCH_obs.json", "obs/", "obs_overhead_pct", CEILING, MAX_OBS, None),
+]
+
+STATS = ("min", "max", "mean")
 
 
 def by_scenario(path):
-    """{scenario name: row}, validating the shape every branch below
-    relies on — a malformed file must die with the path and the problem,
-    not a KeyError traceback deep inside a gate."""
+    """{scenario name: row}, validating the shape every rule relies on —
+    a malformed file must die with the path and the problem, not a
+    KeyError traceback deep inside a check."""
     with open(path) as f:
         rows = json.load(f)
     if not isinstance(rows, list):
@@ -124,184 +138,244 @@ def by_scenario(path):
     return out
 
 
-def mean(row, metric):
-    m = row["metrics"].get(metric)
-    return None if m is None else m.get("mean")
+def stats(row, field):
+    """{statistic: value} of a field, or None when the row lacks it."""
+    if field in row["metrics"]:
+        summary = row["metrics"][field]
+        return {k: summary[k] for k in STATS if k in summary}
+    if field in row:
+        return {"mean": row[field]}
+    return None
 
 
-def fmt(v, spec=".0f"):
-    """Format a possibly-missing number without a TypeError."""
-    return "missing" if v is None else format(v, spec)
+def fmt(v):
+    return "missing" if v is None else format(v, ".6g")
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("fresh")
-    ap.add_argument("--min-ratio", type=float, default=0.5)
-    ap.add_argument("--max-obs-overhead", type=float, default=2.0,
-                    help="ceiling for obs_overhead_pct on obs/ rows")
-    args = ap.parse_args()
+def check(gate, base_row, fresh_row, args):
+    """One rule on one row: (applies, failure message or None, note)."""
+    _, _, field, rule, tolerance, condition = gate
+    if tolerance == MIN_RATIO:
+        tolerance = args.min_ratio
+    elif tolerance == MAX_OBS:
+        tolerance = args.max_obs_overhead
+    base, new = stats(base_row, field), stats(fresh_row, field)
+    if condition == MULTI_CORE:
+        cores = (base_row.get("cores", 0), fresh_row.get("cores", 0))
+        if not (cores[0] > 1 and cores[1] > 1):
+            return False, None, f"cores={cores[0]}->{cores[1]}, not gated"
+    if condition == BASELINE_REACHED:
+        if base is None or base["mean"] < tolerance:
+            return False, None, (f"baseline {fmt(base and base['mean'])} "
+                                 f"< {tolerance}, not gated")
+    if new is None:
+        return True, f"{field} missing from fresh run", ""
+    needs_base = tolerance is None or rule in (AT_MOST, RATIO)
+    if needs_base and base is None:
+        return True, (f"committed baseline lacks \"{field}\", which the "
+                      "fresh run records — re-record the baseline"), ""
+    if rule == EXACT:
+        want = base if tolerance is None else {"mean": tolerance}
+        for k, v in want.items():
+            if new.get(k) != v:
+                return True, (f"{field} {k} {fmt(new.get(k))} != "
+                              f"{fmt(v)}"), ""
+        return True, None, f"== {fmt(want['mean'])}"
+    value = new["mean"]
+    if rule == AT_MOST:
+        ok = value <= base["mean"]
+        return True, None if ok else (
+            f"{field} {fmt(value)} above the baseline "
+            f"{fmt(base['mean'])}"), f"<= {fmt(base['mean'])}"
+    if rule == NOT_BELOW:
+        floor = base["mean"] if tolerance is None else tolerance
+        ok = value >= floor
+        return True, None if ok else (
+            f"{field} {fmt(value)} below {fmt(floor)}"), f">= {fmt(floor)}"
+    if rule == RATIO:
+        ratio = value / base["mean"] if base["mean"] > 0 else float("inf")
+        ok = ratio >= tolerance
+        return True, None if ok else (
+            f"{field} regressed to x{ratio:.2f} of the baseline "
+            f"{fmt(base['mean'])} (floor x{tolerance})"), (
+            f"x{ratio:.2f} of {fmt(base['mean'])}, floor x{tolerance}")
+    if rule == CEILING:
+        ok = value <= tolerance
+        return True, None if ok else (
+            f"{field} {fmt(value)} exceeds the {tolerance} ceiling"), (
+            f"<= {tolerance}")
+    raise ValueError(f"unknown rule {rule}")
 
-    baseline = by_scenario(args.baseline)
-    fresh = by_scenario(args.fresh)
+
+def gate(baseline_path, fresh_path, args):
+    baseline = by_scenario(baseline_path)
+    fresh = by_scenario(fresh_path)
+    file = os.path.basename(baseline_path)
+    if file not in {g[0] for g in GATES}:
+        raise SystemExit(f"{baseline_path}: no rules for \"{file}\"; "
+                         "pass the baseline under its committed name")
     failures = []
     for name, base_row in sorted(baseline.items()):
         if name not in fresh:
             failures.append(f"{name}: missing from fresh run")
             continue
         fresh_row = fresh[name]
-        if fresh_row.get("failed_trials", 0):
-            failures.append(f"{name}: {fresh_row['failed_trials']} failed trials")
-        if name.startswith("serve/"):
-            hits = mean(fresh_row, "cache_hits") or 0
-            byte_id = mean(fresh_row, "byte_identity")
-            resume_id = mean(fresh_row, "resume_identity")
-            metrics_ok = mean(fresh_row, "metrics_ok")
-            concurrent_ok = mean(fresh_row, "concurrent_ok")
-            print(f"{name}: cache_hits {hits:.0f}  "
-                  f"byte_identity {byte_id}  resume_identity {resume_id}  "
-                  f"metrics_ok {metrics_ok}  concurrent_ok {concurrent_ok}  "
-                  f"(correctness-gated; timing trajectory-only)")
-            if hits < 1:
-                failures.append(f"{name}: no cache hits in the smoke load")
-            if byte_id != 1:
-                failures.append(f"{name}: served bytes differ from exp_cli")
-            if resume_id != 1:
-                failures.append(
-                    f"{name}: SIGKILL-resumed report differs from reference")
-            if metrics_ok != 1:
-                failures.append(
-                    f"{name}: metrics verb exposition missing or inconsistent "
-                    "with the stats verb")
-            if concurrent_ok != 1:
-                failures.append(
-                    f"{name}: concurrent clients saw malformed responses or "
-                    "non-deduplicated computation")
-            continue
-        if name.startswith("chaos/"):
-            swept = mean(fresh_row, "sites_swept") or 0
-            base_swept = mean(base_row, "sites_swept") or 0
-            unclean = mean(fresh_row, "unclean_exits")
-            flags = ("cache_identity", "resume_identity", "spill_ok",
-                     "enospc_resume_identity", "degraded_ok")
-            shown = "  ".join(f"{f} {mean(fresh_row, f)}" for f in flags)
-            print(f"{name}: sites_swept {swept:.0f} (baseline "
-                  f"{base_swept:.0f})  unclean_exits {fmt(unclean)}  {shown}  "
-                  f"(correctness-gated; timing trajectory-only)")
-            if swept < base_swept:
-                failures.append(
-                    f"{name}: sites_swept shrank {base_swept:.0f} -> "
-                    f"{swept:.0f} — fault sites lost certification coverage")
-            if unclean != 0:
-                failures.append(
-                    f"{name}: {fmt(unclean)} unclean exits during recovery "
-                    "from injected faults")
-            for f in flags:
-                if mean(fresh_row, f) != 1:
-                    failures.append(
-                        f"{name}: {f} invariant violated under fault "
-                        "injection")
-            continue
-        if name.startswith("obs/"):
-            pct = mean(fresh_row, "obs_overhead_pct")
-            on = mean(fresh_row, "telemetry_on_moves_per_sec")
-            off = mean(fresh_row, "telemetry_off_moves_per_sec")
-            print(f"{name}: telemetry on {fmt(on)} moves/s, "
-                  f"off {fmt(off)} moves/s, overhead {fmt(pct, '.2f')}% "
-                  f"(ceiling {args.max_obs_overhead}%)")
-            if pct is None:
-                failures.append(
-                    f"{name}: obs_overhead_pct missing from fresh run")
-            elif pct > args.max_obs_overhead:
-                failures.append(
-                    f"{name}: telemetry overhead {pct:.2f}% exceeds the "
-                    f"{args.max_obs_overhead}% ceiling")
-            continue
-        if name.startswith("resilience/"):
-            rerun = mean(fresh_row, "rerun_identity")
-            replay = mean(fresh_row, "replay_identity")
-            conv = mean(fresh_row, "search_converged")
-            gain = mean(fresh_row, "search_gain") or 0.0
-            base_gain = mean(base_row, "search_gain") or 0.0
-            gate_gain = base_gain >= 2.0
-            note = ("gain gated >= 2x" if gate_gain else
-                    f"baseline gain x{base_gain:.2f} < 2, gain not gated")
-            print(f"{name}: rerun_identity {rerun}  replay_identity {replay}  "
-                  f"search_converged {conv}  search_gain x{gain:.2f} ({note})")
-            if rerun != 1:
-                failures.append(f"{name}: same-seed rerun not bit-identical")
-            if replay != 1:
-                failures.append(f"{name}: recorded schedule failed to replay")
-            if conv != 1:
-                failures.append(f"{name}: adversarial run did not converge")
-            if gate_gain and gain < 2.0:
-                failures.append(
-                    f"{name}: search_gain x{gain:.2f} below the 2x floor")
-            continue
-        if name.startswith("model-check"):
-            agree = fresh_row["metrics"].get("verdicts_agree", {}).get("mean", 0)
-            rate = mean(fresh_row, "mc_states_per_sec")
-            ratio = mean(fresh_row, "speedup")
-            base_cores = base_row.get("cores", 0)
-            fresh_cores = fresh_row.get("cores", 0)
-            multi_core = base_cores > 1 and fresh_cores > 1
-            note = ("gated" if multi_core else
-                    f"cores={base_cores or '?'}->{fresh_cores or '?'}: "
-                    "single-core, speedup not gated")
-            print(f"{name}: verdicts_agree {agree:.0f}  "
-                  f"mc_states_per_sec {fmt(rate)}  "
-                  f"speedup x{fmt(ratio, '.2f')} ({note})")
-            if agree < 1:
-                failures.append(
-                    f"{name}: 1-thread and mc-threads results differ")
-            if multi_core:
-                base = mean(base_row, "speedup")
-                if ratio is None:
-                    failures.append(f"{name}: speedup missing from fresh run")
-                elif base is None:
-                    failures.append(
-                        f"{name}: committed baseline lacks \"speedup\", which "
-                        "the fresh run records — re-record the baseline")
-                else:
-                    r = ratio / base if base else float("inf")
-                    if r < args.min_ratio:
-                        failures.append(
-                            f"{name}: model-check thread scaling (speedup) "
-                            f"regressed to x{r:.2f}")
-            continue
-        info = next((f for f in INFO_FIELDS
-                     if mean(fresh_row, f) is not None), INFO_FIELDS[0])
-        for gate in RATIO_GATES:
-            base = mean(base_row, gate)
-            new = mean(fresh_row, gate)
-            if base is None and new is None:
-                continue  # gate not declared by this row
-            if base is None:
-                # The fresh build records a gate the committed baseline
-                # never saw: a silent skip here would leave the new gate
-                # permanently ungated.  Fail loudly instead.
-                failures.append(
-                    f"{name}: committed baseline lacks \"{gate}\", which the "
-                    "fresh run records — re-record the baseline")
+        gated = set()
+        for g in GATES:
+            if g[0] not in ("*", file) or not name.startswith(g[1]):
                 continue
-            if new is None:
-                failures.append(f"{name}: {gate} missing from fresh run")
-                continue
-            ratio = new / base if base > 0 else float("inf")
-            status = "OK" if ratio >= args.min_ratio else "REGRESSION"
-            print(f"{name}: {gate} {fmt(base, '.4g')} -> {fmt(new, '.4g')} "
-                  f"(x{ratio:.2f} of baseline, floor x{args.min_ratio})  "
-                  f"{status};  {info} {fmt(mean(fresh_row, info))}")
-            if ratio < args.min_ratio:
-                failures.append(f"{name}: {gate} regressed to x{ratio:.2f}")
+            applies, failure, note = check(g, base_row, fresh_row, args)
+            gated.add(g[2])
+            status = "FAILED" if failure else ("ok" if applies else "skip")
+            value = stats(fresh_row, g[2])
+            print(f"{name}: {g[2]} {fmt(value and value['mean'])} "
+                  f"[{g[3]}] {note} {status}")
+            if failure:
+                failures.append(f"{name}: {failure}")
+        for field in sorted(set(fresh_row["metrics"]) - gated):
+            print(f"{name}: {field} "
+                  f"{fmt(fresh_row['metrics'][field].get('mean'))} "
+                  "(trajectory only)")
     if failures:
-        print("\nperf smoke FAILED:", file=sys.stderr)
+        print("\nperf gate FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print("\nperf smoke passed")
+    print("\nperf gate passed")
     return 0
+
+
+def selftest(args):
+    """Feeds each rule a baseline/fresh pair that breaks only that rule
+    (exit 1 expected), its condition switched off (exit 0), a stale
+    baseline, a malformed file and a baseline under a name no rule
+    names (exit 1), and one clean pair per file (exit 0)."""
+    def value_for(g):
+        _, _, field, rule, tolerance, _ = g
+        if rule == EXACT and tolerance is not None:
+            return tolerance
+        if rule == NOT_BELOW and tolerance is not None:
+            return tolerance + 1
+        if rule == CEILING:
+            return 0.0
+        return 100.0
+
+    def broken(g, v):
+        _, _, _, rule, tolerance, _ = g
+        if rule == EXACT:
+            return v + 1
+        if rule == AT_MOST:
+            return v * 2 + 1
+        if rule == NOT_BELOW:
+            return (tolerance if tolerance is not None else v) - 1
+        if rule == RATIO:
+            return v * args.min_ratio * 0.9
+        return (args.max_obs_overhead if tolerance == MAX_OBS
+                else tolerance) + 1
+
+    files = sorted({g[0] for g in GATES if g[0] != "*"})
+    clean = {}
+    for file in files:
+        rows = {}
+        for g in GATES:
+            if g[0] not in ("*", file):
+                continue
+            prefixes = [g[1]] if g[0] == file else [
+                h[1] for h in GATES if h[0] == file]
+            for prefix in prefixes:
+                row = rows.setdefault(prefix + "x", {
+                    "scenario": prefix + "x", "cores": 4, "failed_trials": 0,
+                    "metrics": {}})
+                for h in GATES:
+                    if h[0] == file and row["scenario"].startswith(h[1]):
+                        row["metrics"][h[2]] = {"mean": value_for(h)}
+        clean[file] = list(rows.values())
+
+    def run(file, base_rows, fresh_rows, raw_fresh=None):
+        base_path = os.path.join(tmp, file)
+        fresh_path = os.path.join(tmp, "fresh.json")
+        with open(base_path, "w") as f:
+            json.dump(base_rows, f)
+        with open(fresh_path, "w") as f:
+            if raw_fresh is None:
+                json.dump(fresh_rows, f)
+            else:
+                f.write(raw_fresh)
+        saved = sys.stdout, sys.stderr
+        sys.stdout = sys.stderr = quiet
+        try:
+            return gate(base_path, fresh_path, args)
+        except SystemExit as e:
+            return 1 if isinstance(e.code, str) else e.code
+        finally:
+            sys.stdout, sys.stderr = saved
+
+    cases = []
+    for file in files:
+        cases.append((f"{file}: clean pair", 0, file, clean[file],
+                      clean[file], None))
+    for g in GATES:
+        for file in (files if g[0] == "*" else [g[0]]):
+            for row_index, row in enumerate(clean[file]):
+                if not row["scenario"].startswith(g[1]):
+                    continue
+                fresh = copy.deepcopy(clean[file])
+                target = fresh[row_index]
+                if g[2] == "failed_trials":
+                    target["failed_trials"] = 1
+                else:
+                    v = target["metrics"][g[2]]["mean"]
+                    target["metrics"][g[2]]["mean"] = broken(g, v)
+                label = f"{file} {row['scenario']}: {g[2]} [{g[3]}] broken"
+                cases.append((label, 1, file, clean[file], fresh, None))
+                if g[5] is not None:
+                    base = copy.deepcopy(clean[file])
+                    if g[5] == MULTI_CORE:
+                        base[row_index]["cores"] = 1
+                    else:
+                        base[row_index]["metrics"][g[2]]["mean"] = 1.5
+                    cases.append((f"{label}, condition off", 0, file, base,
+                                  fresh, None))
+                break  # one row per rule and file is enough
+    stale = copy.deepcopy(clean["BENCH_scheduler.json"])
+    del stale[0]["metrics"]["moves"]
+    cases.append(("stale baseline", 1, "BENCH_scheduler.json", stale,
+                  clean["BENCH_scheduler.json"], None))
+    cases.append(("malformed fresh file", 1, "BENCH_scheduler.json",
+                  clean["BENCH_scheduler.json"], None,
+                  '[{"scenario": "scheduler/x"}]'))
+    cases.append(("baseline under an unknown name", 1, "baseline.json",
+                  clean["BENCH_scheduler.json"],
+                  clean["BENCH_scheduler.json"], None))
+
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="perf-gate-selftest-") as tmp, \
+            open(os.devnull, "w") as quiet:
+        for label, want, file, base_rows, fresh_rows, raw in cases:
+            got = run(file, base_rows, fresh_rows, raw)
+            ok = got == want
+            bad += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} exit {got} (want {want}): "
+                  f"{label}")
+    print(f"\nselftest: {len(cases) - bad}/{len(cases)} cases as expected")
+    return 1 if bad else 0
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("baseline", nargs="?")
+    ap.add_argument("fresh", nargs="?")
+    ap.add_argument("--min-ratio", type=float, default=0.5)
+    ap.add_argument("--max-obs-overhead", type=float, default=2.0,
+                    help="ceiling for obs_overhead_pct on obs/ rows")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check every rule against synthetic pairs")
+    args = ap.parse_args()
+    if args.selftest:
+        return selftest(args)
+    if args.baseline is None or args.fresh is None:
+        ap.error("BASELINE and FRESH are required without --selftest")
+    return gate(args.baseline, args.fresh, args)
 
 
 if __name__ == "__main__":
