@@ -14,7 +14,7 @@
 // Options:
 //   --scenarios F read scenarios from file F (instead of a name)
 //   --trials N    trials per scenario        (default: scenario's own)
-//   --threads N   worker threads             (default: hardware)
+//   --threads N   worker threads             (default: usable cores)
 //   --seed S      base RNG seed              (default: scenario's own)
 //   --budget B    move budget / churn horizon
 //   --rate R      fault rate (churn protocols)

@@ -138,6 +138,10 @@ void EnabledCache::makeView() {
 }
 
 const EnabledView& EnabledCache::refreshView() {
+  // Whether this refresh evaluates any guard; only refreshView writes
+  // the representation, so one that evaluates nothing leaves it as the
+  // last refresh did.
+  bool evaluated = true;
   if (!primed_ || protocol_.allDirty()) {
     rebuildAll();
     primed_ = true;
@@ -146,7 +150,8 @@ const EnabledView& EnabledCache::refreshView() {
     // node-sorted batch (the evaluateGuards ordering contract), then
     // patch the representation mask by mask.
     const std::vector<NodeId>& dirtyNodes = protocol_.dirtyNodes();
-    if (!dirtyNodes.empty()) {
+    evaluated = !dirtyNodes.empty();
+    if (evaluated) {
       // Node-sorted batch (the evaluateGuards ordering contract).  A
       // dense dirty set — a synchronous step dirties nearly every
       // processor — recovers the order from the dirty flags with one
@@ -186,8 +191,11 @@ const EnabledView& EnabledCache::refreshView() {
   // Cross-check every piece of incremental state against a full scan:
   // the masks through the view's move iteration, the node index (every
   // visited node enabled, every enabled node visited), both totals, and
-  // the Fenwick tree through the k-th move of every rank.
-  {
+  // the Fenwick tree through the k-th move of every rank.  A refresh
+  // that evaluated nothing skips it: every compared structure is as the
+  // last check left it, and a write that skipped its dirty notice is
+  // still caught by the next refresh that evaluates anything.
+  if (evaluated) {
     const std::vector<Move> scanned = protocol_.enabledMoves();
     std::vector<Move> fromView;
     view_.appendMoves(fromView);

@@ -17,8 +17,9 @@
 // move counts.  refreshView() exposes it as an EnabledView; daemons
 // select directly on the masks and nothing proportional to #enabled is
 // materialized.  Debug builds check all of it against
-// Protocol::enabledMoves() after every refresh: the listed moves, both
-// totals, the node index and every k-th move of the Fenwick descent.
+// Protocol::enabledMoves() after every refresh that evaluated a guard:
+// the listed moves, both totals, the node index and every k-th move of
+// the Fenwick descent.
 //
 // Exactly one EnabledCache may drain a Protocol at a time (draining
 // clears the dirty set); the Simulator owns one per run.

@@ -1,8 +1,14 @@
 // Fork-join over a fixed number of worker threads, shared by the model
-// checker's exploration levels and the experiment runner's trial pool.
+// checker's passes and the experiment runner's trial pool, and the
+// usable-core count that every "threads = 0" default resolves to.
 #ifndef SSNO_CORE_PARALLEL_HPP
 #define SSNO_CORE_PARALLEL_HPP
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -12,6 +18,20 @@
 #include <vector>
 
 namespace ssno {
+
+/// The CPUs the calling thread may run on (its sched_getaffinity set, as
+/// narrowed by taskset, cgroups' cpusets or a pinned parent), at least
+/// 1.  Falls back to std::thread::hardware_concurrency() only where
+/// that call is unavailable or fails.
+[[nodiscard]] inline int usableCores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+#endif
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
 
 /// Runs body(0..threads-1), one thread each; threads <= 1 runs body(0)
 /// inline.  The first exception — thrown by a body, or by starting a

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "apps/broadcast.hpp"
 #include "apps/routing.hpp"
@@ -434,7 +433,7 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
 void validateMcLimits(const Scenario& s) {
   if (s.mcThreads < 0)
     throw std::invalid_argument(
-        "mc-threads must be >= 0 (0 = hardware concurrency), got " +
+        "mc-threads must be >= 0 (0 = the usable cores), got " +
         std::to_string(s.mcThreads));
   if (s.protocol == ProtocolKind::kModelCheck && s.budget <= 0)
     throw std::invalid_argument(
@@ -750,9 +749,7 @@ TrialResult runTrial(const Graph& g, const Scenario& s, std::uint64_t seed) {
 }
 
 ExperimentRunner::ExperimentRunner(int threads) : threads_(threads) {
-  if (threads_ <= 0)
-    threads_ =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (threads_ <= 0) threads_ = usableCores();
 }
 
 ScenarioResult ExperimentRunner::run(const Scenario& s) const {
@@ -795,10 +792,10 @@ ScenarioResult aggregate(const Scenario& s, const Graph& g,
   res.nodeCount = g.nodeCount();
   res.edgeCount = g.edgeCount();
   res.trials = s.trials;
-  // Hardware provenance: reports carry the detected core count so a
+  // Hardware provenance: reports carry the usable core count so a
   // consumer can tell core-count-dependent metrics (model-check
   // speedups) recorded on a single-core runner from real ones.
-  res.cores = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  res.cores = usableCores();
   std::map<std::string, std::vector<double>> samples;
   for (const TrialResult& trial : slots) {
     if (!trial.converged) {

@@ -99,7 +99,7 @@ struct Scenario {
   double faultRate = 0.0;  ///< churn protocols: P(one-node fault per move)
   int faultK = 1;          ///< recovery protocols: processors corrupted
   McTarget mcTarget = McTarget::kDftc;  ///< model-check: verified protocol
-  /// model-check: explorer worker threads; 0 = hardware concurrency,
+  /// model-check: explorer worker threads; 0 = the usable cores,
   /// negative is rejected.
   int mcThreads = 8;
   /// Resilience scenarios (kResilience) only:
@@ -160,7 +160,8 @@ struct ScenarioResult {
 
 class ExperimentRunner {
  public:
-  /// threads == 0 picks std::thread::hardware_concurrency().
+  /// threads == 0 picks the usable cores (usableCores(),
+  /// core/parallel.hpp).
   explicit ExperimentRunner(int threads = 0);
 
   [[nodiscard]] int threads() const { return threads_; }

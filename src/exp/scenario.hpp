@@ -23,7 +23,7 @@
 //   model-check:dftc central path:3 mc-threads=4
 //
 // Recognized keys: trials, seed, budget, rate, k (faultK), mc-threads
-// (explorer threads, >= 0; 0 = hardware concurrency), fault-plan
+// (explorer threads, >= 0; 0 = the usable cores), fault-plan
 // (resil::FaultPlan grammar, whitespace-free), adversary ("greedy" |
 // "lookahead"), lookahead (rollout depth).  A model-check line's budget
 // caps its explored states and must be positive.

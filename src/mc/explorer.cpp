@@ -8,10 +8,10 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <sstream>
-#include <thread>
+#include <span>
 
 #include "core/assert.hpp"
+#include "core/bitwords.hpp"
 #include "core/enabled_cache.hpp"
 #include "core/parallel.hpp"
 #include "core/sync_engine.hpp"
@@ -65,8 +65,9 @@ struct Violation {
 };
 
 /// One exploration worker: its own protocol instance, incremental
-/// enabled cache, and the key it currently has decoded.
-struct Worker {
+/// enabled cache, and the key it currently has decoded.  Cache-line
+/// aligned: workers write their own fields on every state.
+struct alignas(64) Worker {
   std::unique_ptr<Protocol> protocol;
   std::unique_ptr<EnabledCache> cache;
   std::function<bool()> legitNow;  // legit_ bound to this protocol
@@ -76,37 +77,48 @@ struct Worker {
   /// enabled node; no per-move vector is materialized on the hot path
   /// (iterated with ssno::forEachMove).
   NodeMasks enabled;
-  std::vector<std::uint64_t> childKey;  // successor scratch
+  std::vector<std::uint64_t> childKey;  // successor / next-index scratch
   std::vector<std::uint64_t> nextBuf;   // local next-frontier batch
   /// Synchronous mode: per-worker columnar move-set executor + the
   /// reused selection buffer for the cartesian-product enumeration.
   std::unique_ptr<SimultaneousEngine> engine;
   std::vector<Move> selScratch;
+  std::uint64_t transitions = 0;  // enabled moves of the states expanded
   /// Out-edges of the illegitimate states this worker expanded, in
-  /// expansion order: child store ids (kLeavesRegion for a legitimate
-  /// child) until the convergence pass remaps them to local ids.
-  /// logIds[i] is the store id of log state i.
+  /// expansion order.  A full-space worker writes local ids directly; a
+  /// reachable worker writes child store ids (kLeavesRegion for a
+  /// legitimate child) until the convergence pass remaps them, and
+  /// logIds[i] is the store id of its log state i.
   TransitionGraph log;
   std::vector<std::uint32_t> logIds;
 };
 
-/// How exploreLevels ended.
+/// How an exploration ended.
 enum class Explored { kDone, kStoreFull, kLogFull };
 
-/// Shared state of one checkFullSpace/checkReachable run.
+/// Shared state of one checkFullSpace/checkReachable run.  A full-space
+/// run names states by their mixed-radix index (exploreIndices); a
+/// reachable run interns them in the StateStore (openStore, then
+/// exploreLevels).
 class Run {
  public:
   Run(const ParallelChecker::Factory& factory,
-      const ParallelChecker::Legit& legit, const Options& opt,
-      std::uint64_t capacity)
+      const ParallelChecker::Legit& legit, const Options& opt)
       : legit_(legit),
         opt_(opt),
-        threads_(opt.threads > 0
-                     ? opt.threads
-                     : static_cast<int>(std::max(
-                           1u, std::thread::hardware_concurrency()))) {
+        threads_(opt.threads > 0 ? opt.threads : usableCores()) {
+    {
+      const std::unique_ptr<Protocol> probe = factory();
+      codec_ = std::make_unique<StateCodec>(*probe);
+      actions_ = probe->actionCount();
+    }
+    // Each worker builds its state on its own thread, so no two workers'
+    // hot heap data (keys, protocol columns, cache masks) share a cache
+    // line.  Built in one loop on this thread they interleave, and every
+    // write of one worker stalls its neighbours.
     workers_.resize(static_cast<std::size_t>(threads_));
-    for (Worker& w : workers_) {
+    runWorkers(threads_, [&](int t) {
+      Worker& w = worker(t);
       w.protocol = factory();
       w.cache = std::make_unique<EnabledCache>(*w.protocol);
       w.legitNow = [this, protocol = w.protocol.get()] {
@@ -114,20 +126,12 @@ class Run {
       };
       if (opt.synchronousSteps)
         w.engine = std::make_unique<SimultaneousEngine>(*w.protocol);
-    }
-    codec_ = std::make_unique<StateCodec>(*workers_[0].protocol);
-    actions_ = workers_[0].protocol->actionCount();
-    store_ = std::make_unique<StateStore>(codec_->words(), capacity);
-    for (Worker& w : workers_) {
       w.cur.resize(static_cast<std::size_t>(codec_->words()));
       w.childKey.resize(static_cast<std::size_t>(codec_->words()));
-    }
-    current_ = std::make_unique<FrontierSpill>(opt.spillCapacity, opt.spillDir);
-    next_ = std::make_unique<FrontierSpill>(opt.spillCapacity, opt.spillDir);
+    });
   }
 
   [[nodiscard]] const StateCodec& codec() const { return *codec_; }
-  [[nodiscard]] StateStore& store() { return *store_; }
   [[nodiscard]] int threads() const { return threads_; }
   [[nodiscard]] Worker& worker(int t) {
     return workers_[static_cast<std::size_t>(t)];
@@ -143,6 +147,193 @@ class Run {
     w.curValid = true;
   }
 
+  void offer(Violation v) {
+    std::lock_guard<std::mutex> lock(violationMu_);
+    if (!best_ || v.precedes(*best_)) best_ = std::move(v);
+  }
+  [[nodiscard]] const std::optional<Violation>& best() const { return best_; }
+
+  // ---- Successors, shared by both paths --------------------------------
+
+  /// Enumerates the successors of the configuration decoded in w.  Calls
+  /// visit(actors, move) once per successor while the protocol holds it:
+  /// `actors` are the moves that produced it and `move` their actor pair
+  /// (kSyncMove for a simultaneous selection).  The protocol is back at
+  /// w.cur after each call.  Returns whether any move was enabled.
+  template <class Visit>
+  bool forEachSuccessor(Worker& w, Visit&& visit) {
+    const EnabledView& view = w.cache->refreshView();
+    w.enabled.clear();
+    view.appendNodeMasks(w.enabled);
+    w.transitions += static_cast<std::uint64_t>(view.moveCount());
+    if (opt_.synchronousSteps) {
+      // Synchronous semantics: one successor per simultaneous selection
+      // (every enabled node acts), executed in place by the columnar
+      // engine and rolled back via its batched snapshot restore.
+      forEachSimultaneousSelection(
+          w.enabled, w.selScratch, [&](std::span<const Move> set) {
+            w.engine->execute(set);
+            visit(set, kSyncMove);
+            w.engine->undo();
+          });
+    } else {
+      forEachMove(w.enabled, [&](const Move& m) {
+        w.protocol->execute(m.node, m.action);
+        visit(std::span<const Move>(&m, 1),
+              static_cast<std::uint32_t>(m.node * actions_ + m.action));
+        // A statement writes only its own processor's variables, so
+        // restoring the acted node alone returns the protocol to w.cur.
+        w.protocol->decodeNode(m.node, codec_->nodeCode(w.cur.data(), m.node));
+      });
+    }
+    return !w.enabled.empty();
+  }
+
+  /// Books one successor of the state w expands: an edge of an
+  /// illegitimate parent's log entry (`to` is the child's id in the
+  /// log's numbering), or a closure candidate when a legitimate parent
+  /// has an illegitimate successor.
+  void settle(Worker& w, bool parentLegit, bool childLegit, std::uint32_t to,
+              std::uint32_t move) {
+    if (!parentLegit)
+      w.log.edges.push_back(
+          {childLegit ? TransitionGraph::kLeavesRegion : to, move});
+    else if (!childLegit)
+      offer({kClosure, w.cur, move});
+  }
+
+  /// Ends an expansion: an illegitimate state closes its log entry, and
+  /// is a deadlock candidate when nothing was enabled.
+  void endExpansion(Worker& w, bool parentLegit, bool anyEnabled) {
+    if (parentLegit) return;
+    if (!anyEnabled) offer({kDeadlock, w.cur, 0});
+    w.log.endState();
+  }
+
+  // ---- Full space: states named by index --------------------------------
+
+  /// The full product space in two passes over the index range, split
+  /// into one contiguous range per worker.  Pass 1 fills the legitimacy
+  /// bitset and its rank directory; pass 2 expands every index, names
+  /// each successor by patching the index, answers closure from the
+  /// bitset, and logs an illegitimate state's out-edges in local ids.
+  /// No store, frontier or parent pointer is involved: every
+  /// configuration is a depth-0 seed, and the two passes are timed as
+  /// the check's one level.
+  Explored exploreIndices(Result& res) {
+    const std::uint64_t total = codec_->totalStates();
+    // fitsLog(total) bounds Σ⌈log₂ radix⌉ by 2·log₂ total < 64, so
+    // every field shares word 0: index order is key order, and ranks in
+    // index order are the canonical local ids.
+    SSNO_ASSERT(codec_->words() == 1);
+    obs::TraceSpan levelSpan("mc_level");
+    obs::ScopedTimer levelTimer(kMcLevelNs);
+    levelSpan.arg("depth", 0);
+    levelSpan.arg("frontier", total);
+    res.peakFrontier = total;
+    res.depthReached = 0;
+    region_.assign(bits::wordsFor(total), 0);
+    runWorkers(threads_, [&](int t) {
+      forEachIndex(t, [&](Worker& w, std::uint64_t i) {
+        if (!legit_(*w.protocol))
+          region_[i / 64] |= std::uint64_t{1} << (i % 64);
+      });
+    });
+    rank_.assign(region_.size() + 1, 0);
+    for (std::size_t k = 0; k < region_.size(); ++k)
+      rank_[k + 1] = rank_[k] + static_cast<std::uint32_t>(
+                                    bits::popcount(region_[k]));
+    runWorkers(threads_, [&](int t) {
+      forEachIndex(t, [&](Worker& w, std::uint64_t i) { expandIndex(w, i); });
+    });
+    // Every state is a seed, so mc_states_total (states added by
+    // levels) does not move, and there is no store to load.
+    kMcLevels.inc();
+    kMcStoreLoadPct.set(0);
+    levelSpan.arg("states_added", 0);
+    return logFits() ? Explored::kDone : Explored::kLogFull;
+  }
+
+  /// Visits worker t's index range in order, each index decoded into the
+  /// worker (consecutive indices differ in a low-digit prefix, so delta
+  /// decoding touches few nodes).  Ranges are whole bitset words, so no
+  /// two workers write the same word.
+  template <class Fn>
+  void forEachIndex(int t, Fn&& fn) {
+    Worker& w = worker(t);
+    const std::uint64_t words = region_.size();
+    const auto threads = static_cast<std::uint64_t>(threads_);
+    const auto at = static_cast<std::uint64_t>(t);
+    const std::uint64_t lo = words * at / threads * 64;
+    const std::uint64_t hi =
+        std::min(words * (at + 1) / threads * 64, codec_->totalStates());
+    if (lo >= hi) return;
+    codec_->indexToKey(lo, w.childKey.data());
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      decodeTo(w, w.childKey.data());
+      fn(w, i);
+      codec_->increment(w.childKey.data());
+    }
+  }
+
+  /// Whether index i is illegitimate (a set bit of the region bitset).
+  [[nodiscard]] bool illegit(std::uint64_t i) const {
+    return (region_[i / 64] >> (i % 64)) & 1;
+  }
+
+  /// The local id of illegitimate index i: its rank among the region's
+  /// indices, in O(1) from the rank directory.
+  [[nodiscard]] std::uint32_t localId(std::uint64_t i) const {
+    const std::uint64_t below =
+        region_[i / 64] & ((std::uint64_t{1} << (i % 64)) - 1);
+    return rank_[i / 64] + static_cast<std::uint32_t>(bits::popcount(below));
+  }
+
+  /// The index of local id `local` (a select; failure path only).
+  [[nodiscard]] std::uint64_t indexOf(std::uint32_t local) const {
+    // The last word whose rank is at most `local` holds it.
+    const auto after = std::upper_bound(rank_.begin(), rank_.end(), local);
+    const auto word = static_cast<std::size_t>(after - rank_.begin() - 1);
+    const int bit = bits::selectBit(region_[word],
+                                    static_cast<int>(local - rank_[word]));
+    return word * 64 + static_cast<std::uint64_t>(bit);
+  }
+
+  /// Expands index `index`, decoded in w.  A successor's index is the
+  /// parent's plus (new − old digit) × weight for each actor.
+  void expandIndex(Worker& w, std::uint64_t index) {
+    const bool parentLegit = !illegit(index);
+    const bool any = forEachSuccessor(
+        w, [&](std::span<const Move> actors, std::uint32_t move) {
+          std::uint64_t child = index;
+          for (const Move& m : actors)
+            child += (w.protocol->encodeNode(m.node) -
+                      codec_->nodeCode(w.cur.data(), m.node)) *
+                     codec_->weight(m.node);
+          const bool childLegit = !illegit(child);
+          settle(w, parentLegit, childLegit, childLegit ? 0 : localId(child),
+                 move);
+        });
+    endExpansion(w, parentLegit, any);
+  }
+
+  // ---- Reachable space: states interned in the store ---------------------
+
+  /// The seen-set and the two frontier tiers of a reachable check.
+  void openStore(std::uint64_t capacity) {
+    store_ = std::make_unique<StateStore>(codec_->words(), capacity);
+    current_ =
+        std::make_unique<FrontierSpill>(opt_.spillCapacity, opt_.spillDir);
+    next_ = std::make_unique<FrontierSpill>(opt_.spillCapacity, opt_.spillDir);
+  }
+
+  /// Interns the configuration decoded in w as a depth-0 seed.
+  void seed(Worker& w) {
+    const StateStore::Ref r = store_->intern(
+        w.cur.data(), codec_->hash(w.cur.data()), 0, w.legitNow);
+    if (r.inserted) pushNext(w, r.id);
+  }
+
   void pushNext(Worker& w, std::uint64_t id) {
     w.nextBuf.push_back(id);
     if (w.nextBuf.size() >= kFrontierBatch) flushNext(w);
@@ -153,105 +344,46 @@ class Run {
     w.nextBuf.clear();
   }
 
-  void offer(Violation v) {
-    std::lock_guard<std::mutex> lock(violationMu_);
-    if (!best_ || v.precedes(*best_)) best_ = std::move(v);
-  }
-  [[nodiscard]] const std::optional<Violation>& best() const { return best_; }
-
-  /// Interns the configuration currently decoded in w's protocol,
-  /// whose key is `key`; parentKey == nullptr marks a seed.
-  StateStore::Ref intern(Worker& w, const std::uint64_t* key,
-                         std::uint32_t depth,
-                         const std::uint64_t* parentKey = nullptr,
-                         std::uint64_t parentId = StateStore::kNoId,
-                         std::uint32_t parentMove = 0) {
-    return store_->intern(key, codec_->hash(key), depth, w.legitNow,
-                          parentKey, parentId, parentMove);
-  }
-
-  /// Expands one frontier state: enumerate enabled moves from the
-  /// incremental cache, patch each successor key in O(1), intern it,
-  /// and restore the acted node.  Closure and deadlock candidates are
-  /// offered to the canonical-min selector; an illegitimate state's
-  /// out-edges are appended to the worker's log for the convergence
-  /// pass, so the region is never expanded a second time.
+  /// Expands one frontier state: patch each successor key in O(1),
+  /// intern it (legitimacy is evaluated once, by the worker that
+  /// inserts it), and book it.
   void expand(Worker& w, std::uint64_t id, std::uint32_t depth) {
     const std::uint64_t* key = store_->keyOf(id);
     decodeTo(w, key);
-    const EnabledView& view = w.cache->refreshView();
-    w.enabled.clear();
-    view.appendNodeMasks(w.enabled);
-    transitions_.fetch_add(static_cast<std::uint64_t>(view.moveCount()),
-                           std::memory_order_relaxed);
     const bool parentLegit = store_->legit(id);
-    if (w.enabled.empty() && !parentLegit) {
-      offer({kDeadlock,
-             std::vector<std::uint64_t>(key, key + codec_->words()), 0});
-      return;
-    }
-    // A successor feeds the closure check when the parent is legitimate
-    // and becomes one edge of the parent's log entry otherwise.
-    const auto settle = [&](const StateStore::Ref& r, std::uint32_t move) {
-      if (r.inserted) pushNext(w, r.id);
-      if (!parentLegit)
-        w.log.edges.push_back({r.legit ? TransitionGraph::kLeavesRegion
-                                       : static_cast<std::uint32_t>(r.id),
-                               move});
-      else if (!r.legit)
-        offer({kClosure,
-               std::vector<std::uint64_t>(key, key + codec_->words()), move});
-    };
-    if (opt_.synchronousSteps) {
-      // Synchronous semantics: one successor per simultaneous selection
-      // (every enabled node acts), executed in place by the columnar
-      // engine and rolled back via its batched snapshot restore.
-      forEachSimultaneousSelection(
-          w.enabled, w.selScratch, [&](std::span<const Move> set) {
-            w.engine->execute(set);
-            std::memcpy(w.childKey.data(), w.cur.data(),
-                        static_cast<std::size_t>(codec_->words()) * 8);
-            for (const Move& m : set)
-              codec_->setNodeCode(w.childKey.data(), m.node,
-                                  w.protocol->encodeNode(m.node));
-            const StateStore::Ref r =
-                intern(w, w.childKey.data(), depth + 1, key, id, kSyncMove);
-            w.engine->undo();
-            settle(r, kSyncMove);
-          });
-    } else {
-      forEachMove(w.enabled, [&](const Move& m) {
-        w.protocol->execute(m.node, m.action);
-        std::memcpy(w.childKey.data(), w.cur.data(),
-                    static_cast<std::size_t>(codec_->words()) * 8);
-        codec_->setNodeCode(w.childKey.data(), m.node,
-                            w.protocol->encodeNode(m.node));
-        const auto pair =
-            static_cast<std::uint32_t>(m.node * actions_ + m.action);
-        const StateStore::Ref r =
-            intern(w, w.childKey.data(), depth + 1, key, id, pair);
-        // A statement writes only its own processor's variables, so
-        // restoring the acted node alone returns the protocol to `key`.
-        w.protocol->decodeNode(m.node, codec_->nodeCode(key, m.node));
-        settle(r, pair);
-      });
-    }
-    if (!parentLegit) {
-      w.log.endState();
-      w.logIds.push_back(static_cast<std::uint32_t>(id));
-    }
+    const bool any = forEachSuccessor(
+        w, [&](std::span<const Move> actors, std::uint32_t move) {
+          std::memcpy(w.childKey.data(), key,
+                      static_cast<std::size_t>(codec_->words()) * 8);
+          for (const Move& m : actors)
+            codec_->setNodeCode(w.childKey.data(), m.node,
+                                w.protocol->encodeNode(m.node));
+          const StateStore::Ref r = store_->intern(
+              w.childKey.data(), codec_->hash(w.childKey.data()), depth + 1,
+              w.legitNow, key, id, move);
+          if (r.inserted) pushNext(w, r.id);
+          settle(w, parentLegit, r.legit, static_cast<std::uint32_t>(r.id),
+                 move);
+        });
+    endExpansion(w, parentLegit, any);
+    if (!parentLegit) w.logIds.push_back(static_cast<std::uint32_t>(id));
+  }
+
+  /// Whether the edge logs still fit their 32-bit offsets (checked
+  /// before any truncated value could be read).
+  [[nodiscard]] bool logFits() const {
+    std::uint64_t edges = 0;
+    for (const Worker& w : workers_) edges += w.log.edges.size();
+    return fitsLog(edges);
   }
 
   /// Whether the store and the edge logs are still within their bounds:
   /// maxStates and the store's capacity, and the logs' 32-bit ids and
-  /// offsets (checked before any truncated value could be read).
+  /// offsets.
   [[nodiscard]] Explored bounds() const {
     if (store_->overflowed() || store_->size() > opt_.maxStates)
       return Explored::kStoreFull;
-    std::uint64_t edges = 0;
-    for (const Worker& w : workers_) edges += w.log.edges.size();
-    if (!fitsLog(store_->idBound()) || !fitsLog(edges))
-      return Explored::kLogFull;
+    if (!fitsLog(store_->idBound()) || !logFits()) return Explored::kLogFull;
     return Explored::kDone;
   }
 
@@ -304,33 +436,42 @@ class Run {
     return Explored::kDone;
   }
 
-  /// Canonical trace from a seed to `id` along parent pointers.
-  std::vector<std::string> traceTo(std::uint64_t id) {
-    std::vector<std::uint64_t> chain;
-    for (std::uint64_t at = id; at != StateStore::kNoId;
-         at = store_->parentOf(at))
-      chain.push_back(at);
-    std::reverse(chain.begin(), chain.end());
+  // ---- Verdict, shared by both paths ------------------------------------
+
+  /// "node p executes A" for actor pair `pair`.
+  [[nodiscard]] std::string actorText(std::uint32_t pair) const {
+    const auto actions = static_cast<std::uint32_t>(actions_);
+    return "node " + std::to_string(pair / actions) + " executes " +
+           workers_[0].protocol->actionName(static_cast<int>(pair % actions));
+  }
+
+  /// Canonical trace to `key`: from its seed along the store's
+  /// canonical-min parent pointers.  In a full-space check every
+  /// configuration is a seed, so the trace is the configuration alone.
+  std::vector<std::string> traceTo(const std::uint64_t* key) {
     std::vector<std::string> out;
     Worker& w = workers_[0];
+    const auto render = [&](const std::uint64_t* at,
+                            const std::string& header) {
+      decodeTo(w, at);
+      out.push_back(header + describeConfiguration(*w.protocol));
+    };
+    if (!store_) {
+      render(key, "initial configuration:\n");
+      return out;
+    }
+    std::vector<std::uint64_t> chain;
+    for (std::uint64_t at = store_->find(key, codec_->hash(key));
+         at != StateStore::kNoId; at = store_->parentOf(at))
+      chain.push_back(at);
+    SSNO_ASSERT(!chain.empty());
+    std::reverse(chain.begin(), chain.end());
     for (std::size_t i = 0; i < chain.size(); ++i) {
-      decodeTo(w, store_->keyOf(chain[i]));
-      std::ostringstream line;
-      if (i == 0) {
-        line << "initial configuration:\n";
-      } else if (const std::uint32_t pair = store_->parentMoveOf(chain[i]);
-                 pair == kSyncMove) {
-        line << "synchronous step:\n";
-      } else {
-        line << "node " << (pair / static_cast<std::uint32_t>(actions_))
-             << " executes "
-             << w.protocol->actionName(
-                    static_cast<int>(pair % static_cast<std::uint32_t>(
-                                                actions_)))
-             << ":\n";
-      }
-      line << describeConfiguration(*w.protocol);
-      out.push_back(line.str());
+      const std::uint32_t pair = store_->parentMoveOf(chain[i]);
+      render(store_->keyOf(chain[i]),
+             i == 0              ? "initial configuration:\n"
+             : pair == kSyncMove ? "synchronous step:\n"
+                                 : actorText(pair) + ":\n");
     }
     return out;
   }
@@ -339,10 +480,7 @@ class Run {
   /// counterexample trace.
   void report(Result& res) {
     const Violation& v = *best_;
-    const std::uint64_t id =
-        store_->find(v.key.data(), codec_->hash(v.key.data()));
-    SSNO_ASSERT(id != StateStore::kNoId);
-    res.trace = traceTo(id);
+    res.trace = traceTo(v.key.data());
     Worker& w = workers_[0];
     decodeTo(w, v.key.data());
     const std::string config = describeConfiguration(*w.protocol);
@@ -352,14 +490,10 @@ class Run {
             "closure violated; legitimate configuration:\n" + config;
         if (v.move == kSyncMove) break;  // no single move to replay
         // Append the offending transition to the trace.
-        const NodeId node =
-            static_cast<NodeId>(v.move / static_cast<std::uint32_t>(actions_));
-        const int action =
-            static_cast<int>(v.move % static_cast<std::uint32_t>(actions_));
-        w.protocol->execute(node, action);
-        res.trace.push_back("node " + std::to_string(node) + " executes " +
-                            w.protocol->actionName(action) +
-                            " (closure violation):\n" +
+        const auto actions = static_cast<std::uint32_t>(actions_);
+        w.protocol->execute(static_cast<NodeId>(v.move / actions),
+                            static_cast<int>(v.move % actions));
+        res.trace.push_back(actorText(v.move) + " (closure violation):\n" +
                             describeConfiguration(*w.protocol));
         w.curValid = false;  // protocol no longer matches w.cur
         break;
@@ -382,35 +516,46 @@ class Run {
   /// Convergence: the workers' edge logs, joined into one graph over
   /// local ids, analyzed by mc/properties.  Whether a violating SCC
   /// exists does not depend on the numbering, so a passing check never
-  /// sorts.  A violation is located again on the same log relabeled in
-  /// canonical (key) order, which makes the reported state independent
+  /// sorts.  Full-space local ids are ranks in key order, so the state
+  /// found is already the canonical one.  A reachable log is numbered in
+  /// discovery order; its violation is located again on the same log
+  /// relabeled in key order, which makes the reported state independent
   /// of the thread count.
   void checkConvergence() {
     obs::TraceSpan span("mc_convergence");
     obs::ScopedTimer timer(kMcConvergenceNs);
     std::vector<std::uint32_t> ids;
-    const TransitionGraph g = joinLogs(ids);
-    if (findFairCycle(g, opt_.fairness) < 0) return;
-    std::vector<std::uint32_t> order(ids.size());
-    std::iota(order.begin(), order.end(), 0u);
+    TransitionGraph g = joinLogs(ids);
+    if (store_) toLocalIds(g, ids);
+    const std::int64_t found = findFairCycle(g, opt_.fairness);
+    if (found < 0) return;
     const auto words = static_cast<std::size_t>(codec_->words());
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t* ka = store_->keyOf(ids[a]);
-                const std::uint64_t* kb = store_->keyOf(ids[b]);
-                return std::lexicographical_compare(ka, ka + words, kb,
-                                                    kb + words);
-              });
-    const std::int64_t bad = findFairCycle(g.permuted(order), opt_.fairness);
-    SSNO_ASSERT(bad >= 0);
-    const std::uint64_t* key =
-        store_->keyOf(ids[order[static_cast<std::size_t>(bad)]]);
-    offer({kFairCycle, std::vector<std::uint64_t>(key, key + words), 0});
+    std::vector<std::uint64_t> key(words);
+    if (!store_) {
+      codec_->indexToKey(indexOf(static_cast<std::uint32_t>(found)),
+                         key.data());
+    } else {
+      std::vector<std::uint32_t> order(ids.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  const std::uint64_t* ka = store_->keyOf(ids[a]);
+                  const std::uint64_t* kb = store_->keyOf(ids[b]);
+                  return std::lexicographical_compare(ka, ka + words, kb,
+                                                      kb + words);
+                });
+      const std::int64_t bad =
+          findFairCycle(g.permuted(order), opt_.fairness);
+      SSNO_ASSERT(bad >= 0);
+      const std::uint64_t* at =
+          store_->keyOf(ids[order[static_cast<std::size_t>(bad)]]);
+      key.assign(at, at + words);
+    }
+    offer({kFairCycle, std::move(key), 0});
   }
 
-  /// Concatenates the workers' logs (in worker order) into one graph,
-  /// remapping child store ids to local ids in place; ids[i] receives
-  /// the store id of local state i.
+  /// Concatenates the workers' logs (in worker order) into one graph;
+  /// `ids` receives their logIds the same way.
   TransitionGraph joinLogs(std::vector<std::uint32_t>& ids) {
     TransitionGraph g;
     if (workers_.size() == 1) {
@@ -420,12 +565,12 @@ class Run {
       std::size_t states = 0;
       std::size_t edges = 0;
       for (const Worker& w : workers_) {
-        states += w.logIds.size();
+        states += w.log.stateCount();
         edges += w.log.edges.size();
       }
       g.offsets.reserve(states + 1);
       g.edges.reserve(edges);
-      ids.reserve(states);
+      if (store_) ids.reserve(states);
       for (Worker& w : workers_) {
         const auto base = static_cast<std::uint32_t>(g.edges.size());
         g.edges.insert(g.edges.end(), w.log.edges.begin(), w.log.edges.end());
@@ -439,6 +584,12 @@ class Run {
     g.pairCount =
         static_cast<std::size_t>(workers_[0].protocol->graph().nodeCount()) *
         static_cast<std::size_t>(actions_);
+    return g;
+  }
+
+  /// Remaps a reachable log's child store ids to local ids in place;
+  /// ids[i] is the store id of local state i.
+  void toLocalIds(TransitionGraph& g, const std::vector<std::uint32_t>& ids) {
     std::vector<std::uint32_t> localOf(
         static_cast<std::size_t>(store_->idBound()),
         TransitionGraph::kLeavesRegion);
@@ -449,11 +600,15 @@ class Run {
       e.to = localOf[e.to];
       SSNO_ASSERT(e.to != TransitionGraph::kLeavesRegion);  // all expanded
     }
-    return g;
   }
 
+  [[nodiscard]] std::uint64_t statesExplored() const {
+    return store_ ? store_->size() : codec_->totalStates();
+  }
   [[nodiscard]] std::uint64_t transitions() const {
-    return transitions_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Worker& w : workers_) sum += w.transitions;
+    return sum;
   }
 
  private:
@@ -463,18 +618,22 @@ class Run {
   int actions_ = 1;
   std::vector<Worker> workers_;
   std::unique_ptr<StateCodec> codec_;
+  std::mutex violationMu_;
+  std::optional<Violation> best_;
+  // Full space: bit i set iff index i is illegitimate; rank_[k] counts
+  // the set bits of words [0, k).
+  std::vector<std::uint64_t> region_;
+  std::vector<std::uint32_t> rank_;
+  // Reachable space.
   std::unique_ptr<StateStore> store_;
   std::unique_ptr<FrontierSpill> current_;
   std::unique_ptr<FrontierSpill> next_;
-  std::mutex violationMu_;
-  std::optional<Violation> best_;
-  std::atomic<std::uint64_t> transitions_{0};
 };
 
 Result finish(Run& run, Result res,
               const std::chrono::steady_clock::time_point& start,
               Explored explored, const char* tooLarge) {
-  res.statesExplored = run.store().size();
+  res.statesExplored = run.statesExplored();
   res.transitions = run.transitions();
   if (explored == Explored::kStoreFull) {
     res.failure = tooLarge;
@@ -519,32 +678,13 @@ Result ParallelChecker::checkFullSpace(const Options& opt) {
     }
     total = probeCodec.totalStates();
   }
-  if (!fitsLog(total)) {  // every configuration gets a store id
+  if (!fitsLog(total)) {  // every configuration gets a local id
     res.failure = kLogWidthExceeded;
     return res;
   }
 
-  Run run(factory_, legit_, opt, total);
-
-  // Seed every configuration at depth 0 (mixed-radix enumeration with
-  // delta decoding: consecutive indices differ in a low-radix prefix).
-  std::atomic<std::uint64_t> cursor{0};
-  constexpr std::uint64_t kSeedChunk = 512;
-  runWorkers(run.threads(), [&](int t) {
-    Worker& w = run.worker(t);
-    for (std::uint64_t base = cursor.fetch_add(kSeedChunk); base < total;
-         base = cursor.fetch_add(kSeedChunk)) {
-      const std::uint64_t end = std::min(base + kSeedChunk, total);
-      for (std::uint64_t i = base; i < end; ++i) {
-        run.codec().indexToKey(i, w.childKey.data());
-        run.decodeTo(w, w.childKey.data());
-        const StateStore::Ref r = run.intern(w, w.childKey.data(), 0);
-        if (r.inserted) run.pushNext(w, r.id);
-      }
-    }
-  });
-
-  const Explored explored = run.exploreLevels(res);
+  Run run(factory_, legit_, opt);
+  const Explored explored = run.exploreIndices(res);
   return finish(run, std::move(res), start, explored,
                 "state space too large for exhaustive check");
 }
@@ -559,7 +699,8 @@ Result ParallelChecker::checkReachable(
         "fairness-aware modes are not supported under synchronous steps";
     return res;
   }
-  Run run(factory_, legit_, opt, opt.maxStates);
+  Run run(factory_, legit_, opt);
+  run.openStore(opt.maxStates);
   std::atomic<std::size_t> cursor{0};
   runWorkers(run.threads(), [&](int t) {
     Worker& w = run.worker(t);
@@ -571,8 +712,7 @@ Result ParallelChecker::checkReachable(
         run.codec().setNodeCode(w.childKey.data(), p,
                                 codes[static_cast<std::size_t>(p)]);
       run.decodeTo(w, w.childKey.data());
-      const StateStore::Ref r = run.intern(w, w.childKey.data(), 0);
-      if (r.inserted) run.pushNext(w, r.id);
+      run.seed(w);
     }
   });
 

@@ -3,31 +3,50 @@
 // the sequential checker).  The property theory is documented in
 // core/checker.hpp.
 //
-// Architecture: a level-synchronous parallel BFS over bit-packed
-// canonical states.
-//   * StateCodec packs configurations into fixed-width keys; successor
-//     keys are produced by patching the acted node's field (O(1)).
-//   * StateStore is the sharded concurrent seen-set; per-state depth,
-//     legitimacy, and canonical parent pointers live beside the keys.
-//   * Each worker owns a Protocol instance and an EnabledCache;
-//     switching the worker to the next frontier state delta-decodes
-//     only the differing nodes, so the protocol's dirty set — and
-//     therefore guard re-evaluation — stays proportional to the diff,
-//     not to n.  In Debug builds the cache cross-checks the incremental
-//     enabled set against a naive full scan on every refresh.
-//   * Workers claim frontier chunks from a shared cursor (dynamic load
-//     balancing); a level barrier separates depths.
-//   * The next-level frontier is a FrontierSpill: bounded RAM plus
-//     run files on disk, so frontiers beyond Options::spillCapacity
-//     degrade to streaming instead of aborting.
+// Architecture: two paths over shared workers, one per kind of check.
+//   * StateCodec packs configurations into fixed-width keys; a
+//     successor is named by patching the acted node's field (O(1)).
+//   * Each worker owns a Protocol instance and an EnabledCache, built on
+//     the worker's own thread; switching the worker to the next state
+//     delta-decodes only the differing nodes, so the protocol's dirty
+//     set — and therefore guard re-evaluation — stays proportional to
+//     the diff, not to n.  In Debug builds the cache cross-checks the
+//     incremental enabled set against a naive full scan whenever a
+//     refresh evaluated a guard.  Both paths share the successor
+//     enumeration (execute / encode / restore, or the columnar engine's
+//     execute / undo under synchronous steps), the violation selection,
+//     the report and the convergence pass.
+//   * checkFullSpace names every configuration by its mixed-radix index
+//     and never hashes one.  Each worker takes one contiguous range of
+//     whole bitset words.  Pass 1 evaluates legitimacy into a bitset
+//     with a per-word popcount rank directory, which maps an
+//     illegitimate index to its dense local id in O(1).  Pass 2 expands
+//     the range in index order: a successor's index is the parent's plus
+//     (new − old digit) × the acting node's radix weight, once per
+//     actor; closure is answered from the bitset; an illegitimate
+//     state's out-edges go to the worker's per-range log in local ids.
+//     The two passes are timed as the check's one level (mc_level_ns);
+//     every state is a depth-0 seed, so peakFrontier is the space size.
+//   * checkReachable runs a level-synchronous parallel BFS.  StateStore
+//     is the sharded concurrent seen-set; per-state depth, legitimacy and
+//     canonical parent pointers live beside the keys.  Workers claim
+//     frontier chunks from a shared cursor (dynamic load balancing); a
+//     level barrier separates depths.  The next-level frontier is a
+//     FrontierSpill: bounded RAM plus run files on disk, so frontiers
+//     beyond Options::spillCapacity degrade to streaming instead of
+//     aborting.
 //
 // Determinism: verdicts, counterexample traces, statesExplored and
 // peakFrontier are bit-identical for 1 and N threads.  Exploration
 // never stops mid-level on a violation; candidates are collected and
 // the canonical minimum — ordered by (kind, state key, move), never by
-// discovery order or state id — is reported at the level barrier.
-// Counterexample traces follow the store's canonical-min parent
-// pointers.  Wall-clock fields (seconds, statesPerSec) are of course
+// discovery order or state id — is reported at the level barrier.  A
+// full-space key is one 64-bit word (fitsLog(total) bounds the field
+// bits by 2·log₂ total < 64) with node 0 in the lowest bits, so index
+// order is key order there.  Reachable counterexample traces follow
+// the store's canonical-min parent pointers; a full-space trace is the
+// violating configuration (plus the offending move of a closure
+// violation).  Wall-clock fields (seconds, statesPerSec) are of course
 // not deterministic.
 //
 // Properties checked (core/checker.hpp):
@@ -35,21 +54,24 @@
 //                  successor fails;
 //   * no deadlock — an illegitimate terminal configuration fails;
 //   * convergence — while a worker expands an illegitimate state it
-//                  logs the state's out-edges (child store id, or a
+//                  logs the state's out-edges (child id, or a
 //                  leaves-the-region mark, plus the actor pair) and one
 //                  end offset.  After exploration the per-worker logs are
-//                  concatenated and remapped in place to dense local ids —
-//                  the CSR form of mc/properties — and analyzed there:
-//                  acyclicity for Fairness::kNone, no fair-feasible SCC
-//                  cycle otherwise.  The region is never expanded a second
-//                  time.  A passing check never sorts; only on a violation
-//                  is the same log relabeled in canonical (key) order and
+//                  concatenated into the CSR form of mc/properties and
+//                  analyzed there: acyclicity for Fairness::kNone, no
+//                  fair-feasible SCC cycle otherwise.  The region is never
+//                  expanded a second time.  Full-space logs are born in
+//                  local ids, which are ranks in key order, so the state
+//                  found is already the canonical one.  Reachable logs hold
+//                  store ids, remapped in place to dense local ids; a
+//                  passing check never sorts, and only on a violation is
+//                  the same log relabeled in canonical (key) order and
 //                  analyzed again, so the reported state is thread-count
-//                  independent.  Store ids, local ids and edge offsets are
-//                  32-bit in the log; a check that outgrows them fails with
-//                  mc::kLogWidthExceeded at the next level barrier (a
-//                  full-space check whose product space cannot fit fails
-//                  before it allocates anything).
+//                  independent.  Ids and edge offsets are 32-bit in the
+//                  log; a check that outgrows them fails with
+//                  mc::kLogWidthExceeded before any truncated value is
+//                  read (a full-space check whose product space cannot
+//                  fit fails before it allocates anything).
 #ifndef SSNO_MC_EXPLORER_HPP
 #define SSNO_MC_EXPLORER_HPP
 
@@ -65,7 +87,8 @@
 namespace ssno::mc {
 
 struct Options {
-  /// Worker threads; 0 (or less) = std::thread::hardware_concurrency().
+  /// Worker threads; 0 (or less) = the usable cores (usableCores(),
+  /// core/parallel.hpp).
   /// A thread that cannot be started fails the check with an exception
   /// once the started workers have joined (core/parallel.hpp).
   int threads = 1;
@@ -82,7 +105,7 @@ struct Options {
   /// Fairness::kNone combines with this flag.
   bool synchronousSteps = false;
   /// Frontier ids kept in RAM before spilling a run file; 0 = unbounded
-  /// (no disk tier).
+  /// (no disk tier).  Only reachable checks keep a frontier.
   std::uint64_t spillCapacity = 0;
   std::string spillDir;  ///< "" = std::filesystem::temp_directory_path()
 };
@@ -108,6 +131,8 @@ class ParallelChecker {
  public:
   /// Builds one Protocol instance per worker (instances must share
   /// nothing mutable; each gets its own Graph copy via construction).
+  /// Called once more for a probe instance, and then on each worker's
+  /// own thread, so calls may run concurrently.
   using Factory = std::function<std::unique_ptr<Protocol>()>;
   /// Legitimacy predicate evaluated against a worker's instance.
   using Legit = std::function<bool(Protocol&)>;
@@ -115,10 +140,11 @@ class ParallelChecker {
   ParallelChecker(Factory factory, Legit legit)
       : factory_(std::move(factory)), legit_(std::move(legit)) {}
 
-  /// Exhaustive check over the full product space (every configuration
-  /// is a BFS seed).  Fails fast, before allocating anything, when
-  /// ∏ localStateCount exceeds maxStates, 64-bit indexing or the
-  /// transition log's 32-bit ids (mc::kLogWidthExceeded).
+  /// Exhaustive check over the full product space, every configuration
+  /// named by its mixed-radix index (no store, no frontier).  Fails
+  /// fast, before allocating anything, when ∏ localStateCount exceeds
+  /// maxStates, 64-bit indexing or the transition log's 32-bit ids
+  /// (mc::kLogWidthExceeded).
   [[nodiscard]] Result checkFullSpace(const Options& opt);
 
   /// Check over all configurations reachable from `seeds` (per-node

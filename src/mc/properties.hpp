@@ -29,8 +29,9 @@
 // or -1 when convergence holds.  Whether a violating SCC exists does not
 // depend on how the states are numbered; which state is returned does.
 // Given the same graph the result is fully deterministic, so a caller
-// that numbers the states canonically (the explorer relabels by key,
-// TransitionGraph::permuted) gets a reproducible counterexample.
+// that numbers the states canonically gets a reproducible
+// counterexample: the explorer's full-space logs are born in key order,
+// and it relabels a reachable log by key (TransitionGraph::permuted).
 #ifndef SSNO_MC_PROPERTIES_HPP
 #define SSNO_MC_PROPERTIES_HPP
 

@@ -26,6 +26,7 @@ StateCodec::StateCodec(const Protocol& protocol) {
     f.mask = bits == 0 ? 0 : (bits == 64 ? ~0ULL : (1ULL << bits) - 1);
     f.radix = radix;
     used += bits;
+    f.weight = total_;
     if (total_ > UINT64_MAX / radix) indexable_ = false;
     if (indexable_) total_ *= radix;
   }
@@ -73,6 +74,15 @@ void StateCodec::indexToKey(std::uint64_t index, std::uint64_t* key) const {
     const Field& f = fields_[static_cast<std::size_t>(p)];
     key[f.word] |= (index % f.radix) << f.shift;
     index /= f.radix;
+  }
+}
+
+void StateCodec::increment(std::uint64_t* key) const {
+  for (NodeId p = 0; p < nodeCount(); ++p) {
+    const std::uint64_t code = nodeCode(key, p) + 1;
+    const bool carry = code == fields_[static_cast<std::size_t>(p)].radix;
+    setNodeCode(key, p, carry ? 0 : code);
+    if (!carry) return;
   }
 }
 

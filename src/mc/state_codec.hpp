@@ -78,8 +78,21 @@ class StateCodec {
                    Protocol& protocol) const;
 
   /// Mixed-radix index -> key (full-space enumeration; requires
-  /// indexable()).
+  /// indexable()).  Node 0 is the least significant digit and sits in the
+  /// lowest bits of word 0, so for a one-word key index order is key
+  /// order.
   void indexToKey(std::uint64_t index, std::uint64_t* key) const;
+
+  /// Steps `key` to the key of the next index (a mixed-radix increment;
+  /// the last index wraps to 0).
+  void increment(std::uint64_t* key) const;
+
+  /// Node p's digit weight ∏_{q<p} localStateCount(q), so a successor
+  /// whose node p moves from code a to code b has index
+  /// index + (b − a) · weight(p) (requires indexable()).
+  [[nodiscard]] std::uint64_t weight(NodeId p) const {
+    return fields_[static_cast<std::size_t>(p)].weight;
+  }
 
   /// FNV-1a over the key words.
   [[nodiscard]] std::uint64_t hash(const std::uint64_t* key) const {
@@ -98,6 +111,7 @@ class StateCodec {
     std::uint32_t shift = 0;
     std::uint64_t mask = 0;   // (1 << bits) - 1; 0 for radix-1 nodes
     std::uint64_t radix = 1;
+    std::uint64_t weight = 0;  // meaningful only when indexable()
   };
 
   std::vector<Field> fields_;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/parallel.hpp"
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
 
@@ -34,9 +35,7 @@ bool pathSafeName(const std::string& name) {
 }  // namespace
 
 JobScheduler::JobScheduler(SchedulerOptions opt) : opt_(std::move(opt)) {
-  if (opt_.workers <= 0)
-    opt_.workers =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (opt_.workers <= 0) opt_.workers = usableCores();
   if (opt_.trialThreads <= 0) opt_.trialThreads = 1;
   if (!opt_.checkpointDir.empty()) {
     std::error_code ec;

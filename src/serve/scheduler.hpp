@@ -53,7 +53,7 @@
 namespace ssno::serve {
 
 struct SchedulerOptions {
-  int workers = 0;       ///< worker threads; 0 → hardware concurrency
+  int workers = 0;       ///< worker threads; 0 → the usable cores
   int trialThreads = 1;  ///< threads inside one unit's ExperimentRunner
                          ///< (results are thread-count independent; 1
                          ///< keeps total parallelism == workers)

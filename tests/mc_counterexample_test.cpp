@@ -49,6 +49,28 @@ mc::ParallelChecker::Factory oscillatePath3() {
   return [] { return std::make_unique<OscillateProtocol>(Graph::path(3)); };
 }
 
+/// DESIGN.md deviation note 6: L_TC ∧ SP1 ∧ SP2 is not closed.
+bool dftnoNaiveSpec(Protocol& p) {
+  auto& dftno = static_cast<Dftno&>(p);
+  return dftno.substrateLegitimate() && dftno.satisfiesSpecNow();
+}
+
+/// mc_test's two-node closure toy, with the predicate narrowed to
+/// v0 = 1: under synchronous steps every move set zeroes all enabled
+/// nodes at once, so the toy's own predicate (which admits all-zero) is
+/// closed there.  Here each legitimate configuration steps to the
+/// illegitimate, deadlocked all-zero one.
+bool zeroV0IsOne(Protocol& p) {
+  return static_cast<ZeroProtocol&>(p).value(0) == 1;
+}
+
+mc::ParallelChecker::Factory stuckPath3() {
+  return [] { return std::make_unique<StuckProtocol>(Graph::path(3)); };
+}
+bool stuckLegit(Protocol& p) {
+  return static_cast<StuckProtocol&>(p).allZero();
+}
+
 std::vector<Case> violatingCases() {
   return {
       {"dftno-paper-guard/path:2 weak", dftnoPaperGuard(), dftnoLegit,
@@ -70,6 +92,20 @@ std::vector<Case> violatingCases() {
       {"oscillate/path:3 weak", oscillatePath3(), oscillateLegit,
        Fairness::kWeaklyFair, false, {}, "fair-feasible cycle",
        "c804aba8c6c3b8c64de1f9592e46730d"},
+      // Closure and deadlock: the full-space check picks the reported
+      // configuration among every violating one.
+      {"dftno/path:2 naive spec predicate weak",
+       [] { return std::make_unique<Dftno>(Graph::path(2)); }, dftnoNaiveSpec,
+       Fairness::kWeaklyFair, false, {}, "closure violated",
+       "c68b0ebd0c676658f5a224f61f92419f"},
+      {"zero/path:2 v0=1 synchronous",
+       [] { return std::make_unique<ZeroProtocol>(Graph::path(2), 2); },
+       zeroV0IsOne, Fairness::kNone, true, {}, "closure violated",
+       "9adcc9dfb2dae1c2de1966b0e09117f8"},
+      {"stuck/path:3 none", stuckPath3(), stuckLegit, Fairness::kNone, false,
+       {}, "terminal (deadlocked)", "f1b3a6836a3b5e28728e50b5a008bccc"},
+      {"stuck/path:3 synchronous", stuckPath3(), stuckLegit, Fairness::kNone,
+       true, {}, "terminal (deadlocked)", "f1b3a6836a3b5e28728e50b5a008bccc"},
       // From one seed the cycle lies off depth 0, so the traces have
       // steps to pin.
       {"oscillate/path:3 synchronous from 1,1,1", oscillatePath3(),

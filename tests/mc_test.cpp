@@ -1,13 +1,16 @@
 // Unit tests for the src/mc parallel model-checking engine: the
-// bit-packed state codec, the sharded store, the spill tier, and the
-// explorer's verdicts/determinism on the toy protocols with known
-// defects.
+// bit-packed state codec and its index order, the sharded store, the
+// spill tier, and the explorer's verdicts/determinism on the toy
+// protocols with known defects.
 #include "mc/explorer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/graph.hpp"
 #include "dftc/dftc.hpp"
@@ -71,6 +74,81 @@ TEST(StateCodec, IndexEnumerationIsExhaustive) {
     seen.insert(key);
   }
   EXPECT_EQ(seen.size(), 27u);
+}
+
+/// One processor per radix: the codec reads only localStateCount.
+class RadixProtocol final : public Protocol {
+ public:
+  explicit RadixProtocol(std::vector<std::uint64_t> radices)
+      : Protocol(Graph::path(static_cast<int>(radices.size()))),
+        radices_(std::move(radices)) {}
+  [[nodiscard]] int actionCount() const override { return 1; }
+  [[nodiscard]] std::string actionName(int) const override { return "None"; }
+  [[nodiscard]] bool enabled(NodeId, int) const override { return false; }
+  void doExecute(NodeId, int) override {}
+  void doRandomizeNode(NodeId, Rng&) override {}
+  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override {
+    return radices_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] std::uint64_t encodeNode(NodeId) const override { return 0; }
+  void doDecodeNode(NodeId, std::uint64_t) override {}
+  [[nodiscard]] std::vector<int> rawNode(NodeId) const override { return {}; }
+  void doSetRawNode(NodeId, std::span<const int>) override {}
+  [[nodiscard]] std::string dumpNode(NodeId) const override { return ""; }
+
+ private:
+  std::vector<std::uint64_t> radices_;
+};
+
+TEST(StateCodec, LogSizedSpacesAreOneWordInIndexOrder) {
+  // The full-space check numbers the illegitimate region in index order
+  // and reports the minimum key; the two orders agree because a space
+  // that passes fitsLog packs into one word (Σ⌈log₂ radix⌉ ≤ 2·log₂
+  // total < 64) with node 0, the least significant digit, lowest.
+  // Radices 3 and 2^k + 1 waste the most bits per digit.
+  const std::uint64_t kRadices[] = {1, 2, 3, 3, 3, 5, 9, 17, 33, 257, 65537};
+  Rng rng(21);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint64_t> radices;
+    std::uint64_t total = 1;
+    while (radices.size() < 2 || rng.below(8) != 0) {
+      const std::uint64_t r =
+          rng.below(4) == 0 ? 1 + static_cast<std::uint64_t>(rng.below(1000))
+                            : kRadices[rng.below(11)];
+      if (!fitsLog(total * r)) break;
+      radices.push_back(r);
+      total *= r;
+    }
+    if (radices.size() < 2) continue;
+    RadixProtocol proto(radices);
+    const StateCodec codec(proto);
+    ASSERT_TRUE(codec.indexable());
+    ASSERT_EQ(codec.totalStates(), total);
+    ASSERT_EQ(codec.words(), 1) << "trial " << trial;
+    // Consecutive keys increase strictly (and increment() steps between
+    // them): every index of a small space; otherwise random indices plus
+    // each carry into a higher digit.
+    std::vector<std::uint64_t> probes;
+    if (total <= 4096) {
+      for (std::uint64_t i = 0; i + 1 < total; ++i) probes.push_back(i);
+    } else {
+      for (int k = 0; k < 500; ++k)
+        probes.push_back(static_cast<std::uint64_t>(rng.below(1 << 30)) %
+                         (total - 1));
+      for (NodeId p = 1; p < codec.nodeCount(); ++p)
+        if (codec.weight(p) > 1 && codec.weight(p) < total)
+          probes.push_back(codec.weight(p) - 1);
+    }
+    for (const std::uint64_t i : probes) {
+      std::uint64_t key = 0;
+      std::uint64_t next = 0;
+      codec.indexToKey(i, &key);
+      codec.indexToKey(i + 1, &next);
+      ASSERT_LT(key, next) << "trial " << trial << ", index " << i;
+      codec.increment(&key);
+      ASSERT_EQ(key, next) << "trial " << trial << ", index " << i;
+    }
+  }
 }
 
 TEST(StateStore, InternDeduplicatesAndKeepsMeta) {
@@ -250,7 +328,8 @@ TEST(ParallelChecker, HugeStateBudgetsBehaveLikeTheDefault) {
 }
 
 TEST(ParallelChecker, SpillTierPreservesResults) {
-  // A 4-id RAM frontier forces run files on the 27-state toy.
+  // A full-space check names states by index and keeps no frontier, so
+  // a 4-id RAM frontier changes nothing there and writes no run file.
   ParallelChecker pc(zeroFactory(3, 3), zeroLegit);
   Options plain;
   Options spilling;
@@ -260,17 +339,21 @@ TEST(ParallelChecker, SpillTierPreservesResults) {
   EXPECT_TRUE(b.ok) << b.failure;
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.statesExplored, b.statesExplored);
+  EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.peakFrontier, b.peakFrontier);
-  EXPECT_GE(b.spillRuns, 1u);
+  EXPECT_EQ(b.spillRuns, 0u);
 
-  // Same through a multi-level reachable exploration.
+  // A multi-level reachable exploration: a 3-id RAM frontier forces run
+  // files, and the results stay the same.
   Options spillReach;
   spillReach.spillCapacity = 3;
   const Result c = pc.checkReachable({{2, 2, 2}}, plain);
   const Result d = pc.checkReachable({{2, 2, 2}}, spillReach);
   EXPECT_EQ(c.ok, d.ok);
   EXPECT_EQ(c.statesExplored, d.statesExplored);
+  EXPECT_EQ(c.transitions, d.transitions);
   EXPECT_EQ(c.peakFrontier, d.peakFrontier);
+  EXPECT_GE(d.spillRuns, 1u);
 }
 
 TEST(ParallelChecker, DftcVerdictAndFairnessModes) {

@@ -4,6 +4,10 @@
 #include "exp/runner.hpp"
 
 #include <gtest/gtest.h>
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include <atomic>
 #include <functional>
@@ -163,6 +167,29 @@ TEST(RunWorkers, BodyExceptionIsRethrownAfterEveryWorkerFinished) {
                std::logic_error);
   EXPECT_EQ(ran.load(), 4);
 }
+
+#if defined(__linux__)
+TEST(UsableCores, FollowTheCallingThreadsAffinity) {
+  // A thread that narrows its own affinity to one CPU sees one usable
+  // core; the other threads keep theirs.
+  const int all = usableCores();
+  EXPECT_GE(all, 1);
+  int narrowed = 0;
+  std::thread([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &set)) ++first;
+    CPU_ZERO(&set);
+    CPU_SET(first, &set);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof set, &set), 0);
+    narrowed = usableCores();
+  }).join();
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(usableCores(), all);
+}
+#endif
 
 TEST(ExperimentRunner, ModelCheckThreadStartFailureFailsTheRunWithAMessage) {
   // A refused worker thread used to abort the process ("terminate called
@@ -356,7 +383,7 @@ TEST(ScenarioFile, RejectsMalformedLinesWithLineNumbers) {
                   "line 2: model-check budget must be positive");
 }
 
-TEST(ScenarioFile, McThreadsZeroMeansHardwareConcurrency) {
+TEST(ScenarioFile, McThreadsZeroMeansTheUsableCores) {
   std::istringstream in("model-check:dftc central path:3 mc-threads=0\n");
   const std::vector<Scenario> scenarios = loadScenarios(in);
   ASSERT_EQ(scenarios.size(), 1u);
