@@ -3,6 +3,7 @@
 //   exp_cli list
 //   exp_cli run <scenario-or-preset> [options]
 //   exp_cli run --scenarios FILE [options]
+//   exp_cli claims [options]
 //   exp_cli spill-probe --ids N --capacity C [options]
 //
 // A scenario is either a preset name (see `list`) or a dynamic triple
@@ -10,6 +11,13 @@
 // dftno/round-robin/chordring:16:2,5.  A scenario file holds one
 // "protocol daemon topology [key=value ...]" per line (# = comment), so
 // sweeps can be version-controlled; see src/exp/scenario.hpp.
+//
+// `claims` runs the four presets that carry the paper's complexity
+// claims and appends one least-squares fit row per series (see
+// src/exp/claims.hpp); CI gates its JSON against BENCH_claims.json.  It
+// takes the output and observability options, not the ones that change
+// scenarios (--trials, --seed, --budget, --rate, --only, --scenarios,
+// --cache-dir).
 //
 // Options:
 //   --scenarios F read scenarios from file F (instead of a name)
@@ -55,6 +63,8 @@
 #include <string>
 #include <vector>
 
+#include "exp/claims.hpp"
+#include "exp/fmt.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "io/fault.hpp"
@@ -66,6 +76,7 @@
 namespace {
 
 using ssno::exp::ExperimentRunner;
+using ssno::exp::parseFlag;
 using ssno::exp::Scenario;
 using ssno::exp::ScenarioResult;
 
@@ -74,6 +85,9 @@ int usage() {
                "usage: exp_cli list\n"
                "       exp_cli run <scenario-or-preset> [options]\n"
                "       exp_cli run --scenarios FILE [options]\n"
+               "       exp_cli claims [options except --trials, --seed,\n"
+               "           --budget, --rate, --only, --scenarios,\n"
+               "           --cache-dir]\n"
                "       exp_cli spill-probe --ids N --capacity C [--dir D]\n"
                "           [--io-faults SPEC] [--metrics FILE]\n"
                "options: [--trials N] [--threads N] [--seed S] [--budget B]\n"
@@ -101,17 +115,19 @@ int spillProbe(const std::vector<std::string>& args) {
   std::string dir, ioFaults, metricsPath;
   try {
     for (std::size_t i = 1; i < args.size(); ++i) {
+      const std::string flag = args[i];
       auto value = [&]() -> std::string {
         if (i + 1 >= args.size())
-          throw std::invalid_argument(args[i] + " needs a value");
+          throw std::invalid_argument(flag + " needs a value");
         return args[++i];
       };
-      if (args[i] == "--ids") ids = std::stoull(value());
-      else if (args[i] == "--capacity") capacity = std::stoull(value());
-      else if (args[i] == "--dir") dir = value();
-      else if (args[i] == "--io-faults") ioFaults = value();
-      else if (args[i] == "--metrics") metricsPath = value();
-      else throw std::invalid_argument("unknown option " + args[i]);
+      if (flag == "--ids") ids = parseFlag<std::uint64_t>(flag, value());
+      else if (flag == "--capacity")
+        capacity = parseFlag<std::uint64_t>(flag, value());
+      else if (flag == "--dir") dir = value();
+      else if (flag == "--io-faults") ioFaults = value();
+      else if (flag == "--metrics") metricsPath = value();
+      else throw std::invalid_argument("unknown option " + flag);
     }
     if (ids == 0 || capacity == 0)
       throw std::invalid_argument("spill-probe needs --ids and --capacity");
@@ -203,16 +219,18 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args[0] == "spill-probe") return spillProbe(args);
-  if (args[0] != "run" || args.size() < 2) return usage();
+  const bool claims = args[0] == "claims";
+  if (!claims && (args[0] != "run" || args.size() < 2)) return usage();
 
   std::string target, scenarioFile;
-  std::size_t optionsFrom = 2;
-  if (args[1] == "--scenarios") {
+  std::size_t optionsFrom = 1;
+  if (!claims && args[1] == "--scenarios") {
     if (args.size() < 3) return usage();
     scenarioFile = args[2];
     optionsFrom = 3;
-  } else {
+  } else if (!claims) {
     target = args[1];
+    optionsFrom = 2;
   }
   std::optional<int> trials, threads;
   std::optional<std::uint64_t> seed;
@@ -224,28 +242,36 @@ int main(int argc, char** argv) {
   bool timing = false;
   try {
     for (std::size_t i = optionsFrom; i < args.size(); ++i) {
+      const std::string flag = args[i];
       auto value = [&]() -> std::string {
         if (i + 1 >= args.size())
-          throw std::invalid_argument(args[i] + " needs a value");
+          throw std::invalid_argument(flag + " needs a value");
         return args[++i];
       };
-      if (args[i] == "--trials") trials = std::stoi(value());
-      else if (args[i] == "--threads") threads = std::stoi(value());
-      else if (args[i] == "--seed") seed = std::stoull(value());
-      else if (args[i] == "--budget") budget = std::stoll(value());
-      else if (args[i] == "--rate") rate = std::stod(value());
-      else if (args[i] == "--only") only = value();
-      else if (args[i] == "--cache-dir") cacheDir = value();
-      else if (args[i] == "--csv") csvPath = value();
-      else if (args[i] == "--json") jsonPath = value();
-      else if (args[i] == "--trace-out") tracePath = value();
-      else if (args[i] == "--metrics") metricsPath = value();
-      else if (args[i] == "--timing") timing = true;
-      else if (args[i] == "--quiet") quiet = true;
-      else if (args[i] == "--scenarios") scenarioFile = value();
-      else if (args[i] == "--io-faults") ioFaults = value();
-      else throw std::invalid_argument("unknown option " + args[i]);
+      if (flag == "--trials") trials = parseFlag<int>(flag, value());
+      else if (flag == "--threads") threads = parseFlag<int>(flag, value());
+      else if (flag == "--seed")
+        seed = parseFlag<std::uint64_t>(flag, value());
+      else if (flag == "--budget")
+        budget = parseFlag<ssno::StepCount>(flag, value());
+      else if (flag == "--rate") rate = parseFlag<double>(flag, value());
+      else if (flag == "--only") only = value();
+      else if (flag == "--cache-dir") cacheDir = value();
+      else if (flag == "--csv") csvPath = value();
+      else if (flag == "--json") jsonPath = value();
+      else if (flag == "--trace-out") tracePath = value();
+      else if (flag == "--metrics") metricsPath = value();
+      else if (flag == "--timing") timing = true;
+      else if (flag == "--quiet") quiet = true;
+      else if (flag == "--scenarios") scenarioFile = value();
+      else if (flag == "--io-faults") ioFaults = value();
+      else throw std::invalid_argument("unknown option " + flag);
     }
+    if (claims && (trials || seed || budget || rate || !only.empty() ||
+                   !scenarioFile.empty() || !cacheDir.empty()))
+      throw std::invalid_argument(
+          "claims runs its presets as recorded; it takes no --trials, "
+          "--seed, --budget, --rate, --only, --scenarios or --cache-dir");
     if (!ioFaults.empty())
       ssno::io::installFaultSchedule(ssno::io::FaultSchedule::parse(ioFaults));
 
@@ -253,8 +279,9 @@ int main(int argc, char** argv) {
       throw std::invalid_argument(
           "give either a scenario name or --scenarios, not both");
     std::vector<Scenario> scenarios =
-        scenarioFile.empty() ? ssno::exp::resolve(target)
-                             : ssno::exp::loadScenarioFile(scenarioFile);
+        claims                 ? std::vector<Scenario>{}
+        : scenarioFile.empty() ? ssno::exp::resolve(target)
+                               : ssno::exp::loadScenarioFile(scenarioFile);
     for (Scenario& s : scenarios) {
       if (trials) s.trials = *trials;
       if (seed) s.seed = *seed;
@@ -290,7 +317,8 @@ int main(int argc, char** argv) {
     runner.setTimingBreakdown(timing);
     if (!tracePath.empty()) ssno::obs::startTracing();
     const std::vector<ScenarioResult> results =
-        ssno::serve::runAllCached(runner, scenarios, cache.get());
+        claims ? ssno::exp::runClaims(runner)
+               : ssno::serve::runAllCached(runner, scenarios, cache.get());
     if (!tracePath.empty()) {
       ssno::obs::stopTracing();
       ssno::obs::writeTrace(tracePath);

@@ -1,17 +1,22 @@
 // ssno_cli — run any protocol on any topology from the command line.
 //
-//   ssno_cli [--topo ring:12 | path:8 | star:9 | complete:6 | grid:3x4 |
-//             torus:3x4 | hypercube:4 | lollipop:4x5 | random:16x0.2]
-//            [--protocol dftno | stno | stno-dfs]
-//            [--daemon central|distributed|synchronous|roundrobin|adversarial]
+//   ssno_cli [--topo SPEC] [--protocol dftno | stno | stno-dfs]
+//            [--daemon central|distributed|synchronous|round-robin|
+//                      adversarial]
 //            [--seed N] [--faults K] [--budget MOVES] [--dot] [--trace]
 //
-// Scrambles the configuration, stabilizes, prints the orientation (and
-// optionally a Graphviz DOT rendering with the assigned names), injects
-// K random faults and re-stabilizes.
+// SPEC is the experiment harness's topology grammar (src/exp/topology.hpp),
+// e.g. ring:12, grid:3x4, lollipop:4x5 or er:16:0.2:7.  Scrambles the
+// configuration, stabilizes, prints the orientation (and optionally a
+// Graphviz DOT rendering with the assigned names), injects K random
+// faults (0 <= K <= n) and re-stabilizes.  Bad input exits 2 with a
+// message.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/daemon.hpp"
@@ -20,6 +25,8 @@
 #include "core/graph_algo.hpp"
 #include "core/scheduler.hpp"
 #include "core/trace.hpp"
+#include "exp/fmt.hpp"
+#include "exp/scenario.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
 #include "sptree/dfs_tree.hpp"
@@ -31,7 +38,7 @@ using namespace ssno;
 struct Options {
   std::string topo = "grid:3x3";
   std::string protocol = "dftno";
-  std::string daemon = "roundrobin";
+  std::string daemon = "round-robin";
   std::uint64_t seed = 1;
   int faults = 0;
   StepCount budget = 50'000'000;
@@ -48,54 +55,7 @@ struct Options {
   std::exit(2);
 }
 
-Graph parseTopology(const std::string& spec, Rng& rng) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
-  auto two = [&arg](char sep) {
-    const auto x = arg.find(sep);
-    return std::pair<int, int>{std::stoi(arg.substr(0, x)),
-                               std::stoi(arg.substr(x + 1))};
-  };
-  if (kind == "ring") return Graph::ring(std::stoi(arg));
-  if (kind == "path") return Graph::path(std::stoi(arg));
-  if (kind == "star") return Graph::star(std::stoi(arg));
-  if (kind == "complete") return Graph::complete(std::stoi(arg));
-  if (kind == "hypercube") return Graph::hypercube(std::stoi(arg));
-  if (kind == "grid") {
-    const auto [r, c] = two('x');
-    return Graph::grid(r, c);
-  }
-  if (kind == "torus") {
-    const auto [r, c] = two('x');
-    return Graph::torus(r, c);
-  }
-  if (kind == "lollipop") {
-    const auto [a, b] = two('x');
-    return Graph::lollipop(a, b);
-  }
-  if (kind == "random") {
-    const auto x = arg.find('x');
-    return Graph::randomConnected(std::stoi(arg.substr(0, x)),
-                                  std::stod(arg.substr(x + 1)), rng);
-  }
-  std::fprintf(stderr, "unknown topology '%s'\n", spec.c_str());
-  std::exit(2);
-}
-
-DaemonKind parseDaemon(const std::string& name) {
-  if (name == "central") return DaemonKind::kCentral;
-  if (name == "distributed") return DaemonKind::kDistributed;
-  if (name == "synchronous") return DaemonKind::kSynchronous;
-  if (name == "roundrobin") return DaemonKind::kRoundRobin;
-  if (name == "adversarial") return DaemonKind::kAdversarial;
-  std::fprintf(stderr, "unknown daemon '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -106,18 +66,28 @@ int main(int argc, char** argv) {
     if (a == "--topo") opt.topo = next();
     else if (a == "--protocol") opt.protocol = next();
     else if (a == "--daemon") opt.daemon = next();
-    else if (a == "--seed") opt.seed = std::stoull(next());
-    else if (a == "--faults") opt.faults = std::stoi(next());
-    else if (a == "--budget") opt.budget = std::stoll(next());
+    else if (a == "--seed")
+      opt.seed = exp::parseFlag<std::uint64_t>(a, next());
+    else if (a == "--faults") opt.faults = exp::parseFlag<int>(a, next());
+    else if (a == "--budget")
+      opt.budget = exp::parseFlag<StepCount>(a, next());
     else if (a == "--dot") opt.dot = true;
     else if (a == "--trace") opt.trace = true;
     else usage(argv[0]);
   }
 
-  Rng rng(opt.seed);
-  const Graph g = parseTopology(opt.topo, rng);
+  if (opt.budget <= 0)
+    throw std::invalid_argument("--budget must be positive, got " +
+                                std::to_string(opt.budget));
+  const exp::TopologySpec spec = exp::TopologySpec::parse(opt.topo);
+  const Graph g = spec.build();
+  if (opt.faults < 0 || opt.faults > g.nodeCount())
+    throw std::invalid_argument("--faults must be in [0, " +
+                                std::to_string(g.nodeCount()) + "], got " +
+                                std::to_string(opt.faults));
+  const DaemonKind daemonKind = exp::parseDaemonKind(opt.daemon);
   std::printf("topology %s: n=%d m=%d Δ=%d diameter=%d\n",
-              opt.topo.c_str(), g.nodeCount(), g.edgeCount(),
+              spec.name().c_str(), g.nodeCount(), g.edgeCount(),
               g.maxDegree(), diameter(g));
 
   std::unique_ptr<Protocol> proto;
@@ -145,7 +115,8 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  auto daemon = makeDaemon(parseDaemon(opt.daemon));
+  auto daemon = makeDaemon(daemonKind);
+  Rng rng(opt.seed);
   proto->randomize(rng);
   Simulator sim(*proto, *daemon, rng);
   TraceRecorder trace(*proto);
@@ -187,4 +158,15 @@ int main(int argc, char** argv) {
   }
   if (opt.trace) std::printf("%s", trace.render().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ssno_cli: %s\n", e.what());
+    return 2;
+  }
 }

@@ -9,7 +9,7 @@
 // tree using exactly 2(n−1) messages.  Without an orientation the
 // traversal must probe every incident edge: 2m messages (m = |E|).
 // The gap 2m vs 2(n−1) is the quantitative version of the paper's
-// motivation, reproduced by bench_routing.
+// motivation, reproduced by the routing preset.
 #ifndef SSNO_APPS_BROADCAST_HPP
 #define SSNO_APPS_BROADCAST_HPP
 

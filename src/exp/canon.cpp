@@ -1,6 +1,5 @@
 #include "exp/canon.hpp"
 
-#include <charconv>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -14,14 +13,9 @@ namespace {
 /// Full-consumption numeric parse; throws with the offending token.
 template <typename T>
 T parseNumber(const std::string& key, const std::string& value) {
-  T out{};
-  const char* first = value.data();
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec != std::errc{} || ptr != last)
-    throw std::invalid_argument("canonical scenario: bad value in '" + key +
-                                "=" + value + "'");
-  return out;
+  if (const std::optional<T> v = parseWhole<T>(value)) return *v;
+  throw std::invalid_argument("canonical scenario: bad value in '" + key +
+                              "=" + value + "'");
 }
 
 void appendHex64(std::string& out, std::uint64_t v) {

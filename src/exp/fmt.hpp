@@ -1,8 +1,11 @@
-// Tiny shared formatting helpers for the exp subsystem.
+// Tiny shared formatting and parsing helpers for the exp subsystem and
+// the command-line tools.
 #ifndef SSNO_EXP_FMT_HPP
 #define SSNO_EXP_FMT_HPP
 
 #include <charconv>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 
@@ -14,6 +17,24 @@ namespace ssno::exp {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   return ec == std::errc{} ? std::string(buf, end) : "0";
+}
+
+/// All of `text` as a T under std::from_chars (no sign on unsigned
+/// types, no whitespace, no trailing junk); nullopt otherwise.
+template <typename T>
+[[nodiscard]] std::optional<T> parseWhole(const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// parseWhole for a command-line flag's value; the error names `flag`.
+template <typename T>
+[[nodiscard]] T parseFlag(const std::string& flag, const std::string& text) {
+  if (const std::optional<T> v = parseWhole<T>(text)) return *v;
+  throw std::invalid_argument(flag + " needs a number, got '" + text + "'");
 }
 
 }  // namespace ssno::exp

@@ -87,7 +87,8 @@ std::vector<Scenario> churnPreset() {
 
 std::vector<Scenario> substratePreset() {
   // EXP-11: the two "assumed" substrates head to head, from scrambled
-  // states (the clean-round decomposition stays in bench_substrate).
+  // states (tests/dftc_test.cpp's DftcCleanRound suite pins the clean
+  // round on these topologies).
   constexpr std::uint64_t kSeed = 0x5B5;
   std::vector<Scenario> out;
   for (const char* topo :
@@ -97,6 +98,23 @@ std::vector<Scenario> substratePreset() {
     out.push_back(triple(ProtocolKind::kBfsTree, DaemonKind::kRoundRobin,
                          topo, 10, kSeed));
   }
+  return out;
+}
+
+std::vector<Scenario> endToEndPreset() {
+  // EXP-7 (Theorems 3.2.3 / 4.2.3): both protocols from fully scrambled
+  // configurations, substrate and orientation layer alike.
+  constexpr std::uint64_t kSeed = 0xE2E;
+  constexpr const char* kTopologies[] = {"ring:24",       "grid:4x6",
+                                         "complete:10",   "lollipop:6x12",
+                                         "er:24:0.15:21", "hypercube:4"};
+  std::vector<Scenario> out;
+  for (const char* topo : kTopologies)
+    out.push_back(
+        triple(ProtocolKind::kDftno, DaemonKind::kRoundRobin, topo, 10, kSeed));
+  for (const char* topo : kTopologies)
+    out.push_back(
+        triple(ProtocolKind::kStno, DaemonKind::kDistributed, topo, 10, kSeed));
   return out;
 }
 
@@ -391,7 +409,7 @@ Scenario parseScenario(const std::string& name) {
 std::vector<std::string> presetNames() {
   return {"dftno-scaling", "stno-height", "stno-star-control",
           "stno-scaling", "churn", "daemon-sweep", "substrate",
-          "fault-recovery", "ablation-naming", "space", "chordal-props",
+          "end-to-end", "fault-recovery", "ablation-naming", "space", "chordal-props",
           "routing", "scheduler", "model-check", "resilience", "obs"};
 }
 
@@ -403,6 +421,7 @@ std::vector<Scenario> makePreset(const std::string& name) {
   if (name == "churn") return churnPreset();
   if (name == "daemon-sweep") return daemonSweepPreset();
   if (name == "substrate") return substratePreset();
+  if (name == "end-to-end") return endToEndPreset();
   if (name == "fault-recovery") return faultRecoveryPreset();
   if (name == "ablation-naming") return ablationNamingPreset();
   if (name == "space") return spacePreset();

@@ -8,7 +8,8 @@
 //    target as a suffix: "model-check:dftc/central/path:3";
 //  * presets — curated sweeps reproducing the paper experiments
 //    (dftno-scaling, stno-height, stno-star-control, stno-scaling, churn,
-//    daemon-sweep), each expanding to a vector of scenarios.
+//    daemon-sweep, end-to-end, ...), each expanding to a vector of
+//    scenarios.  exp/claims.hpp fits four of them to the paper's bounds.
 //
 // resolve() accepts either and returns the scenario list ready for an
 // ExperimentRunner.

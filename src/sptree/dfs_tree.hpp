@@ -4,7 +4,7 @@
 //    respective ordering at individual nodes is the same."
 // With port order as the common ordering, STNO over the port-order DFS
 // tree assigns exactly the DFS preorder numbers — i.e. DFTNO's names.
-// (tests/equivalence_test.cpp and bench_ablation_dfstree verify this.)
+// (tests/equivalence_test.cpp and the ablation-naming preset verify this.)
 #ifndef SSNO_SPTREE_DFS_TREE_HPP
 #define SSNO_SPTREE_DFS_TREE_HPP
 

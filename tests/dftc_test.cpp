@@ -13,13 +13,11 @@
 #include "core/daemon.hpp"
 #include "core/graph.hpp"
 #include "core/scheduler.hpp"
+#include "exp/scenario.hpp"
 #include "sptree/dfs_tree.hpp"
 
 namespace ssno {
 namespace {
-
-/// Runs the deterministic legitimate execution for `rounds` full rounds
-/// starting from the clean boundary, recording Forward events per round.
 
 std::string daemonTag(DaemonKind kind) {
   std::string s = daemonKindName(kind);
@@ -27,23 +25,38 @@ std::string daemonTag(DaemonKind kind) {
   return s;
 }
 
-std::vector<std::vector<NodeId>> cleanRounds(Dftc& dftc, int rounds) {
+/// One round of the legitimate circulation.
+struct CleanRound {
+  std::vector<NodeId> forwards;  ///< Forward receivers, in order
+  int advances = 0;
+  int moves = 0;  ///< every move after the round's Start, to the next Start
+};
+
+/// Runs the deterministic legitimate execution for `rounds` full rounds
+/// starting from the clean boundary.
+std::vector<CleanRound> cleanRounds(Dftc& dftc, int rounds) {
   dftc.resetClean();
-  std::vector<std::vector<NodeId>> visits;
+  std::vector<CleanRound> visits;
   int roundIdx = -1;
+  const auto inRound = [&] { return roundIdx >= 0 && roundIdx < rounds; };
   TokenHooks hooks;
   hooks.onRoundStart = [&](NodeId) {
     ++roundIdx;
     if (roundIdx < rounds) visits.emplace_back();
   };
   hooks.onForward = [&](NodeId p, NodeId) {
-    if (roundIdx >= 0 && roundIdx < rounds) visits.back().push_back(p);
+    if (inRound()) visits.back().forwards.push_back(p);
+  };
+  hooks.onBacktrack = [&](NodeId, NodeId) {
+    if (inRound()) ++visits.back().advances;
   };
   dftc.setHooks(std::move(hooks));
   while (roundIdx < rounds) {
     const auto moves = dftc.enabledMoves();
     EXPECT_EQ(moves.size(), 1u) << "legitimate execution must be deterministic";
     if (moves.size() != 1u) break;
+    if (moves.front().action != Dftc::kStart && inRound())
+      ++visits.back().moves;
     dftc.execute(moves.front().node, moves.front().action);
   }
   dftc.setHooks(TokenHooks{});
@@ -51,17 +64,29 @@ std::vector<std::vector<NodeId>> cleanRounds(Dftc& dftc, int rounds) {
 }
 
 TEST(DftcCleanRound, VisitsEveryNodeExactlyOnce) {
-  for (auto graph : {Graph::ring(6), Graph::path(5), Graph::star(5),
-                     Graph::complete(4), Graph::figure311()}) {
+  // The substrate preset's topologies include complete:8 (m = 28) and
+  // er:16:0.3:41 (m = 50): a non-tree edge costs guard reads, not moves,
+  // so a clean round is 2(n − 1) moves besides its Start on any graph.
+  std::vector<Graph> graphs = {Graph::ring(6), Graph::path(5),
+                               Graph::star(5), Graph::complete(4),
+                               Graph::figure311()};
+  for (const exp::Scenario& s : exp::makePreset("substrate"))
+    if (s.protocol == exp::ProtocolKind::kDftc)
+      graphs.push_back(s.topology.build());
+  ASSERT_EQ(graphs.size(), 10u);
+  for (const Graph& graph : graphs) {
     Dftc dftc(graph);
     const auto rounds = cleanRounds(dftc, 3);
     ASSERT_EQ(rounds.size(), 3u);
-    for (const auto& round : rounds) {
-      EXPECT_EQ(static_cast<int>(round.size()), graph.nodeCount() - 1)
+    const int n = graph.nodeCount();
+    for (const CleanRound& round : rounds) {
+      EXPECT_EQ(static_cast<int>(round.forwards.size()), n - 1)
           << "every non-root node is forwarded to exactly once";
       std::map<NodeId, int> count;
-      for (NodeId p : round) count[p]++;
+      for (NodeId p : round.forwards) count[p]++;
       for (const auto& [p, c] : count) EXPECT_EQ(c, 1) << "node " << p;
+      EXPECT_EQ(round.advances, n - 1) << "every child backtracks once";
+      EXPECT_EQ(round.moves, 2 * (n - 1)) << "n = " << n;
     }
   }
 }
@@ -70,7 +95,7 @@ TEST(DftcCleanRound, OrderIsDeterministicAcrossRounds) {
   Dftc dftc(Graph::figure311());
   const auto rounds = cleanRounds(dftc, 4);
   for (std::size_t i = 1; i < rounds.size(); ++i)
-    EXPECT_EQ(rounds[i], rounds[0]);
+    EXPECT_EQ(rounds[i].forwards, rounds[0].forwards);
 }
 
 TEST(DftcCleanRound, OrderMatchesPortOrderDfs) {
@@ -81,8 +106,8 @@ TEST(DftcCleanRound, OrderMatchesPortOrderDfs) {
     const std::vector<int> pre = portOrderDfsPreorder(graph);
     // Forward order must match preorder: the k-th forwarded node has
     // preorder number k (the root is number 0 and is not forwarded to).
-    for (std::size_t k = 0; k < rounds[0].size(); ++k)
-      EXPECT_EQ(pre[static_cast<std::size_t>(rounds[0][k])],
+    for (std::size_t k = 0; k < rounds[0].forwards.size(); ++k)
+      EXPECT_EQ(pre[static_cast<std::size_t>(rounds[0].forwards[k])],
                 static_cast<int>(k) + 1);
   }
 }
@@ -91,7 +116,7 @@ TEST(DftcCleanRound, Figure311VisitOrder) {
   // Figure 3.1.1: r(0) forwards to b(2), then d(4), then c(3), then a(1).
   Dftc dftc(Graph::figure311());
   const auto rounds = cleanRounds(dftc, 1);
-  EXPECT_EQ(rounds[0], (std::vector<NodeId>{2, 4, 3, 1}));
+  EXPECT_EQ(rounds[0].forwards, (std::vector<NodeId>{2, 4, 3, 1}));
 }
 
 TEST(DftcOrbit, CleanBoundaryIsLegitimate) {

@@ -145,7 +145,7 @@ TEST(LexDfsTree, EndToEndStnoOverLexTreeMatchesDftno) {
 TEST(LexDfsTree, SpaceIsLinearInN) {
   // The DFS-tree substrate costs Θ(n·log Δ) bits — the classic price
   // that makes the paper's token-based DFTNO (O(log n) substrate) the
-  // cheaper route to DFS naming (compare bench_space).
+  // cheaper route to DFS naming (compare the space preset).
   const Graph small = Graph::ring(8);
   const Graph big = Graph::ring(32);
   LexDfsTree a(small), b(big);

@@ -9,9 +9,12 @@
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -19,10 +22,13 @@
 #include <thread>
 #include <utility>
 
+#include "core/graph_algo.hpp"
 #include "core/parallel.hpp"
 #include "exp/canon.hpp"
+#include "exp/claims.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "sptree/dfs_tree.hpp"
 #include "thread_start_failure.hpp"
 
 namespace ssno::exp {
@@ -492,6 +498,78 @@ TEST(Report, JsonIsDeterministic) {
   const std::vector<ScenarioResult> b = ExperimentRunner(3).runAll({s});
   EXPECT_EQ(toJson(a), toJson(b));
   EXPECT_EQ(toCsv(a), toCsv(b));
+}
+
+/// The claims run at one runner thread, shared by the tests below.
+const std::vector<ScenarioResult>& claimsAtOneThread() {
+  static const std::vector<ScenarioResult> rows =
+      runClaims(ExperimentRunner(1));
+  return rows;
+}
+
+const ScenarioResult& rowNamed(const std::vector<ScenarioResult>& rows,
+                               const std::string& name) {
+  for (const ScenarioResult& r : rows)
+    if (r.scenario.name == name) return r;
+  throw std::out_of_range("no row named " + name);
+}
+
+TEST(Claims, RowsIdenticalAtOneAndFourRunnerThreads) {
+  EXPECT_EQ(toJson(claimsAtOneThread()),
+            toJson(runClaims(ExperimentRunner(4))));
+}
+
+TEST(Claims, EachFitRowIsFitLinearOverItsPresetRows) {
+  const std::vector<ScenarioResult>& claims = claimsAtOneThread();
+  std::map<std::string, std::pair<std::vector<double>, std::vector<double>>>
+      series;  // fit row name -> (x, y)
+  const auto add = [&series](const std::string& fit, double x, double y) {
+    series[fit].first.push_back(x);
+    series[fit].second.push_back(y);
+  };
+  for (const Scenario& s : makePreset("dftno-scaling")) {
+    const std::string topology = s.topology.name();
+    const ScenarioResult& r = rowNamed(claims, s.name);
+    add("fit/dftno-scaling/" + topology.substr(0, topology.find(':')),
+        r.nodeCount, r.metric("overlay_moves").mean);
+  }
+  for (const Scenario& s : makePreset("stno-height")) {
+    const Graph g = s.topology.build();
+    add("fit/stno-height/stno", treeHeight(g, portOrderDfsTree(g)),
+        rowNamed(claims, s.name).metric("overlay_rounds").mean);
+  }
+  EXPECT_EQ(series["fit/stno-height/stno"].first,
+            (std::vector<double>{1, 3, 5, 13, 39}));
+  for (const Scenario& s : makePreset("stno-star-control")) {
+    const ScenarioResult& r = rowNamed(claims, s.name);
+    add("fit/stno-star-control/star", r.nodeCount,
+        r.metric("overlay_rounds").mean);
+  }
+  for (const Scenario& s : makePreset("space")) {
+    const ScenarioResult& r = rowNamed(claims, s.name);
+    const double x = r.metric("max_degree").mean * std::log2(r.nodeCount);
+    add("fit/space/dftno", x, r.metric("dftno_orientation_bits").mean);
+    add("fit/space/stno", x, r.metric("stno_orientation_bits").mean);
+  }
+
+  EXPECT_EQ(std::count_if(claims.begin(), claims.end(),
+                          [](const ScenarioResult& r) {
+                            return r.scenario.name.starts_with("fit/");
+                          }),
+            9);
+  ASSERT_EQ(series.size(), 9u);
+  for (const auto& [name, xy] : series) {
+    const LinearFit want = fitLinear(xy.first, xy.second);
+    const ScenarioResult& got = rowNamed(claims, name);
+    EXPECT_EQ(got.metric("slope").mean, want.slope) << name;
+    EXPECT_EQ(got.metric("abs_slope").mean, std::abs(want.slope)) << name;
+    EXPECT_EQ(got.metric("intercept").mean, want.intercept) << name;
+    EXPECT_EQ(got.metric("r2").mean, want.r2) << name;
+    EXPECT_EQ(got.metric("points").mean,
+              static_cast<double>(xy.first.size()))
+        << name;
+    EXPECT_EQ(got.failedTrials, 0) << name;
+  }
 }
 
 }  // namespace

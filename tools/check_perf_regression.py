@@ -45,7 +45,17 @@ overhead:
   * ``resilience/...`` (BENCH_resilience.json): rerun and replay
     identity, convergence under the adversary, and the gain floor;
   * ``obs/...`` (BENCH_obs.json): always-on telemetry overhead under
-    the ceiling.
+    the ceiling;
+  * the paper's complexity claims (BENCH_claims.json, ``exp_cli
+    claims``): every preset row's counts exact per seed, and on each
+    ``fit/<preset>/<series>`` least-squares row the claim's shape
+    through one one-sided rule per field — an ``r2`` floor of 0.95 on
+    the series that grow linearly, a ``slope`` ceiling as the O(.)
+    constant (4 DFTNO moves per node, 1 STNO round per tree level,
+    1.1 and 2.1 bits per Δ·log2 N), and an ``abs_slope`` ceiling of
+    0.01 rounds per node on the STNO star control, which must stay
+    flat in n.  DFTNO's path family is flat too (a handful of moves at
+    every n), so it has no ``r2`` floor.
 
 Every fresh row must report no failed trial, and every baseline row
 must appear in the fresh run.  A malformed BENCH file — a row without
@@ -114,6 +124,27 @@ GATES += [
     ("BENCH_resilience.json", "resilience/", "search_gain", NOT_BELOW, 2.0,
      BASELINE_REACHED),
     ("BENCH_obs.json", "obs/", "obs_overhead_pct", CEILING, MAX_OBS, None),
+]
+for prefix, fields in (
+        ("dftno/", ("substrate_moves", "overlay_moves", "overlay_rounds")),
+        ("stno-fixed-tree/", ("overlay_moves", "overlay_rounds")),
+        ("space/", ("max_degree", "dftno_orientation_bits",
+                    "dftno_substrate_bits", "stno_orientation_bits",
+                    "stno_substrate_bits"))):
+    GATES += [("BENCH_claims.json", prefix, f, EXACT, None, None)
+              for f in fields]
+GATES += [("BENCH_claims.json", "fit/dftno-scaling/" + family, "r2",
+           NOT_BELOW, 0.95, None)
+          for family in ("ring", "kary", "caterpillar", "complete")]
+GATES += [
+    ("BENCH_claims.json", "fit/dftno-scaling/", "slope", CEILING, 4.0, None),
+    ("BENCH_claims.json", "fit/stno-height/", "r2", NOT_BELOW, 0.95, None),
+    ("BENCH_claims.json", "fit/stno-height/", "slope", CEILING, 1.0, None),
+    ("BENCH_claims.json", "fit/stno-star-control/", "abs_slope", CEILING,
+     0.01, None),
+    ("BENCH_claims.json", "fit/space/", "r2", NOT_BELOW, 0.95, None),
+    ("BENCH_claims.json", "fit/space/dftno", "slope", CEILING, 1.1, None),
+    ("BENCH_claims.json", "fit/space/stno", "slope", CEILING, 2.1, None),
 ]
 
 STATS = ("min", "max", "mean")

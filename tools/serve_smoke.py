@@ -250,7 +250,7 @@ def main():
         resume_identity = int(resumed == reference)
         print(f"serve_smoke: resume_identity {resume_identity}")
 
-        # --- Phase 3: concurrent sockets (ROADMAP 4c). --------------------
+        # --- Phase 3: concurrent sockets. ---------------------------------
         # N parallel clients submit the SAME fresh sweep; one of them also
         # interleaves a partial `result` read with a `cancel`.  Claims:
         # every connection sees only well-formed responses, the sweep is
