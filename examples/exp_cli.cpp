@@ -267,6 +267,10 @@ int main(int argc, char** argv) {
       else if (flag == "--io-faults") ioFaults = value();
       else throw std::invalid_argument("unknown option " + flag);
     }
+    if (threads && *threads < 0)
+      throw std::invalid_argument(
+          "--threads must be >= 0 (0 = the usable cores), got " +
+          std::to_string(*threads));
     if (claims && (trials || seed || budget || rate || !only.empty() ||
                    !scenarioFile.empty() || !cacheDir.empty()))
       throw std::invalid_argument(
@@ -295,6 +299,7 @@ int main(int argc, char** argv) {
           s.name = label.str();
         }
       }
+      ssno::exp::validateLimits(s);
     }
     // A --rate override can collapse a preset's rate variants into
     // identical scenarios; run each distinct name once.  Scenario files

@@ -53,8 +53,7 @@ std::uint64_t stateHash(const StateArena& arena, std::size_t slot, NodeId p) {
 OrbitIndex OrbitIndex::walk(Protocol& scratch, const Pick& pick,
                             bool prefixIsMember) {
   OrbitIndex idx;
-  std::vector<StateArena*> arenas;
-  scratch.collectArenas(arenas);
+  const std::span<StateArena* const> arenas = scratch.arenas();
   SSNO_EXPECTS(!arenas.empty());
   idx.arenas_ = arenas.size();
   const NodeId n = scratch.graph().nodeCount();
@@ -152,8 +151,9 @@ bool OrbitIndex::matches(std::span<StateArena* const> live, NodeId p,
 }
 
 OrbitTracker::OrbitTracker(Protocol& live)
-    : live_(live), n_(static_cast<std::size_t>(live.graph().nodeCount())) {
-  live.collectArenas(arenas_);
+    : live_(live),
+      arenas_(live.arenas()),
+      n_(static_cast<std::size_t>(live.graph().nodeCount())) {
   SSNO_EXPECTS(!arenas_.empty());
   terms_.assign(arenas_.size() * n_, 0);
   sums_.assign(arenas_.size(), 0);

@@ -41,7 +41,7 @@
 namespace ssno {
 
 /// Zobrist term of processor p's state in `arena`, the arena at position
-/// `slot` of its protocol's collectArenas() list: a 64-bit hash of
+/// `slot` of its protocol's arenas() list: a 64-bit hash of
 /// (slot, p, every raw value).  A configuration's fingerprint over the
 /// leading k arenas is the wrapping sum of these terms over processors
 /// and arenas 0..k-1.
@@ -61,7 +61,7 @@ class OrbitIndex {
   [[nodiscard]] static OrbitIndex walk(Protocol& scratch, const Pick& pick,
                                        bool prefixIsMember);
 
-  /// Leading collectArenas() entries the walk's configurations cover.
+  /// Leading arenas() entries the walk's configurations cover.
   [[nodiscard]] std::size_t arenaCount() const { return arenas_; }
   /// Configurations on the walk, prefix and cycle (L).
   [[nodiscard]] std::size_t positions() const { return positions_; }
@@ -121,7 +121,7 @@ class OrbitTracker {
   bool confirm(const OrbitIndex& index, std::size_t pos) const;
 
   Protocol& live_;
-  std::vector<StateArena*> arenas_;
+  std::span<StateArena* const> arenas_;
   std::size_t n_ = 0;
   std::vector<std::uint64_t> terms_;  // terms_[a * n_ + p]
   std::vector<std::uint64_t> sums_;   // per arena

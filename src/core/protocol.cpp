@@ -23,6 +23,48 @@ double Protocol::potentialHint() const {
   return static_cast<double>(count);
 }
 
+std::uint64_t Protocol::localStateCount(NodeId p) const {
+  std::uint64_t count = 1;
+  for (const StateArena* a : arenas_) count *= a->localStateCount(p);
+  return count;
+}
+
+std::uint64_t Protocol::encodeNode(NodeId p) const {
+  std::uint64_t code = 0;
+  std::uint64_t weight = 1;
+  for (const StateArena* a : arenas_) a->encodeNode(p, code, weight);
+  return code;
+}
+
+void Protocol::doDecodeNode(NodeId p, std::uint64_t code) {
+  for (StateArena* a : arenas_) code = a->decodeNode(p, code);
+  SSNO_EXPECTS(code == 0);  // the code was below localStateCount(p)
+}
+
+void Protocol::doRandomizeNode(NodeId p, Rng& rng) {
+  for (StateArena* a : arenas_) a->randomizeNode(p, rng);
+}
+
+std::vector<int> Protocol::rawNode(NodeId p) const {
+  std::vector<int> out;
+  out.reserve(rawNodeLength(p));
+  for (const StateArena* a : arenas_) a->appendRawNode(p, out);
+  return out;
+}
+
+std::size_t Protocol::rawNodeLength(NodeId p) const {
+  std::size_t len = 0;
+  for (const StateArena* a : arenas_) len += a->rawLength(p);
+  return len;
+}
+
+void Protocol::setRawNode(NodeId p, std::span<const int> values) {
+  std::size_t at = 0;
+  for (StateArena* a : arenas_) at += a->readRawNode(p, values.subspan(at));
+  SSNO_EXPECTS(at == values.size());
+  noteWrite(p);
+}
+
 std::vector<std::uint64_t> Protocol::encodeConfiguration() const {
   std::vector<std::uint64_t> codes;
   codes.reserve(static_cast<std::size_t>(graph().nodeCount()));
@@ -40,22 +82,17 @@ void Protocol::decodeConfiguration(const std::vector<std::uint64_t>& codes) {
 
 std::vector<int> Protocol::rawConfiguration() const {
   std::vector<int> out;
-  for (NodeId p = 0; p < graph().nodeCount(); ++p) {
-    const std::vector<int> node = rawNode(p);
-    out.insert(out.end(), node.begin(), node.end());
-  }
+  for (NodeId p = 0; p < graph().nodeCount(); ++p)
+    for (const StateArena* a : arenas_) a->appendRawNode(p, out);
   return out;
 }
 
 void Protocol::setRawConfiguration(const std::vector<int>& values) {
-  std::size_t offset = 0;
-  for (NodeId p = 0; p < graph().nodeCount(); ++p) {
-    const std::size_t len = rawNodeLength(p);
-    SSNO_EXPECTS(offset + len <= values.size());
-    doSetRawNode(p, std::span<const int>(values).subspan(offset, len));
-    offset += len;
-  }
-  SSNO_EXPECTS(offset == values.size());
+  const std::span<const int> all(values);
+  std::size_t at = 0;
+  for (NodeId p = 0; p < graph().nodeCount(); ++p)
+    for (StateArena* a : arenas_) at += a->readRawNode(p, all.subspan(at));
+  SSNO_EXPECTS(at == values.size());
   noteWriteAll();
 }
 

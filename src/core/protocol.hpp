@@ -9,20 +9,25 @@
 // Implementations expose:
 //  * the enabled-action relation (for daemons),
 //  * atomic execution,
-//  * state randomization (arbitrary initial configurations, Def. 2.1.2),
-//  * a canonical per-node state codec so the exhaustive model checker can
-//    enumerate and hash the full configuration space C,
+//  * their per-node state, declared as StateArena columns with finite
+//    domains (the paper's variable domains, Def. 2.1.2),
 //  * human-readable dumps for traces.
+// From the declared state the base class derives state randomization
+// (arbitrary initial configurations), the canonical per-node codec the
+// exhaustive model checker enumerates and hashes the configuration
+// space C with, and the raw snapshot form.  Layering is concatenation:
+// a protocol declares the arenas of the sub-protocol it builds on
+// first, and an earlier arena is the less significant part of a code.
 //
 // Dirty tracking (the simulation hot path).  Guards are local: the guard
 // of an action at p reads only p's own variables and its neighbors', so a
 // state write at p can change the enabled relation only at p ∪ N(p).  The
 // base class exploits this: every mutating entry point (execute,
 // setRawNode, decodeNode, randomizeNode — the non-virtual public wrappers
-// around the do* hooks below) records the written node's closed
-// neighborhood in a dirty set, and whole-configuration writes mark
-// everything dirty.  An EnabledCache drains the set and re-evaluates only
-// dirty processors' guards instead of rescanning all n each step.
+// below) records the written node's closed neighborhood in a dirty set,
+// and whole-configuration writes mark everything dirty.  An EnabledCache
+// drains the set and re-evaluates only dirty processors' guards instead
+// of rescanning all n each step.
 //
 // Contract for protocol authors: ALL state writes must go through the
 // wrappers (or call dirtyNeighborhood/noteWriteAll explicitly for
@@ -47,11 +52,10 @@
 #include "core/assert.hpp"
 #include "core/graph.hpp"
 #include "core/rng.hpp"
+#include "core/state_arena.hpp"
 #include "core/types.hpp"
 
 namespace ssno {
-
-class StateArena;
 
 /// One enabled (processor, action) pair, as offered to a daemon.
 struct Move {
@@ -136,8 +140,9 @@ class Protocol {
     return true;
   }
 
-  /// Replaces every processor's state with a uniformly arbitrary one
-  /// (transient-fault model: the adversary may set all variables).
+  /// Replaces every processor's state with an arbitrary one drawn from
+  /// the declared domains (transient-fault model: the adversary may set
+  /// all variables).
   void randomize(Rng& rng) {
     for (NodeId p = 0; p < graph_.nodeCount(); ++p) doRandomizeNode(p, rng);
     noteWriteAll();
@@ -155,32 +160,32 @@ class Protocol {
   /// for high-degree processors the count may exceed 64 bits, in which
   /// case the codec must not be used (mc::StateCodec detects overflow;
   /// the simulator and the legitimacy orbit indexes use raw values).
-  [[nodiscard]] virtual std::uint64_t localStateCount(NodeId p) const = 0;
-  [[nodiscard]] virtual std::uint64_t encodeNode(NodeId p) const = 0;
+  /// Derived from the declared arenas: the product of their counts, and
+  /// a code whose least significant part is the first arena's.
+  /// LexDfsTree, whose path word is no per-node range, overrides the
+  /// codec (and its draw, doRandomizeNode).
+  [[nodiscard]] virtual std::uint64_t localStateCount(NodeId p) const;
+  [[nodiscard]] virtual std::uint64_t encodeNode(NodeId p) const;
   void decodeNode(NodeId p, std::uint64_t code) {
     doDecodeNode(p, code);
     noteWrite(p);
   }
 
   /// ---- Raw state snapshot (overflow-safe, any graph size) -------------
-  /// The processor's variables as a flat int vector (protocol-defined
-  /// order, fixed length per processor).
-  [[nodiscard]] virtual std::vector<int> rawNode(NodeId p) const = 0;
-  /// rawNode(p).size() without materializing the vector.  Protocols
-  /// with expensive raw vectors (LexDfsTree's is Θ(n) ints) override;
-  /// whole-configuration walks use this for their offsets.
-  [[nodiscard]] virtual std::size_t rawNodeLength(NodeId p) const {
-    return rawNode(p).size();
-  }
-  void setRawNode(NodeId p, std::span<const int> values) {
-    doSetRawNode(p, values);
-    noteWrite(p);
-  }
+  /// The processor's variables as a flat int vector: each arena's raw
+  /// form (StateArena), in declaration order.
+  [[nodiscard]] std::vector<int> rawNode(NodeId p) const;
+  /// rawNode(p).size() without materializing the vector.
+  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const;
+  void setRawNode(NodeId p, std::span<const int> values);
   void setRawNode(NodeId p, std::initializer_list<int> values) {
     setRawNode(p, std::span<const int>(values.begin(), values.size()));
   }
 
   /// Whole-configuration raw snapshot (concatenated per-node vectors).
+  /// A var column's row length is part of its raw form, so the
+  /// concatenation parses back even when lengths differ from the
+  /// current state's.
   [[nodiscard]] std::vector<int> rawConfiguration() const;
   void setRawConfiguration(const std::vector<int>& values);
 
@@ -253,20 +258,18 @@ class Protocol {
 
   /// Dirty notification for a state write performed OUTSIDE the mutation
   /// wrappers — e.g. a snapshot restore through StateArena columns,
-  /// which bypasses the do* hooks entirely.  Equivalent to the dirtying
+  /// which bypasses the wrappers entirely.  Equivalent to the dirtying
   /// (and writer-feed entry) a wrapper-mediated write at p would have
   /// produced (deferred inside a simultaneous-step bracket).
   void noteExternalWrite(NodeId p) { noteWrite(p); }
 
-  /// ---- Columnar state registry (simultaneous-step fast path) ----------
-  /// A protocol whose ENTIRE mutable per-node state lives in StateArena
-  /// columns appends its arenas here (sub-protocol arenas first).  The
-  /// simultaneous-step engine then snapshots/restores acting processors
-  /// with column-batched copies instead of per-node rawNode/setRawNode
-  /// vector round-trips.  The default — no arenas — keeps the engine on
-  /// the raw-vector path; opting in with state outside the registered
-  /// columns would make snapshot/restore lossy, so don't.
-  virtual void collectArenas(std::vector<StateArena*>& out) { (void)out; }
+  /// ---- Declared state -------------------------------------------------
+  /// Every arena holding this protocol's per-node state, sub-protocol
+  /// arenas first.  ALL mutable per-node state lives here (a protocol
+  /// without state declares none), so snapshotting these columns — the
+  /// simultaneous-step engine, the searching daemon and the orbit
+  /// indexes do — captures a configuration exactly.
+  [[nodiscard]] std::span<StateArena* const> arenas() { return arenas_; }
 
   /// ---- Dirty-set drain (single active consumer, e.g. EnabledCache) ----
   /// `true` after a whole-configuration write: the consumer must rescan
@@ -324,7 +327,16 @@ class Protocol {
     dirty_flag_.assign(static_cast<std::size_t>(graph_.nodeCount()), 0);
   }
 
-  /// ---- Mutation hooks implemented by protocols ------------------------
+  /// Declares `arena` as part of this protocol's state, more significant
+  /// than every arena declared before it.
+  void addArena(StateArena& arena) { arenas_.push_back(&arena); }
+  /// Declares the arenas of the sub-protocol this layer builds on; call
+  /// before addArena for the layer's own.
+  void addArenas(Protocol& sub) {
+    arenas_.insert(arenas_.end(), sub.arenas_.begin(), sub.arenas_.end());
+  }
+
+  /// ---- Mutation hooks -------------------------------------------------
   virtual void doExecute(NodeId p, int action) = 0;
   /// Batched simultaneous-execute hook (see executeSimultaneousBatch).
   /// Contract: either return false having performed NO writes, or return
@@ -333,9 +345,10 @@ class Protocol {
     (void)moves;
     return false;
   }
-  virtual void doRandomizeNode(NodeId p, Rng& rng) = 0;
-  virtual void doDecodeNode(NodeId p, std::uint64_t code) = 0;
-  virtual void doSetRawNode(NodeId p, std::span<const int> values) = 0;
+  /// Derived from the declared domains (StateArena::randomizeNode and
+  /// decodeNode, arena by arena); LexDfsTree overrides both.
+  virtual void doRandomizeNode(NodeId p, Rng& rng);
+  virtual void doDecodeNode(NodeId p, std::uint64_t code);
 
   /// Dirty region of a state write at p.  The default — p's closed
   /// neighborhood — is correct whenever guards read only N[p]; protocols
@@ -398,6 +411,7 @@ class Protocol {
   }
 
   Graph graph_;
+  std::vector<StateArena*> arenas_;
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<NodeId> dirty_list_;
   bool all_dirty_ = true;  // a fresh protocol has never been scanned

@@ -7,56 +7,66 @@
 // columns).  Compared to per-object fields and vector<vector<int>>
 // per-port tables, columns keep guard evaluation cache-friendly at
 // n >= 1e5 (neighbor reads of one variable walk one array instead of
-// hopping across per-node heap blocks) and give every protocol the
-// same raw snapshot machinery for free.
+// hopping across per-node heap blocks).
+//
+// A node or port column declares its Domain: the values lo ..
+// lo + base + perDegree·deg(p) − 1 at p, and optionally a pin, the
+// root's fixed value (DFTC's depth and parent port, say).  The domains
+// give the protocol layer, per processor and with no per-protocol code,
+//   * a mixed-radix codec: the digits are the node columns, then port
+//     by port the port columns, in registration order; the arena's
+//     DigitOrder fixes whether the first digit is the least or the most
+//     significant (DFTC's S is least significant, DFTNO's η most);
+//   * uniform draws, column by column in registration order;
+//   * a raw form: per column in registration order, one value (node
+//     column), degree(p) values (port column) or a length-prefixed row
+//     (var column), with pinned columns reset to their pin at the root.
+// A var column makes the raw length state-dependent and carries no
+// digits or draws; its protocol (LexDfsTree) codes and draws it itself.
 //
 // Usage pattern (see Dftc for the canonical example):
 //
 //   class MyProtocol : public Protocol {
 //     StateArena arena_;
-//     NodeColumn x_;   // one int per processor
-//     PortColumn y_;   // one int per (processor, port)
+//     NodeColumn x_;   // one int per processor, 0..n-1
+//     PortColumn y_;   // one int per (processor, port), 0..1
 //    public:
 //     explicit MyProtocol(Graph g)
 //         : Protocol(std::move(g)),
-//           arena_(graph()),
-//           x_(arena_.nodeColumn()),
-//           y_(arena_.portColumn()) {}
+//           arena_(graph(), DigitOrder::kLeastFirst),
+//           x_(arena_.nodeColumn({.base = graph().nodeCount()})),
+//           y_(arena_.portColumn({.base = 2})) {
+//       addArena(arena_);
+//     }
 //   };
 //
-// Registration order is the raw layout: StateArena::rawNode(p)
-// concatenates, per column in registration order, one value (node
-// column), degree(p) values (port column), or a length-prefixed row
-// (var column) — exactly the layouts the protocols' hand-written
-// rawNode() used to produce.  Protocols with extra invariants (e.g.
-// the root's depth pinned to 0) normalize after StateArena::setRawNode.
-// Note a var column makes rawLength(p) state-dependent; protocols using
-// one either keep a fixed-width rawNode of their own (LexDfsTree) or
-// accept the self-describing [len, entries...] raw form.
-//
 // Batched multi-node snapshot/restore (the simultaneous-step engine's
-// fast path): snapshotNodes copies the listed processors' values into a
+// path): snapshotNodes copies the listed processors' values into a
 // flat per-column scratch — one tight loop per column over one backing
 // array, no per-node vector<int> — and restoreNodes/restoreNode invert
 // it.  The scratch's bounds table records each (column, node) slice, so
 // single-node rollbacks during a simultaneous step are O(slice) copies.
 //
-// Dirtying rules are unchanged: columns are plain storage, so ALL
-// writes must still go through the Protocol mutation hooks (doExecute /
-// doSetRawNode / ...) or be followed by explicit dirty calls — the
-// arena does not notify anyone.  In particular restoreNodes bypasses
-// the hooks; drivers (core/sync_engine) dirty the restored region
+// Columns are plain storage and the arena notifies no one: ALL writes
+// must still go through the Protocol mutation wrappers (execute,
+// setRawNode, decodeNode, randomizeNode, ...) or be followed by
+// explicit dirty calls.  In particular restoreNodes bypasses the
+// wrappers; its callers (core/sync_engine) dirty the restored region
 // themselves.
 #ifndef SSNO_CORE_STATE_ARENA_HPP
 #define SSNO_CORE_STATE_ARENA_HPP
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <vector>
 
 #include "core/assert.hpp"
 #include "core/graph.hpp"
+#include "core/rng.hpp"
 #include "core/types.hpp"
 
 namespace ssno {
@@ -208,33 +218,49 @@ class VarColumn {
   Store* store_ = nullptr;
 };
 
+/// A column's declared values at processor p: the count(p) = base +
+/// perDegree·deg(p) integers from lo up.  A column with a rootPin holds
+/// that value at the root, where it is no digit and draws nothing.
+struct Domain {
+  int lo = 0;
+  int base = 0;
+  int perDegree = 0;
+  std::optional<int> rootPin = std::nullopt;
+};
+
+/// Which end of an arena's digit sequence is least significant.
+enum class DigitOrder { kLeastFirst, kMostFirst };
+
 class StateArena {
  public:
-  explicit StateArena(const Graph& graph) : graph_(&graph) {}
+  StateArena(const Graph& graph, DigitOrder order)
+      : graph_(&graph), order_(order) {}
 
   StateArena(const StateArena&) = delete;
   StateArena& operator=(const StateArena&) = delete;
 
-  [[nodiscard]] NodeColumn nodeColumn(int init = 0) {
-    Col c;
-    c.kind = Kind::kNode;
-    c.data = std::make_unique<std::vector<int>>(
-        static_cast<std::size_t>(graph_->nodeCount()), init);
-    cols_.push_back(std::move(c));
-    return NodeColumn(cols_.back().data.get());
+  /// Registers a column holding one value per processor, each starting
+  /// at domain.lo (the root at its pin).
+  [[nodiscard]] NodeColumn nodeColumn(Domain domain) {
+    NodeColumn col(addColumn(Kind::kNode, domain,
+                             static_cast<std::size_t>(graph_->nodeCount())));
+    if (domain.rootPin) col[graph_->root()] = *domain.rootPin;
+    return col;
   }
 
-  [[nodiscard]] PortColumn portColumn(int init = 0) {
-    Col c;
-    c.kind = Kind::kPort;
-    c.data =
-        std::make_unique<std::vector<int>>(graph_->portSlotCount(), init);
-    cols_.push_back(std::move(c));
-    return PortColumn(cols_.back().data.get(), graph_);
+  /// Registers a column holding one value per (processor, port) slot,
+  /// each starting at domain.lo (the root's at its pin).
+  [[nodiscard]] PortColumn portColumn(Domain domain) {
+    PortColumn col(addColumn(Kind::kPort, domain, graph_->portSlotCount()),
+                   graph_);
+    if (domain.rootPin)
+      for (int& v : col.row(graph_->root())) v = *domain.rootPin;
+    return col;
   }
 
   /// Registers a variable-length column; every processor starts with an
-  /// empty row.
+  /// empty row.  It carries no digits and draws nothing: a protocol with
+  /// one codes and draws its rows itself.
   [[nodiscard]] VarColumn varColumn() {
     Col c;
     c.kind = Kind::kVar;
@@ -244,6 +270,56 @@ class StateArena {
     return VarColumn(cols_.back().var.get());
   }
 
+  /// ---- Per-node codec and draws over the declared domains -------------
+  /// Processor p's digits are each node column's value, then port by
+  /// port each port column's entry, in registration order; the arena's
+  /// DigitOrder says whether the first is the least or the most
+  /// significant.  A digit has count(p) values; a column pinned at the
+  /// root is no digit there.
+
+  /// Number of p's local states in this arena: ∏ count(p) over its digits.
+  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const {
+    std::uint64_t count = 1;
+    forEachDigit(p, [&count](int&, int, std::uint32_t radix) {
+      count *= radix;
+    });
+    return count;
+  }
+
+  /// Adds p's code in this arena to `code` at place value `weight`, and
+  /// multiplies `weight` by localStateCount(p): a protocol folds its
+  /// arenas from the least significant up.
+  void encodeNode(NodeId p, std::uint64_t& code, std::uint64_t& weight) const {
+    forEachDigit(p, [&code, &weight](int& v, int lo, std::uint32_t radix) {
+      code += static_cast<std::uint64_t>(v - lo) * weight;
+      weight *= radix;
+    });
+  }
+
+  /// Writes p's digits from the low end of `code`; returns what is left
+  /// (code / localStateCount(p)) for the next, more significant arena.
+  std::uint64_t decodeNode(NodeId p, std::uint64_t code) {
+    forEachDigit(p, [&code](int& v, int lo, std::uint32_t radix) {
+      v = lo + static_cast<int>(code % radix);
+      code /= radix;
+    });
+    return code;
+  }
+
+  /// Draws p's values column by column in registration order, each
+  /// lo + rng.below(count(p)); pinned columns draw nothing at the root.
+  void randomizeNode(NodeId p, Rng& rng) {
+    const bool root = p == graph_->root();
+    const int deg = graph_->degree(p);
+    for (Col& c : cols_) {
+      if (c.kind == Kind::kVar || (root && c.domain.rootPin)) continue;
+      const int count = c.domain.base + c.domain.perDegree * deg;
+      for (const std::size_t slot : slots(c, p))
+        (*c.data)[slot] = c.domain.lo + rng.below(count);
+    }
+  }
+
+  /// ---- Raw form ---------------------------------------------------------
   /// Values in processor p's raw snapshot (columns in registration
   /// order; a port column contributes degree(p) values, a var column a
   /// length-prefixed row — i.e. state-dependent, see header comment).
@@ -265,96 +341,62 @@ class StateArena {
   }
 
   void appendRawNode(NodeId p, std::vector<int>& out) const {
-    for (const Col& c : cols_) {
-      switch (c.kind) {
-        case Kind::kNode:
-          out.push_back((*c.data)[static_cast<std::size_t>(p)]);
-          break;
-        case Kind::kPort: {
-          const std::size_t base = graph_->portBase(p);
-          const auto deg = static_cast<std::size_t>(graph_->degree(p));
-          out.insert(out.end(), c.data->begin() + static_cast<long>(base),
-                     c.data->begin() + static_cast<long>(base + deg));
-          break;
-        }
-        case Kind::kVar: {
-          const auto& s = c.var->slots[static_cast<std::size_t>(p)];
-          out.push_back(s.len);
-          out.insert(out.end(),
-                     c.var->pool.begin() + static_cast<long>(s.off),
-                     c.var->pool.begin() + static_cast<long>(s.off) +
-                         s.len);
-          break;
-        }
-      }
-    }
+    visitRawNode(p, [&out](int v) {
+      out.push_back(v);
+      return true;
+    });
   }
 
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const {
-    std::vector<int> out;
-    out.reserve(rawLength(p));
-    appendRawNode(p, out);
-    return out;
-  }
-
-  /// Calls fn(v) for each of p's raw values in rawNode order without
+  /// Calls fn(v) for each of p's raw values in raw order without
   /// materializing them, stopping as soon as fn returns false; returns
   /// whether every value was visited (the hashing and exact-compare
   /// primitive of core/orbit_index).
   template <class Fn>
   bool visitRawNode(NodeId p, Fn&& fn) const {
     for (const Col& c : cols_) {
-      switch (c.kind) {
-        case Kind::kNode:
-          if (!fn((*c.data)[static_cast<std::size_t>(p)])) return false;
-          break;
-        case Kind::kPort: {
-          const int* row = c.data->data() + graph_->portBase(p);
-          for (int l = 0; l < graph_->degree(p); ++l)
-            if (!fn(row[l])) return false;
-          break;
-        }
-        case Kind::kVar: {
-          const auto& s = c.var->slots[static_cast<std::size_t>(p)];
-          if (!fn(s.len)) return false;
-          const int* row = c.var->pool.data() + s.off;
-          for (int i = 0; i < s.len; ++i)
-            if (!fn(row[i])) return false;
-          break;
-        }
+      if (c.kind == Kind::kVar) {
+        const auto& s = c.var->slots[static_cast<std::size_t>(p)];
+        if (!fn(s.len)) return false;
+        const int* row = c.var->pool.data() + s.off;
+        for (int i = 0; i < s.len; ++i)
+          if (!fn(row[i])) return false;
+        continue;
       }
+      for (const std::size_t slot : slots(c, p))
+        if (!fn((*c.data)[slot])) return false;
     }
     return true;
   }
 
-  /// Inverse of rawNode.  Does NOT dirty anything (see header comment).
-  void setRawNode(NodeId p, std::span<const int> values) {
+  /// Reads p's raw form from the front of `values` and returns how many
+  /// values it took; pinned columns keep their pin at the root.  Does
+  /// NOT dirty anything (see header comment).
+  std::size_t readRawNode(NodeId p, std::span<const int> values) {
+    const bool root = p == graph_->root();
     std::size_t at = 0;
     for (Col& c : cols_) {
-      switch (c.kind) {
-        case Kind::kNode:
-          SSNO_EXPECTS(at < values.size());
-          (*c.data)[static_cast<std::size_t>(p)] = values[at++];
-          break;
-        case Kind::kPort: {
-          const std::size_t base = graph_->portBase(p);
-          const auto deg = static_cast<std::size_t>(graph_->degree(p));
-          SSNO_EXPECTS(at + deg <= values.size());
-          for (std::size_t l = 0; l < deg; ++l)
-            (*c.data)[base + l] = values[at++];
-          break;
-        }
-        case Kind::kVar: {
-          SSNO_EXPECTS(at < values.size());
-          const auto len = static_cast<std::size_t>(values[at++]);
-          SSNO_EXPECTS(at + len <= values.size());
-          VarColumn(c.var.get()).setRow(p, values.subspan(at, len));
-          at += len;
-          break;
-        }
+      if (c.kind == Kind::kVar) {
+        SSNO_EXPECTS(at < values.size());
+        const auto len = static_cast<std::size_t>(values[at++]);
+        SSNO_EXPECTS(at + len <= values.size());
+        VarColumn(c.var.get()).setRow(p, values.subspan(at, len));
+        at += len;
+        continue;
+      }
+      for (const std::size_t slot : slots(c, p)) {
+        SSNO_EXPECTS(at < values.size());
+        (*c.data)[slot] =
+            root && c.domain.rootPin ? *c.domain.rootPin : values[at];
+        ++at;
       }
     }
-    SSNO_EXPECTS(at == values.size());
+    return at;
+  }
+
+  /// Inverse of appendRawNode: `values` is exactly p's raw form.
+  void setRawNode(NodeId p, std::span<const int> values) {
+    const std::size_t used = readRawNode(p, values);
+    SSNO_EXPECTS(used == values.size());
   }
 
   /// ---- Column-batched multi-node snapshot/restore ---------------------
@@ -476,11 +518,83 @@ class StateArena {
   enum class Kind { kNode, kPort, kVar };
   struct Col {
     Kind kind = Kind::kNode;
+    Domain domain;                              // node/port columns
     std::unique_ptr<std::vector<int>> data;     // node/port columns
     std::unique_ptr<VarColumn::Store> var;      // var columns
   };
+
+  /// A node or port column as the codec reads it: flat, so a digit
+  /// costs one load of its value and no pointer chasing.
+  struct Digit {
+    int* values;  // the column's storage, fixed once registered
+    int lo;
+    int base;
+    int perDegree;
+    bool pinned;
+  };
+
+  std::vector<int>* addColumn(Kind kind, Domain domain, std::size_t size) {
+    Col c;
+    c.kind = kind;
+    c.domain = domain;
+    c.data = std::make_unique<std::vector<int>>(size, domain.lo);
+    // Kept least significant first: in a most-significant-first arena a
+    // later column is a lower digit.
+    std::vector<Digit>& digits =
+        kind == Kind::kNode ? nodeDigits_ : portDigits_;
+    const Digit digit{c.data->data(), domain.lo, domain.base,
+                      domain.perDegree, domain.rootPin.has_value()};
+    digits.insert(order_ == DigitOrder::kLeastFirst ? digits.end()
+                                                    : digits.begin(),
+                  digit);
+    cols_.push_back(std::move(c));
+    return cols_.back().data.get();
+  }
+
+  /// The slots of node or port column c that hold p's values.
+  [[nodiscard]] std::ranges::iota_view<std::size_t, std::size_t> slots(
+      const Col& c, NodeId p) const {
+    if (c.kind == Kind::kNode) {
+      const auto at = static_cast<std::size_t>(p);
+      return {at, at + 1};
+    }
+    const std::size_t base = graph_->portBase(p);
+    return {base, base + static_cast<std::size_t>(graph_->degree(p))};
+  }
+
+  /// fn(value, lo, count) on each of p's digits, least significant
+  /// first: the node digits, then port by port the port digits, in a
+  /// least-significant-first arena; the port digits from the last port
+  /// down, then the node digits, in a most-significant-first one.
+  template <class Fn>
+  void forEachDigit(NodeId p, Fn&& fn) const {
+    const bool root = p == graph_->root();
+    const int deg = graph_->degree(p);
+    const auto digit = [&](const Digit& d, std::size_t slot) {
+      if (root && d.pinned) return;
+      fn(d.values[slot], d.lo,
+         static_cast<std::uint32_t>(d.base + d.perDegree * deg));
+    };
+    const auto nodes = [&] {
+      for (const Digit& d : nodeDigits_) digit(d, static_cast<std::size_t>(p));
+    };
+    if (order_ == DigitOrder::kLeastFirst) nodes();
+    if (!portDigits_.empty()) {
+      const std::size_t base = graph_->portBase(p);
+      for (int i = 0; i < deg; ++i) {
+        const int l = order_ == DigitOrder::kLeastFirst ? i : deg - 1 - i;
+        for (const Digit& d : portDigits_)
+          digit(d, base + static_cast<std::size_t>(l));
+      }
+    }
+    if (order_ == DigitOrder::kMostFirst) nodes();
+  }
+
   const Graph* graph_;
+  DigitOrder order_;
   std::vector<Col> cols_;
+  std::vector<Digit> nodeDigits_;  // node and port columns by kind, each
+  std::vector<Digit> portDigits_;  // least significant first
 };
 
 }  // namespace ssno

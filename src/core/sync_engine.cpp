@@ -21,8 +21,7 @@ const obs::Counter kSyncUndos =
 }  // namespace
 
 SimultaneousEngine::SimultaneousEngine(Protocol& protocol)
-    : protocol_(protocol) {
-  protocol.collectArenas(arenas_);
+    : protocol_(protocol), arenas_(protocol.arenas()) {
   pre_.resize(arenas_.size());
   postData_.resize(arenas_.size());
 }
@@ -33,29 +32,7 @@ void SimultaneousEngine::execute(std::span<const Move> moves) {
   for (std::size_t i = 1; i < moves.size(); ++i)
     SSNO_ASSERT(moves[i - 1].node < moves[i].node);  // node-ascending
 #endif
-  if (!protocol_.guardsAreNeighborhoodLocal()) {
-    if (columnar()) {
-#ifndef NDEBUG
-      // Cross-check the write-logging path against the raw-vector
-      // full-configuration step, same pattern as below.
-      const std::vector<int> preCheck = protocol_.rawConfiguration();
-      executeRawFull(moves);
-      const std::vector<int> expected = protocol_.rawConfiguration();
-      protocol_.setRawConfiguration(preCheck);
-#endif
-      executeColumnarFull(moves);
-#ifndef NDEBUG
-      SSNO_ASSERT(protocol_.rawConfiguration() == expected);
-#endif
-    } else {
-      executeRawFull(moves);
-    }
-    return;
-  }
-  if (!columnar()) {
-    executeRawNeighborhood(moves);
-    return;
-  }
+  const bool local = protocol_.guardsAreNeighborhoodLocal();
 #ifndef NDEBUG
   // Cross-check: the columnar step must be bit-identical to the
   // raw-vector step.  Run the raw step first, note its post-step
@@ -63,11 +40,17 @@ void SimultaneousEngine::execute(std::span<const Move> moves) {
   // rewind dirties everything, which only makes the consumer's next
   // refresh a full (still canonical) rebuild.
   const std::vector<int> preCheck = protocol_.rawConfiguration();
-  executeRawNeighborhood(moves);
+  if (local)
+    executeRawNeighborhood(moves);
+  else
+    executeRawFull(moves);
   const std::vector<int> expected = protocol_.rawConfiguration();
   protocol_.setRawConfiguration(preCheck);
 #endif
-  executeColumnar(moves);
+  if (local)
+    executeColumnar(moves);
+  else
+    executeColumnarFull(moves);
 #ifndef NDEBUG
   SSNO_ASSERT(protocol_.rawConfiguration() == expected);
 #endif
@@ -121,7 +104,7 @@ void SimultaneousEngine::executeColumnar(std::span<const Move> moves) {
   protocol_.beginSimultaneousStep();
   if (protocol_.executeSimultaneousBatch(moves)) {
     protocol_.endSimultaneousStep();
-    last_ = undoCapture_ ? Mode::kColumnar : Mode::kNone;
+    undoable_ = undoCapture_;
     return;
   }
   // Rollback path: pre_ is read for the neighborhood rollbacks, so the
@@ -167,7 +150,7 @@ void SimultaneousEngine::executeColumnar(std::span<const Move> moves) {
     actorBits_.clear(static_cast<std::size_t>(actors_[j]));
     actorSlot_[static_cast<std::size_t>(actors_[j])] = -1;
   }
-  last_ = Mode::kColumnar;
+  undoable_ = true;
 }
 
 void SimultaneousEngine::executeColumnarFull(std::span<const Move> moves) {
@@ -204,7 +187,7 @@ void SimultaneousEngine::executeColumnarFull(std::span<const Move> moves) {
   for (std::size_t ci = 0; ci < captured_.size(); ++ci) restoreCapture(ci);
   kSyncRollbacks.inc(captured_.size());
   protocol_.endSimultaneousStep();
-  last_ = Mode::kColumnar;  // undo() restores the actors from pre_
+  undoable_ = true;  // undo() restores the actors from pre_
 }
 
 void SimultaneousEngine::executeRawNeighborhood(
@@ -240,8 +223,6 @@ void SimultaneousEngine::executeRawNeighborhood(
     protocol_.setRawNode(moves[i].node, postVec_[i]);
     actingIndex_[static_cast<std::size_t>(moves[i].node)] = -1;
   }
-  lastMoves_.assign(moves.begin(), moves.end());
-  last_ = Mode::kRaw;
 }
 
 void SimultaneousEngine::executeRawFull(std::span<const Move> moves) {
@@ -268,33 +249,19 @@ void SimultaneousEngine::executeRawFull(std::span<const Move> moves) {
         std::span<const int>(post).subspan(postOff_[i],
                                            postOff_[i + 1] - postOff_[i]));
   }
-  last_ = Mode::kRawFull;
 }
 
 void SimultaneousEngine::undo() {
   kSyncUndos.inc();
-  switch (last_) {
-    case Mode::kColumnar:
-      // Covers the neighborhood-local, batched, and full-configuration
-      // columnar paths alike: statements write only their own
-      // processor's variables, so restoring the acting set from pre_
-      // rewinds the whole step.
-      for (std::size_t a = 0; a < arenas_.size(); ++a)
-        arenas_[a]->restoreNodes(actors_, pre_[a]);
-      for (const NodeId p : actors_) protocol_.noteExternalWrite(p);
-      break;
-    case Mode::kRaw:
-      for (std::size_t i = 0; i < lastMoves_.size(); ++i)
-        protocol_.setRawNode(lastMoves_[i].node, preVec_[i]);
-      break;
-    case Mode::kRawFull:
-      protocol_.setRawConfiguration(preConfig_);
-      break;
-    case Mode::kNone:
-      SSNO_ASSERT(false);
-      break;
-  }
-  last_ = Mode::kNone;
+  SSNO_ASSERT(undoable_);
+  // Covers the neighborhood-local, batched, and full-configuration
+  // paths alike: statements write only their own processor's
+  // variables, so restoring the acting set from pre_ rewinds the whole
+  // step.
+  for (std::size_t a = 0; a < arenas_.size(); ++a)
+    arenas_[a]->restoreNodes(actors_, pre_[a]);
+  for (const NodeId p : actors_) protocol_.noteExternalWrite(p);
+  undoable_ = false;
 }
 
 }  // namespace ssno

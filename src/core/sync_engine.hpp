@@ -18,9 +18,8 @@
 //
 //   * column-batched snapshot/restore — the acting set's pre-step state
 //     is captured through StateArena::snapshotNodes (one tight loop per
-//     registered column, no per-node vectors) for protocols that opt in
-//     via Protocol::collectArenas; single-actor rollbacks restore one
-//     scratch slice per column;
+//     column of the protocol's declared arenas, no per-node vectors);
+//     single-actor rollbacks restore one scratch slice per column;
 //   * a WordBitset actor set — neighborhood-rollback membership tests
 //     are O(1) bit probes (moves arrive node-ascending, so "q acted
 //     before p" is just q < p);
@@ -48,15 +47,15 @@
 // execution — then re-apply the logged post states at the end (O(k·
 // state) instead of snapshotting and restoring every column per move).
 //
-// Protocols that register no arenas run the raw-vector step: per-actor
-// rawNode()/setRawNode() round-trips with immediate dirtying (or full-
-// configuration snapshots for non-local guards).  It is private, never
-// chosen for a protocol with arenas, and is the Debug reference for
-// every columnar step: Debug builds run it first, rewind, run the
-// columnar step and assert the two post-step configurations are
-// identical.  undo() restores the pre-step configuration of the last
-// step (with dirty notifications), which is what lets the model checker
-// expand synchronous successors in place.
+// Every protocol declares its whole state in arenas (Protocol::arenas;
+// one without state declares none), so every step is columnar.  The
+// raw-vector step — per-actor rawNode()/setRawNode() round-trips with
+// immediate dirtying, or full-configuration snapshots for non-local
+// guards — is kept only as the Debug reference: Debug builds run it
+// first, rewind, run the columnar step and assert the two post-step
+// configurations are identical.  undo() restores the pre-step
+// configuration of the last step (with dirty notifications), which is
+// what lets the model checker expand synchronous successors in place.
 #ifndef SSNO_CORE_SYNC_ENGINE_HPP
 #define SSNO_CORE_SYNC_ENGINE_HPP
 
@@ -72,16 +71,12 @@ namespace ssno {
 
 class SimultaneousEngine {
  public:
-  /// Collects the protocol's columnar arenas once; protocols that do
-  /// not opt in run on the raw-vector paths.
   explicit SimultaneousEngine(Protocol& protocol);
 
-  [[nodiscard]] bool columnar() const { return !arenas_.empty(); }
-
   /// Executes `moves` (node-ascending, at most one per processor, all
-  /// enabled) as one simultaneous step.  Dispatches to the columnar
-  /// fast path, the full-configuration path for non-neighborhood-local
-  /// guards, or the raw-vector path for protocols without arenas.
+  /// enabled) as one simultaneous step: the neighborhood-rollback path
+  /// (or the protocol's batch), or the write-logging path for
+  /// non-neighborhood-local guards.
   void execute(std::span<const Move> moves);
 
   /// Restores the configuration from before the last execute() call,
@@ -98,10 +93,9 @@ class SimultaneousEngine {
   void setUndoCapture(bool on) { undoCapture_ = on; }
 
  private:
-  enum class Mode { kNone, kColumnar, kRaw, kRawFull };
-
   void executeColumnar(std::span<const Move> moves);
   void executeColumnarFull(std::span<const Move> moves);
+  /// The Debug references the columnar steps are checked against.
   void executeRawNeighborhood(std::span<const Move> moves);
   void executeRawFull(std::span<const Move> moves);
 
@@ -111,8 +105,8 @@ class SimultaneousEngine {
   void restoreCapture(std::size_t ci);
 
   Protocol& protocol_;
-  std::vector<StateArena*> arenas_;
-  Mode last_ = Mode::kNone;
+  std::span<StateArena* const> arenas_;
+  bool undoable_ = false;  // pre_ holds the last step's actors
   bool undoCapture_ = true;
 
   // Columnar-path scratch (reused; no steady-state allocations).
@@ -126,13 +120,12 @@ class SimultaneousEngine {
   std::vector<NodeId> captured_;              // capture order
   std::vector<std::uint8_t> capturedFlag_;    // per actor slot
 
-  // Raw-vector step scratch.
+  // Raw-vector reference scratch.
   std::vector<int> preConfig_;  // full-configuration pre state
   std::vector<int> postFlat_;   // full-configuration post states
   std::vector<std::vector<int>> preVec_;
   std::vector<std::vector<int>> postVec_;
   std::vector<int> actingIndex_;  // node -> move index, or -1
-  std::vector<Move> lastMoves_;   // for undo()
 };
 
 }  // namespace ssno

@@ -9,13 +9,14 @@ namespace ssno {
 
 Dftc::Dftc(Graph graph)
     : Protocol(std::move(graph)),
-      arena_(this->graph()),
-      s_(arena_.nodeColumn(kIdle)),
-      col_(arena_.nodeColumn(0)),
-      d_(arena_.nodeColumn(0)),
-      par_(arena_.nodeColumn(0)) {
+      arena_(this->graph(), DigitOrder::kLeastFirst),
+      s_(arena_.nodeColumn({.lo = kIdle, .base = 1, .perDegree = 1})),
+      col_(arena_.nodeColumn({.base = 2})),
+      d_(arena_.nodeColumn({.base = this->graph().nodeCount(), .rootPin = 0})),
+      par_(arena_.nodeColumn({.perDegree = 1, .rootPin = 0})) {
   SSNO_EXPECTS(this->graph().nodeCount() >= 2);
   SSNO_EXPECTS(this->graph().isConnected());
+  addArena(arena_);
 }
 
 std::string Dftc::actionName(int action) const {
@@ -337,64 +338,6 @@ bool Dftc::holdsToken(NodeId p) const {
   for (int a = 0; a < kActionCount; ++a)
     if (enabled(p, a)) return true;
   return false;
-}
-
-void Dftc::doRandomizeNode(NodeId p, Rng& rng) {
-  // Variable-wise draws (localStateCount may exceed int range on large
-  // high-degree graphs).
-  s_[p] = rng.below(graph().degree(p) + 1) - 1;
-  col_[p] = rng.below(2);
-  if (p == graph().root()) return;
-  d_[p] = rng.below(graph().nodeCount());
-  par_[p] = rng.below(graph().degree(p));
-}
-
-std::vector<int> Dftc::rawNode(NodeId p) const { return arena_.rawNode(p); }
-
-void Dftc::doSetRawNode(NodeId p, std::span<const int> values) {
-  arena_.setRawNode(p, values);
-  // The root's depth/parent are semantically fixed; keep the stored
-  // representation canonical so raw-configuration identity is exact.
-  if (p == graph().root()) {
-    d_[p] = 0;
-    par_[p] = 0;
-  }
-}
-
-std::uint64_t Dftc::localStateCount(NodeId p) const {
-  const std::uint64_t deg = static_cast<std::uint64_t>(graph().degree(p));
-  const std::uint64_t n = static_cast<std::uint64_t>(graph().nodeCount());
-  if (p == graph().root()) return (deg + 1) * 2;  // s, col
-  return (deg + 1) * 2 * n * deg;                 // s, col, d, par
-}
-
-std::uint64_t Dftc::encodeNode(NodeId p) const {
-  const std::uint64_t deg = static_cast<std::uint64_t>(graph().degree(p));
-  const std::uint64_t sCode = static_cast<std::uint64_t>(s_[p] + 1);
-  const std::uint64_t colCode = static_cast<std::uint64_t>(col_[p]);
-  if (p == graph().root()) return sCode + (deg + 1) * colCode;
-  const std::uint64_t n = static_cast<std::uint64_t>(graph().nodeCount());
-  const std::uint64_t dCode = static_cast<std::uint64_t>(d_[p]);
-  const std::uint64_t parCode = static_cast<std::uint64_t>(par_[p]);
-  return sCode + (deg + 1) * (colCode + 2 * (dCode + n * parCode));
-}
-
-void Dftc::doDecodeNode(NodeId p, std::uint64_t code) {
-  SSNO_EXPECTS(code < localStateCount(p));
-  const std::uint64_t deg = static_cast<std::uint64_t>(graph().degree(p));
-  s_[p] = static_cast<int>(code % (deg + 1)) - 1;
-  code /= (deg + 1);
-  col_[p] = static_cast<int>(code % 2);
-  code /= 2;
-  if (p == graph().root()) {
-    d_[p] = 0;
-    par_[p] = 0;
-    return;
-  }
-  const std::uint64_t n = static_cast<std::uint64_t>(graph().nodeCount());
-  d_[p] = static_cast<int>(code % n);
-  code /= n;
-  par_[p] = static_cast<int>(code);
 }
 
 std::string Dftc::dumpNode(NodeId p) const {

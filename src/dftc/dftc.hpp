@@ -133,18 +133,7 @@ class Dftc final : public Protocol {
   /// guards (asserted per batch in Debug by EnabledCache).
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
-  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
-  void collectArenas(std::vector<StateArena*>& out) override {
-    out.push_back(&arena_);
-  }
-
-  /// Overlay protocols split their raw vectors at this boundary.
-  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const override {
-    return arena_.rawLength(p);
-  }
 
   // ---- Substrate-specific API ----
   void setHooks(TokenHooks hooks) { hooks_ = std::move(hooks); }
@@ -220,9 +209,6 @@ class Dftc final : public Protocol {
   /// hook firing after commits would read post-step state.  (DFTNO
   /// batches its own overlay instead of delegating here.)
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
-  void doRandomizeNode(NodeId p, Rng& rng) override;
-  void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
  private:
   static constexpr int kIdle = -1;
@@ -243,12 +229,12 @@ class Dftc final : public Protocol {
   [[nodiscard]] Port firstOfferingParentPort(NodeId p) const;
   [[nodiscard]] bool validParent(NodeId p) const;
 
-  // SoA state columns (registration order == raw layout {s, col, d, par}).
+  // SoA state columns {s, col, d, par}, s the least significant digit.
   StateArena arena_;
   NodeColumn s_;     // kIdle or port
   NodeColumn col_;   // 0/1
-  NodeColumn d_;     // 0..N-1 (root entry unused, kept 0)
-  NodeColumn par_;   // port (root entry unused, kept 0)
+  NodeColumn d_;     // 0..N-1 (root pinned at 0)
+  NodeColumn par_;   // port (root pinned at 0)
   TokenHooks hooks_;
   std::vector<SimOutcome> simScratch_;  // reused phase-1 buffer
   // Whole-configuration evaluateGuards scratch: per-node token-offer

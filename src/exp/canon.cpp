@@ -111,7 +111,7 @@ Scenario parseCanonicalScenario(const std::string& text) {
   s.adversary = kv["adversary"];
   s.lookahead = parseNumber<int>("lookahead", kv["lookahead"]);
   try {
-    validateMcLimits(s);
+    validateLimits(s);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("canonical scenario: ") +
                                 e.what());

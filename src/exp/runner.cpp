@@ -405,20 +405,19 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
     ids.reserve(static_cast<std::size_t>(n - 1));
     for (NodeId p = 0; p < n; ++p)
       if (p != g.root()) ids.push_back(p);
-    std::vector<int> raw(static_cast<std::size_t>(n) + 3, 0);
+    std::vector<int> raw;  // [par, has, len, entries...]
     for (int i = 0; i < perturb; ++i) {
       std::swap(ids[static_cast<std::size_t>(i)],
                 ids[static_cast<std::size_t>(
                     rng.between(i, static_cast<int>(ids.size()) - 1))]);
       const NodeId p = ids[static_cast<std::size_t>(i)];
-      std::fill(raw.begin(), raw.end(), 0);
-      raw[0] = rng.below(g.degree(p));
-      raw[1] = 1;
+      raw.clear();
+      raw.push_back(rng.below(g.degree(p)));
+      raw.push_back(1);
       const int len = 1 + rng.below(kWordCap);
-      raw[2] = len;
+      raw.push_back(len);
       for (int k2 = 0; k2 < len; ++k2)
-        raw[3 + static_cast<std::size_t>(k2)] =
-            rng.below(std::max(1, g.maxDegree()));
+        raw.push_back(rng.below(std::max(1, g.maxDegree())));
       lex.setRawNode(p, raw);
     }
     auto daemon = makeDaemon(s.daemon);
@@ -430,16 +429,19 @@ TrialResult schedulerTrial(const Graph& g, const Scenario& s,
 
 }  // namespace
 
-void validateMcLimits(const Scenario& s) {
+void validateLimits(const Scenario& s) {
   if (s.mcThreads < 0)
     throw std::invalid_argument(
         "mc-threads must be >= 0 (0 = the usable cores), got " +
         std::to_string(s.mcThreads));
-  if (s.protocol == ProtocolKind::kModelCheck && s.budget <= 0)
+  if (s.budget > 0) return;
+  if (s.protocol == ProtocolKind::kModelCheck)
     throw std::invalid_argument(
         "model-check budget must be positive (it caps the explored "
         "states), got " +
         std::to_string(s.budget));
+  throw std::invalid_argument("budget must be positive, got " +
+                              std::to_string(s.budget));
 }
 
 namespace {
@@ -460,7 +462,7 @@ bool sameResult(const mc::Result& a, const mc::Result& b) {
 /// over the 1-thread states/sec.
 TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
                             std::uint64_t) {
-  validateMcLimits(s);  // overrides reach here without a parse
+  validateLimits(s);  // overrides reach here without a parse
   auto factory = [&g, &s]() -> std::unique_ptr<Protocol> {
     switch (s.mcTarget) {
       case McTarget::kDftc:

@@ -511,7 +511,7 @@ std::vector<Scenario> loadScenarios(std::istream& in) {
     }
     if (s.trials <= 0) throw fail("trials must be positive");
     try {
-      validateMcLimits(s);
+      validateLimits(s);
     } catch (const std::invalid_argument& e) {
       throw fail(e.what());
     }

@@ -9,11 +9,12 @@ namespace ssno {
 
 InitBasedOrientation::InitBasedOrientation(Graph graph)
     : Protocol(std::move(graph)),
-      arena_(this->graph()),
-      done_(arena_.nodeColumn(0)),
-      numbered_(arena_.nodeColumn(0)),
-      eta_(arena_.nodeColumn(0)),
-      pi_(arena_.portColumn(0)) {
+      arena_(this->graph(), DigitOrder::kMostFirst),
+      done_(arena_.nodeColumn({.base = 2})),
+      numbered_(arena_.nodeColumn({.base = 2})),
+      eta_(arena_.nodeColumn({.base = modulus()})),
+      pi_(arena_.portColumn({.base = modulus()})) {
+  addArena(arena_);
   preorder_ = portOrderDfsPreorder(this->graph());
   const std::size_t n = static_cast<std::size_t>(this->graph().nodeCount());
   successor_.assign(n, kNoNode);
@@ -65,56 +66,6 @@ void InitBasedOrientation::doExecute(NodeId p, int action) {
         chordalDistance(eta_[p], eta_[q], modulus());
   }
   done_[p] = 1;
-}
-
-void InitBasedOrientation::doRandomizeNode(NodeId p, Rng& rng) {
-  done_[p] = rng.below(2);
-  numbered_[p] = rng.below(2);
-  eta_[p] = rng.below(modulus());
-  for (auto& v : pi_.row(p)) v = rng.below(modulus());
-}
-
-std::uint64_t InitBasedOrientation::localStateCount(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t count = 4 * nn;  // done, numbered, eta
-  for (Port l = 0; l < graph().degree(p); ++l) count *= nn;
-  return count;
-}
-
-std::uint64_t InitBasedOrientation::encodeNode(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t code = static_cast<std::uint64_t>(done_[p]);
-  code = code * 2 + static_cast<std::uint64_t>(numbered_[p]);
-  code = code * nn + static_cast<std::uint64_t>(eta_[p]);
-  for (int v : pi_.row(p)) code = code * nn + static_cast<std::uint64_t>(v);
-  return code;
-}
-
-void InitBasedOrientation::doDecodeNode(NodeId p, std::uint64_t code) {
-  SSNO_EXPECTS(code < localStateCount(p));
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  for (Port l = graph().degree(p) - 1; l >= 0; --l) {
-    pi_.at(p, l) = static_cast<int>(code % nn);
-    code /= nn;
-  }
-  eta_[p] = static_cast<int>(code % nn);
-  code /= nn;
-  numbered_[p] = static_cast<int>(code % 2);
-  code /= 2;
-  done_[p] = static_cast<int>(code);
-}
-
-std::vector<int> InitBasedOrientation::rawNode(NodeId p) const {
-  return arena_.rawNode(p);
-}
-
-std::size_t InitBasedOrientation::rawNodeLength(NodeId p) const {
-  return arena_.rawLength(p);
-}
-
-void InitBasedOrientation::doSetRawNode(NodeId p,
-                                        std::span<const int> values) {
-  arena_.setRawNode(p, values);
 }
 
 std::string InitBasedOrientation::dumpNode(NodeId p) const {

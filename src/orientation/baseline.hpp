@@ -42,14 +42,7 @@ class InitBasedOrientation final : public Protocol {
   [[nodiscard]] bool guardsAreNeighborhoodLocal() const override {
     return false;
   }
-  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
-  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
-  void collectArenas(std::vector<StateArena*>& out) override {
-    out.push_back(&arena_);
-  }
 
   // ---- Orientation API ----
   [[nodiscard]] int modulus() const { return graph().nodeCount(); }
@@ -66,9 +59,6 @@ class InitBasedOrientation final : public Protocol {
  protected:
   // ---- Protocol mutation hooks ----
   void doExecute(NodeId p, int action) override;
-  void doRandomizeNode(NodeId p, Rng& rng) override;
-  void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
   /// The Number guard at p reads the `numbered` flag of p's preorder
   /// predecessor, which is generally NOT a neighbor (the wave order is a
@@ -86,7 +76,8 @@ class InitBasedOrientation final : public Protocol {
   // successor_[p]: the node whose preorder index is preorder_[p]+1
   // (kNoNode for the last node) — the extra guard dependency above.
   std::vector<NodeId> successor_;
-  // SoA state columns (raw layout {done, numbered, η, π row}).
+  // SoA state columns {done, numbered, η, π row}, done the most
+  // significant digit.
   StateArena arena_;
   // done: this processor finished both phases and will never act again.
   NodeColumn done_;

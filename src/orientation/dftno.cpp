@@ -13,10 +13,12 @@ Dftno::Dftno(Graph graph, EdgeLabelGuard guard)
     : Protocol(graph),
       dftc_(graph),
       guard_(guard),
-      arena_(this->graph()),
-      eta_(arena_.nodeColumn(0)),
-      max_(arena_.nodeColumn(0)),
-      pi_(arena_.portColumn(0)) {
+      arena_(this->graph(), DigitOrder::kMostFirst),
+      eta_(arena_.nodeColumn({.base = modulus()})),
+      max_(arena_.nodeColumn({.base = modulus()})),
+      pi_(arena_.portColumn({.base = modulus()})) {
+  addArenas(dftc_);
+  addArena(arena_);
   installHooks();
 }
 
@@ -164,46 +166,6 @@ bool Dftno::doExecuteSimultaneous(std::span<const Move> moves) {
   return true;
 }
 
-void Dftno::doRandomizeNode(NodeId p, Rng& rng) {
-  dftc_.randomizeNode(p, rng);
-  eta_[p] = rng.below(modulus());
-  max_[p] = rng.below(modulus());
-  for (auto& v : pi_.row(p)) v = rng.below(modulus());
-}
-
-std::uint64_t Dftno::localStateCount(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t overlay = nn * nn;  // η, Max
-  for (Port l = 0; l < graph().degree(p); ++l) overlay *= nn;  // π entries
-  return dftc_.localStateCount(p) * overlay;
-}
-
-std::uint64_t Dftno::encodeNode(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t overlay = static_cast<std::uint64_t>(eta_[p]);
-  overlay = overlay * nn + static_cast<std::uint64_t>(max_[p]);
-  for (Port l = 0; l < graph().degree(p); ++l)
-    overlay =
-        overlay * nn +
-        static_cast<std::uint64_t>(pi_.at(p, l));
-  return dftc_.encodeNode(p) + dftc_.localStateCount(p) * overlay;
-}
-
-void Dftno::doDecodeNode(NodeId p, std::uint64_t code) {
-  SSNO_EXPECTS(code < localStateCount(p));
-  const std::uint64_t base = dftc_.localStateCount(p);
-  dftc_.decodeNode(p, code % base);
-  std::uint64_t overlay = code / base;
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  for (Port l = graph().degree(p) - 1; l >= 0; --l) {
-    pi_.at(p, l) = static_cast<int>(overlay % nn);
-    overlay /= nn;
-  }
-  max_[p] = static_cast<int>(overlay % nn);
-  overlay /= nn;
-  eta_[p] = static_cast<int>(overlay);
-}
-
 std::string Dftno::dumpNode(NodeId p) const {
   std::ostringstream out;
   out << dftc_.dumpNode(p) << " eta=" << eta_[p] << " max=" << max_[p]
@@ -228,26 +190,6 @@ Orientation Dftno::orientation() const {
 bool Dftno::satisfiesSpecNow() const {
   const Orientation o = orientation();
   return satisfiesSpec(o);
-}
-
-std::vector<int> Dftno::rawNode(NodeId p) const {
-  std::vector<int> out = dftc_.rawNode(p);
-  out.push_back(eta_[p]);
-  out.push_back(max_[p]);
-  out.insert(out.end(), pi_.row(p).begin(), pi_.row(p).end());
-  return out;
-}
-
-void Dftno::doSetRawNode(NodeId p, std::span<const int> values) {
-  const std::size_t subLen = dftc_.rawNodeLength(p);
-  SSNO_EXPECTS(values.size() ==
-               subLen + 2 + static_cast<std::size_t>(graph().degree(p)));
-  dftc_.setRawNode(p, values.subspan(0, subLen));
-  eta_[p] = values[subLen];
-  max_[p] = values[subLen + 1];
-  for (Port l = 0; l < graph().degree(p); ++l)
-    pi_.at(p, l) =
-        values[subLen + 2 + static_cast<std::size_t>(l)];
 }
 
 void Dftno::resetClean() {

@@ -73,18 +73,7 @@ class Dftno final : public Protocol {
   /// guard evaluations.
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
-  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
-  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const override {
-    return dftc_.rawNodeLength(p) + 2 +
-           static_cast<std::size_t>(graph().degree(p));
-  }
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
-  void collectArenas(std::vector<StateArena*>& out) override {
-    dftc_.collectArenas(out);
-    out.push_back(&arena_);
-  }
 
   // ---- Orientation API ----
   /// The modulus N every node knows (here: the exact node count).
@@ -155,9 +144,6 @@ class Dftno final : public Protocol {
   /// moves), phase 2 commits — the whole dense step without the
   /// engine's per-move snapshot/rollback schedule.
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
-  void doRandomizeNode(NodeId p, Rng& rng) override;
-  void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
  private:
   [[nodiscard]] int chordal(NodeId p, NodeId q) const {
@@ -169,7 +155,8 @@ class Dftno final : public Protocol {
 
   Dftc dftc_;
   EdgeLabelGuard guard_;
-  // SoA overlay columns (raw layout: substrate ++ {η, Max, π row}).
+  // SoA overlay columns {η, Max, π row}, η the most significant digit,
+  // declared after the substrate's arena.
   StateArena arena_;
   NodeColumn eta_;   // η_p ∈ 0..N−1
   NodeColumn max_;   // Max_p ∈ 0..N−1

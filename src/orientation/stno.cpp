@@ -11,24 +11,27 @@ namespace ssno {
 
 Stno::Stno(Graph graph)
     : Protocol(graph),
-      arena_(this->graph()),
-      weight_(arena_.nodeColumn(1)),
-      eta_(arena_.nodeColumn(0)),
-      start_(arena_.portColumn(0)),
-      pi_(arena_.portColumn(0)) {
+      arena_(this->graph(), DigitOrder::kMostFirst),
+      weight_(arena_.nodeColumn({.lo = 1, .base = modulus()})),
+      eta_(arena_.nodeColumn({.base = modulus()})),
+      start_(arena_.portColumn({.base = modulus()})),
+      pi_(arena_.portColumn({.base = modulus()})) {
   bfs_ = std::make_unique<BfsTree>(this->graph());
   view_ = bfs_.get();
+  addArenas(*bfs_);
+  addArena(arena_);
 }
 
 Stno::Stno(Graph graph, const std::vector<NodeId>& fixedParents)
     : Protocol(graph),
-      arena_(this->graph()),
-      weight_(arena_.nodeColumn(1)),
-      eta_(arena_.nodeColumn(0)),
-      start_(arena_.portColumn(0)),
-      pi_(arena_.portColumn(0)) {
+      arena_(this->graph(), DigitOrder::kMostFirst),
+      weight_(arena_.nodeColumn({.lo = 1, .base = modulus()})),
+      eta_(arena_.nodeColumn({.base = modulus()})),
+      start_(arena_.portColumn({.base = modulus()})),
+      pi_(arena_.portColumn({.base = modulus()})) {
   fixed_ = std::make_unique<FixedTree>(this->graph(), fixedParents);
   view_ = fixed_.get();
+  addArena(arena_);
 }
 
 std::string Stno::actionName(int action) const {
@@ -210,79 +213,6 @@ void Stno::doExecute(NodeId p, int action) {
     default:
       SSNO_ASSERT(false);
   }
-}
-
-void Stno::doRandomizeNode(NodeId p, Rng& rng) {
-  if (bfs_ != nullptr) bfs_->randomizeNode(p, rng);
-  weight_[p] = rng.between(1, graph().nodeCount());
-  eta_[p] = rng.below(modulus());
-  for (auto& v : start_.row(p)) v = rng.below(modulus());
-  for (auto& v : pi_.row(p)) v = rng.below(modulus());
-}
-
-std::vector<int> Stno::rawNode(NodeId p) const {
-  std::vector<int> out = bfs_ ? bfs_->rawNode(p) : std::vector<int>{};
-  out.push_back(weight_[p]);
-  out.push_back(eta_[p]);
-  out.insert(out.end(), start_.row(p).begin(), start_.row(p).end());
-  out.insert(out.end(), pi_.row(p).begin(), pi_.row(p).end());
-  return out;
-}
-
-void Stno::doSetRawNode(NodeId p, std::span<const int> values) {
-  const std::size_t subLen = bfs_ ? bfs_->rawNodeLength(p) : 0;
-  const std::size_t deg = static_cast<std::size_t>(graph().degree(p));
-  SSNO_EXPECTS(values.size() == subLen + 2 + 2 * deg);
-  if (bfs_) bfs_->setRawNode(p, values.subspan(0, subLen));
-  weight_[p] = values[subLen];
-  eta_[p] = values[subLen + 1];
-  for (std::size_t l = 0; l < deg; ++l) {
-    start_.at(p, static_cast<Port>(l)) = values[subLen + 2 + l];
-    pi_.at(p, static_cast<Port>(l)) = values[subLen + 2 + deg + l];
-  }
-}
-
-std::uint64_t Stno::localStateCount(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t overlay = nn * nn;  // Weight, η
-  for (Port l = 0; l < graph().degree(p); ++l) overlay *= nn * nn;  // Start, π
-  const std::uint64_t base = bfs_ ? bfs_->localStateCount(p) : 1;
-  return base * overlay;
-}
-
-std::uint64_t Stno::encodeNode(NodeId p) const {
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  std::uint64_t overlay = static_cast<std::uint64_t>(weight_[p] - 1);
-  overlay = overlay * nn + static_cast<std::uint64_t>(eta_[p]);
-  for (Port l = 0; l < graph().degree(p); ++l) {
-    overlay = overlay * nn +
-              static_cast<std::uint64_t>(
-                  start_.at(p, l));
-    overlay =
-        overlay * nn +
-        static_cast<std::uint64_t>(pi_.at(p, l));
-  }
-  const std::uint64_t base = bfs_ ? bfs_->localStateCount(p) : 1;
-  const std::uint64_t sub = bfs_ ? bfs_->encodeNode(p) : 0;
-  return sub + base * overlay;
-}
-
-void Stno::doDecodeNode(NodeId p, std::uint64_t code) {
-  SSNO_EXPECTS(code < localStateCount(p));
-  const std::uint64_t base = bfs_ ? bfs_->localStateCount(p) : 1;
-  if (bfs_ != nullptr) bfs_->decodeNode(p, code % base);
-  std::uint64_t overlay = code / base;
-  const std::uint64_t nn = static_cast<std::uint64_t>(modulus());
-  for (Port l = graph().degree(p) - 1; l >= 0; --l) {
-    pi_.at(p, l) = static_cast<int>(overlay % nn);
-    overlay /= nn;
-    start_.at(p, l) =
-        static_cast<int>(overlay % nn);
-    overlay /= nn;
-  }
-  eta_[p] = static_cast<int>(overlay % nn);
-  overlay /= nn;
-  weight_[p] = static_cast<int>(overlay) + 1;
 }
 
 std::string Stno::dumpNode(NodeId p) const {

@@ -82,18 +82,7 @@ class Stno final : public Protocol {
   /// scan — vs four virtual enabled() calls each re-walking children.
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
-  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
-  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const override {
-    return (bfs_ ? bfs_->rawNodeLength(p) : 0) + 2 +
-           2 * static_cast<std::size_t>(graph().degree(p));
-  }
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
-  void collectArenas(std::vector<StateArena*>& out) override {
-    if (bfs_) bfs_->collectArenas(out);
-    out.push_back(&arena_);
-  }
 
   // ---- Orientation API ----
   [[nodiscard]] int modulus() const { return graph().nodeCount(); }
@@ -135,9 +124,6 @@ class Stno final : public Protocol {
  protected:
   // ---- Protocol mutation hooks ----
   void doExecute(NodeId p, int action) override;
-  void doRandomizeNode(NodeId p, Rng& rng) override;
-  void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
  private:
   /// Allocation-free child test used by the hot guard paths.
@@ -157,7 +143,9 @@ class Stno final : public Protocol {
   std::unique_ptr<FixedTree> fixed_;    // null in substrate mode
   TreeView* view_ = nullptr;
 
-  // SoA overlay columns (raw layout: substrate ++ {W, η, Start row, π row}).
+  // SoA overlay columns {W, η, Start row, π row}, W the most significant
+  // digit and the port columns' digits interleaved by port, declared
+  // after the substrate's arena.
   StateArena arena_;
   NodeColumn weight_;  // 1..N
   NodeColumn eta_;     // 0..N−1

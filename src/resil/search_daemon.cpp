@@ -137,35 +137,24 @@ double SearchingDaemon::scoreLookahead(const Move& m) {
 }
 
 void SearchingDaemon::saveConfiguration() {
-  if (!arenasCollected_) {
-    arenas_.clear();
-    protocol_->collectArenas(arenas_);
-    scratch_.resize(arenas_.size());
-    arenasCollected_ = true;
-  }
+  const std::span<StateArena* const> arenas = protocol_->arenas();
+  scratch_.resize(arenas.size());
   const auto n = static_cast<std::size_t>(protocol_->graph().nodeCount());
   if (allNodes_.size() != n) {
     allNodes_.resize(n);
     std::iota(allNodes_.begin(), allNodes_.end(), 0);
   }
-  if (!arenas_.empty()) {
-    for (std::size_t i = 0; i < arenas_.size(); ++i)
-      arenas_[i]->snapshotNodes(allNodes_, scratch_[i]);
-  } else {
-    savedConfig_ = protocol_->rawConfiguration();
-  }
+  for (std::size_t i = 0; i < arenas.size(); ++i)
+    arenas[i]->snapshotNodes(allNodes_, scratch_[i]);
 }
 
 void SearchingDaemon::restoreConfiguration() {
-  if (!arenas_.empty()) {
-    for (std::size_t i = 0; i < arenas_.size(); ++i)
-      arenas_[i]->restoreNodes(allNodes_, scratch_[i]);
-    // Arena restores bypass the mutation wrappers; re-dirty everything
-    // the rollout may have touched (deduplicated by the dirty flags).
-    for (const NodeId p : allNodes_) protocol_->noteExternalWrite(p);
-  } else {
-    protocol_->setRawConfiguration(savedConfig_);
-  }
+  const std::span<StateArena* const> arenas = protocol_->arenas();
+  for (std::size_t i = 0; i < arenas.size(); ++i)
+    arenas[i]->restoreNodes(allNodes_, scratch_[i]);
+  // Arena restores bypass the mutation wrappers; re-dirty everything
+  // the rollout may have touched (deduplicated by the dirty flags).
+  for (const NodeId p : allNodes_) protocol_->noteExternalWrite(p);
 }
 
 void ReplayDaemon::selectInto(const EnabledView& enabled, Rng& /*rng*/,

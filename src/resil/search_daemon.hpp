@@ -11,9 +11,9 @@
 //    write only the actor's own variables, so a single-node restore is
 //    a bit-exact undo);
 //  * bounded lookahead (lookahead = k >= 1): snapshot the whole
-//    configuration through the protocol's StateArena columns (raw
-//    vectors when no arenas are registered), roll each candidate out k
-//    further inner-greedy moves, score the final potential, restore.
+//    configuration through the protocol's StateArena columns, roll each
+//    candidate out k further inner-greedy moves, score the final
+//    potential, restore.
 //
 // The search is deterministic and consumes NO randomness: ties break
 // toward the first candidate in node-major order, so the same seed
@@ -93,11 +93,8 @@ class SearchingDaemon final : public Daemon {
   // Reused buffers.
   std::vector<Move> viewMoves_;   // selectInto's materialized candidates
   std::vector<Move> rollout_;     // inner-rollout enabled moves
-  bool arenasCollected_ = false;
-  std::vector<StateArena*> arenas_;
-  std::vector<StateArena::Scratch> scratch_;
+  std::vector<StateArena::Scratch> scratch_;  // per arena
   std::vector<NodeId> allNodes_;  // identity list for arena snapshots
-  std::vector<int> savedConfig_;  // raw fallback snapshot
 };
 
 /// Serves a prerecorded schedule move by move; the certification

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exp/report.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
@@ -58,7 +59,8 @@ JsonValue::Object errorObject(const std::string& what) {
 }
 
 /// Applies exp_cli's override semantics (including the preset rate
-/// relabel) so a served sweep and a CLI sweep stay name-compatible.
+/// relabel and the limit checks) so a served sweep and a CLI sweep stay
+/// name-compatible.
 void applyOverrides(const JsonValue& req, std::vector<exp::Scenario>* out) {
   const JsonValue* trials = req.find("trials");
   const JsonValue* seed = req.find("seed");
@@ -76,6 +78,7 @@ void applyOverrides(const JsonValue& req, std::vector<exp::Scenario>* out) {
         s.name = label.str();
       }
     }
+    exp::validateLimits(s);
   }
 }
 

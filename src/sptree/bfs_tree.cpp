@@ -11,11 +11,13 @@ namespace ssno {
 
 BfsTree::BfsTree(Graph graph)
     : Protocol(std::move(graph)),
-      arena_(this->graph()),
-      dist_(arena_.nodeColumn(1)),
-      par_(arena_.nodeColumn(0)) {
+      arena_(this->graph(), DigitOrder::kLeastFirst),
+      dist_(arena_.nodeColumn(
+          {.lo = 1, .base = this->graph().nodeCount() - 1, .rootPin = 0})),
+      par_(arena_.nodeColumn({.perDegree = 1, .rootPin = 0})) {
   SSNO_EXPECTS(this->graph().nodeCount() >= 2);
   SSNO_EXPECTS(this->graph().isConnected());
+  addArena(arena_);
   // A deterministic (still possibly illegitimate) initial state; tests
   // that need adversarial states call randomize().
 }
@@ -79,52 +81,6 @@ void BfsTree::doExecute(NodeId p, int action) {
   dist_[p] =
       std::min(m + 1, graph().nodeCount() - 1);
   par_[p] = firstMinPort(p);
-}
-
-void BfsTree::doRandomizeNode(NodeId p, Rng& rng) {
-  if (p == graph().root()) return;
-  dist_[p] = rng.between(1, graph().nodeCount() - 1);
-  par_[p] = rng.below(graph().degree(p));
-}
-
-std::vector<int> BfsTree::rawNode(NodeId p) const {
-  if (p == graph().root()) return {};
-  return {dist_[p],
-          par_[p]};
-}
-
-void BfsTree::doSetRawNode(NodeId p, std::span<const int> values) {
-  if (p == graph().root()) {
-    SSNO_EXPECTS(values.empty());
-    return;
-  }
-  SSNO_EXPECTS(values.size() == 2);
-  dist_[p] = values[0];
-  par_[p] = values[1];
-}
-
-std::uint64_t BfsTree::localStateCount(NodeId p) const {
-  if (p == graph().root()) return 1;  // the root stores nothing
-  // dist ∈ {1..N−1}, par ∈ {0..Δp−1}
-  return static_cast<std::uint64_t>(graph().nodeCount() - 1) *
-         static_cast<std::uint64_t>(graph().degree(p));
-}
-
-std::uint64_t BfsTree::encodeNode(NodeId p) const {
-  if (p == graph().root()) return 0;
-  const std::uint64_t dCode =
-      static_cast<std::uint64_t>(dist_[p] - 1);
-  const std::uint64_t parCode =
-      static_cast<std::uint64_t>(par_[p]);
-  return dCode + static_cast<std::uint64_t>(graph().nodeCount() - 1) * parCode;
-}
-
-void BfsTree::doDecodeNode(NodeId p, std::uint64_t code) {
-  SSNO_EXPECTS(code < localStateCount(p));
-  if (p == graph().root()) return;
-  const std::uint64_t base = static_cast<std::uint64_t>(graph().nodeCount() - 1);
-  dist_[p] = static_cast<int>(code % base) + 1;
-  par_[p] = static_cast<int>(code / base);
 }
 
 std::string BfsTree::dumpNode(NodeId p) const {

@@ -45,18 +45,7 @@ class BfsTree final : public Protocol, public TreeView {
   /// the virtual call).  Bit-identical to enabled() per Debug asserts.
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
-  [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
-  void collectArenas(std::vector<StateArena*>& out) override {
-    out.push_back(&arena_);
-  }
-
-  /// The root snapshots empty; overlay protocols split here.
-  [[nodiscard]] std::size_t rawNodeLength(NodeId p) const override {
-    return p == graph().root() ? 0 : 2;
-  }
 
   // ---- TreeView interface ----
   [[nodiscard]] Port parentPort(NodeId p) const override;
@@ -84,18 +73,15 @@ class BfsTree final : public Protocol, public TreeView {
  protected:
   // ---- Protocol mutation hooks ----
   void doExecute(NodeId p, int action) override;
-  void doRandomizeNode(NodeId p, Rng& rng) override;
-  void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
  private:
   [[nodiscard]] int minNeighborDist(NodeId p) const;
   [[nodiscard]] Port firstMinPort(NodeId p) const;
 
-  // SoA state columns (raw layout {dist, par}; root snapshots empty).
+  // SoA state columns {dist, par}, dist the least significant digit.
   StateArena arena_;
-  NodeColumn dist_;  // root entry unused (kept 0)
-  NodeColumn par_;   // port; root entry unused (kept 0)
+  NodeColumn dist_;  // 1..N−1 (root pinned at 0)
+  NodeColumn par_;   // port (root pinned at 0)
   std::unique_ptr<GuardCounts> fixes_;  // processors with Fix enabled
 };
 

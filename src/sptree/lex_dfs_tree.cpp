@@ -10,14 +10,14 @@ namespace ssno {
 
 LexDfsTree::LexDfsTree(Graph graph)
     : Protocol(std::move(graph)),
-      arena_(this->graph()),
-      par_(arena_.nodeColumn(0)),
-      has_(arena_.nodeColumn(0)),
+      arena_(this->graph(), DigitOrder::kLeastFirst),
+      par_(arena_.nodeColumn({.perDegree = 1, .rootPin = 0})),
+      has_(arena_.nodeColumn({.base = 2, .rootPin = 1})),
       word_(arena_.varColumn()) {
   SSNO_EXPECTS(this->graph().nodeCount() >= 2);
   SSNO_EXPECTS(this->graph().isConnected());
   maxDegree_ = this->graph().maxDegree();
-  has_[this->graph().root()] = 1;  // the root's word is ε, permanently
+  addArena(arena_);
 }
 
 std::string LexDfsTree::actionName(int action) const {
@@ -175,35 +175,6 @@ void LexDfsTree::doDecodeNode(NodeId p, std::uint64_t code) {
   }
   has_[p] = 1;
   word_.setRow(p, scratch_);
-}
-
-std::vector<int> LexDfsTree::rawNode(NodeId p) const {
-  // Layout: [par, hasWord, len, entries...] padded to fixed length n+3.
-  const int n = graph().nodeCount();
-  std::vector<int> out(static_cast<std::size_t>(n) + 3, 0);
-  out[0] = par_[p];
-  out[1] = has_[p] ? 1 : 0;
-  if (has_[p]) {
-    const std::span<const int> w = word_.row(p);
-    out[2] = static_cast<int>(w.size());
-    std::copy(w.begin(), w.end(), out.begin() + 3);
-  }
-  return out;
-}
-
-void LexDfsTree::doSetRawNode(NodeId p, std::span<const int> values) {
-  SSNO_EXPECTS(values.size() ==
-               static_cast<std::size_t>(graph().nodeCount()) + 3);
-  if (p == graph().root()) return;  // hard-wired ε
-  par_[p] = values[0];
-  if (values[1] == 0) {
-    has_[p] = 0;
-    word_.setRow(p, {});
-    return;
-  }
-  const auto len = static_cast<std::size_t>(values[2]);
-  has_[p] = 1;
-  word_.setRow(p, values.subspan(3, len));
 }
 
 std::string LexDfsTree::dumpNode(NodeId p) const {

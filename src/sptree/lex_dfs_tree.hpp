@@ -53,21 +53,16 @@ class LexDfsTree final : public Protocol, public TreeView {
   // a "batch" version would just re-run the scalar comparisons with no
   // shared loads to fuse.  The scalar default is the right path here.
   [[nodiscard]] bool enabled(NodeId p, int action) const override;
+  /// The word is no per-node range, so the codec is hand-written: the
+  /// parent port is the least significant digit, then the word's index
+  /// (⊤, then words by length, each length block in base-Δmax order).
   [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override;
   [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override;
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override;
-  [[nodiscard]] std::size_t rawNodeLength(NodeId) const override {
-    return static_cast<std::size_t>(graph().nodeCount()) + 3;
-  }
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
 
   // ---- TreeView interface ----
   [[nodiscard]] Port parentPort(NodeId p) const override;
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
-
-  void collectArenas(std::vector<StateArena*>& out) override {
-    out.push_back(&arena_);
-  }
 
   // ---- Substrate-specific API ----
   /// ⊤ (no valid path known) is represented as an absent word.
@@ -93,9 +88,10 @@ class LexDfsTree final : public Protocol, public TreeView {
  protected:
   // ---- Protocol mutation hooks ----
   void doExecute(NodeId p, int action) override;
+  /// Non-uniform: ⊤ with probability 0.15, else a random length and
+  /// random entries, then the parent port.
   void doRandomizeNode(NodeId p, Rng& rng) override;
   void doDecodeNode(NodeId p, std::uint64_t code) override;
-  void doSetRawNode(NodeId p, std::span<const int> values) override;
 
  private:
   /// A candidate word w_q ⊕ port_q(p), represented without
@@ -114,12 +110,14 @@ class LexDfsTree final : public Protocol, public TreeView {
   /// Does p's current word equal the candidate?
   [[nodiscard]] bool wordEquals(NodeId p, const Cand& c) const;
 
-  // Per node: the path word (has=0 is ⊤; entries in a paged VarColumn
-  // pool — variable length up to N−1, so a fixed-stride column would
-  // cost O(n²) ints) and the parent port.
+  // Per node: the parent port and the path word (has=0 is ⊤; entries in
+  // a paged VarColumn pool — variable length up to N−1, so a fixed-
+  // stride column would cost O(n²) ints).  The raw form is
+  // [par, has, len, entries...]; the root's word is ε, its par and has
+  // pinned.
   StateArena arena_;
-  NodeColumn par_;
-  NodeColumn has_;   // 1 iff the word is present (0 = ⊤)
+  NodeColumn par_;   // port (root pinned at 0)
+  NodeColumn has_;   // 1 iff the word is present (root pinned at 1)
   VarColumn word_;
   std::vector<int> scratch_;  // decode/randomize staging buffer
   int maxDegree_ = 0;

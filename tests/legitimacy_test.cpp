@@ -464,8 +464,7 @@ TEST(Legitimacy, OrbitIndexTimelinesMatchTheOracleWalk) {
         oracle::dftnoOrbit(g, EdgeLabelGuard::kContinuous);
     ASSERT_EQ(index.positions(), walk.sequence.size()) << spec;
     ASSERT_EQ(index.cycleStart(), walk.cycleStart) << spec;
-    std::vector<StateArena*> arenas;
-    dftno.collectArenas(arenas);
+    const std::span<StateArena* const> arenas = dftno.arenas();
     // offset[p] .. offset[p + 1]: processor p's slice of a raw config.
     std::vector<long> offset(1, 0);
     for (NodeId p = 0; p < g.nodeCount(); ++p)

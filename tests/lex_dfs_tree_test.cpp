@@ -92,17 +92,6 @@ TEST(LexDfsTreeExhaustive, StrictConvergenceOnSmallGraphs) {
   }
 }
 
-TEST(LexDfsTree, CodecRoundTrips) {
-  const Graph g = Graph::figure311();
-  LexDfsTree tree(g);
-  for (NodeId p = 0; p < g.nodeCount(); ++p) {
-    for (std::uint64_t c = 0; c < tree.localStateCount(p); ++c) {
-      tree.decodeNode(p, c);
-      EXPECT_EQ(tree.encodeNode(p), c) << "node " << p << " code " << c;
-    }
-  }
-}
-
 TEST(LexDfsTree, RawRoundTrips) {
   const Graph g = Graph::grid(2, 3);
   LexDfsTree a(g), b(g);

@@ -76,7 +76,8 @@ TEST(StateCodec, IndexEnumerationIsExhaustive) {
   EXPECT_EQ(seen.size(), 27u);
 }
 
-/// One processor per radix: the codec reads only localStateCount.
+/// One processor per radix: the codec reads only localStateCount.  It
+/// declares no state; only the radices are overridden.
 class RadixProtocol final : public Protocol {
  public:
   explicit RadixProtocol(std::vector<std::uint64_t> radices)
@@ -86,14 +87,9 @@ class RadixProtocol final : public Protocol {
   [[nodiscard]] std::string actionName(int) const override { return "None"; }
   [[nodiscard]] bool enabled(NodeId, int) const override { return false; }
   void doExecute(NodeId, int) override {}
-  void doRandomizeNode(NodeId, Rng&) override {}
   [[nodiscard]] std::uint64_t localStateCount(NodeId p) const override {
     return radices_[static_cast<std::size_t>(p)];
   }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId) const override { return 0; }
-  void doDecodeNode(NodeId, std::uint64_t) override {}
-  [[nodiscard]] std::vector<int> rawNode(NodeId) const override { return {}; }
-  void doSetRawNode(NodeId, std::span<const int>) override {}
   [[nodiscard]] std::string dumpNode(NodeId) const override { return ""; }
 
  private:

@@ -3,7 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <ios>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/graph.hpp"
+#include "dftc/dftc.hpp"
+#include "exp/topology.hpp"
+#include "orientation/baseline.hpp"
+#include "orientation/dftno.hpp"
+#include "orientation/stno.hpp"
+#include "sptree/bfs_tree.hpp"
+#include "sptree/dfs_tree.hpp"
+#include "sptree/lex_dfs_tree.hpp"
 #include "toy_protocols.hpp"
 
 namespace ssno {
@@ -49,6 +65,165 @@ TEST(Protocol, ConfigurationHashDistinguishesStates) {
   EXPECT_NE(a.configurationHash(), b.configurationHash());
   b.setValue(0, 1);
   EXPECT_EQ(a.configurationHash(), b.configurationHash());
+}
+
+// ---- Every production protocol's per-node state -------------------------
+
+using Factory = std::function<std::unique_ptr<Protocol>(const Graph&)>;
+
+Factory factoryFor(const std::string& name) {
+  if (name == "dftc")
+    return [](const Graph& g) { return std::make_unique<Dftc>(g); };
+  if (name == "dftno")
+    return [](const Graph& g) { return std::make_unique<Dftno>(g); };
+  if (name == "dftno-paper")
+    return [](const Graph& g) {
+      return std::make_unique<Dftno>(g, EdgeLabelGuard::kPaperFaithful);
+    };
+  if (name == "stno-bfs")
+    return [](const Graph& g) { return std::make_unique<Stno>(g); };
+  if (name == "stno-fixed")
+    return [](const Graph& g) {
+      return std::make_unique<Stno>(g, portOrderDfsTree(g));
+    };
+  if (name == "bfs")
+    return [](const Graph& g) { return std::make_unique<BfsTree>(g); };
+  if (name == "lexdfs")
+    return [](const Graph& g) { return std::make_unique<LexDfsTree>(g); };
+  if (name == "baseline")
+    return [](const Graph& g) {
+      return std::make_unique<InitBasedOrientation>(g);
+    };
+  ADD_FAILURE() << "unknown protocol " << name;
+  return {};
+}
+
+Graph graphFor(const std::string& spec) {
+  if (spec == "figure311") return Graph::figure311();
+  return exp::TopologySpec::parse(spec).build();
+}
+
+/// A fold of 64-bit values (FNV-1a style, one word at a time).
+struct Digest {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void add(std::uint64_t v) {
+    h = (h ^ v) * 0x100000001B3ULL;
+    h ^= h >> 32;
+  }
+};
+
+/// Every code of a node when it has at most kMaxCodes, else kMaxCodes
+/// codes spread evenly from 0 to count − 1 (both included).
+std::vector<std::uint64_t> codesOf(std::uint64_t count) {
+  constexpr std::uint64_t kMaxCodes = 2048;
+  std::vector<std::uint64_t> codes;
+  if (count <= kMaxCodes) {
+    for (std::uint64_t c = 0; c < count; ++c) codes.push_back(c);
+    return codes;
+  }
+  const std::uint64_t step = (count - 1) / (kMaxCodes - 1);
+  for (std::uint64_t i = 0; i + 1 < kMaxCodes; ++i) codes.push_back(i * step);
+  codes.push_back(count - 1);
+  return codes;
+}
+
+struct StateCase {
+  const char* protocol;
+  const char* graph;
+  /// Local state counts, and for seeds 1-3 the codes after
+  /// randomize(Rng(seed)) and the draw that follows; recorded before the
+  /// per-node methods were derived from declared columns, so codes and
+  /// draws are pinned to that implementation.
+  std::uint64_t digest;
+};
+
+constexpr StateCase kStateCases[] = {
+    {"dftc", "path:3", 0x6ca65c87b50fbafaULL},
+    {"dftc", "ring:5", 0x3213f15697a24384ULL},
+    {"dftc", "star:4", 0x6621a58c698577b7ULL},
+    {"dftc", "grid:2x3", 0xebbfed1354ad8ce4ULL},
+    {"dftno", "path:3", 0xd6e5892e1b80ecd8ULL},
+    {"dftno", "ring:5", 0xf20f4ec14870832fULL},
+    {"dftno", "star:4", 0x1594a85a98dc2caaULL},
+    {"dftno", "grid:2x3", 0xc900b3752556940bULL},
+    {"dftno-paper", "path:3", 0xd6e5892e1b80ecd8ULL},
+    {"dftno-paper", "ring:5", 0xf20f4ec14870832fULL},
+    {"dftno-paper", "star:4", 0x1594a85a98dc2caaULL},
+    {"dftno-paper", "grid:2x3", 0xc900b3752556940bULL},
+    {"stno-bfs", "path:3", 0x1fdfad07ab247d61ULL},
+    {"stno-bfs", "ring:5", 0x847e36fccb2787c7ULL},
+    {"stno-bfs", "star:4", 0xfae3bbe3cf2d9c96ULL},
+    {"stno-bfs", "grid:2x3", 0x75dc13293c11fb85ULL},
+    {"stno-fixed", "path:3", 0xa618db8c6d0747f1ULL},
+    {"stno-fixed", "ring:5", 0xb15dc1dd2ba97da6ULL},
+    {"stno-fixed", "star:4", 0x93a09b567ef357b6ULL},
+    {"stno-fixed", "grid:2x3", 0x7c206caddc735973ULL},
+    {"bfs", "path:3", 0xe97f7ecff095a991ULL},
+    {"bfs", "ring:5", 0x413eb33682daf804ULL},
+    {"bfs", "star:4", 0xc698b07bcd13dfd0ULL},
+    {"bfs", "grid:2x3", 0x70d654520b6c33c0ULL},
+    {"lexdfs", "path:3", 0x6ea66a2f7d7bd271ULL},
+    {"lexdfs", "ring:5", 0x4d8513cb16e635bcULL},
+    {"lexdfs", "star:4", 0x3290711318ed3039ULL},
+    {"lexdfs", "grid:2x3", 0x5295b2984f392ebfULL},
+    {"baseline", "path:3", 0x90a2b1789c3956c6ULL},
+    {"baseline", "ring:5", 0x5bba4245d1fbbcf0ULL},
+    {"baseline", "star:4", 0xc65cb94dcc182aedULL},
+    {"baseline", "grid:2x3", 0x5d7ca94b160aadceULL},
+    {"lexdfs", "figure311", 0x57eaa57bbf70b134ULL},
+};
+
+TEST(ProtocolState, CodecDrawsAndRawIoForEveryProtocol) {
+  for (const StateCase& row : kStateCases) {
+    SCOPED_TRACE(std::string(row.protocol) + " on " + row.graph);
+    const Graph g = graphFor(row.graph);
+    const Factory make = factoryFor(row.protocol);
+    const std::unique_ptr<Protocol> proto = make(g);
+    const std::unique_ptr<Protocol> other = make(g);
+    Digest digest;
+    for (NodeId p = 0; p < g.nodeCount(); ++p)
+      digest.add(proto->localStateCount(p));
+
+    // Per node: code -> state -> code, and the decoded state's raw form
+    // is distinct per code and round-trips through a second instance.
+    for (NodeId p = 0; p < g.nodeCount(); ++p) {
+      const std::vector<std::uint64_t> codes =
+          codesOf(proto->localStateCount(p));
+      std::set<std::vector<int>> raws;
+      for (const std::uint64_t c : codes) {
+        proto->decodeNode(p, c);
+        ASSERT_EQ(proto->encodeNode(p), c) << "node " << p;
+        const std::vector<int> raw = proto->rawNode(p);
+        ASSERT_EQ(raw.size(), proto->rawNodeLength(p)) << "node " << p;
+        other->setRawNode(p, raw);
+        ASSERT_EQ(other->rawNode(p), raw) << "node " << p << " code " << c;
+        ASSERT_EQ(other->encodeNode(p), c) << "node " << p;
+        raws.insert(raw);
+      }
+      EXPECT_EQ(raws.size(), codes.size()) << "node " << p;
+    }
+
+    // Whole configurations: randomize, then encode -> decode -> encode
+    // and raw -> setRaw -> raw into fresh instances.
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      Rng rng(seed);
+      proto->randomize(rng);
+      const std::vector<std::uint64_t> codes = proto->encodeConfiguration();
+      for (const std::uint64_t c : codes) digest.add(c);
+      digest.add(rng.next());
+      const std::vector<int> raw = proto->rawConfiguration();
+      const std::unique_ptr<Protocol> decoded = make(g);
+      decoded->decodeConfiguration(codes);
+      EXPECT_EQ(decoded->encodeConfiguration(), codes) << "seed " << seed;
+      EXPECT_EQ(decoded->rawConfiguration(), raw) << "seed " << seed;
+      const std::unique_ptr<Protocol> copied = make(g);
+      copied->setRawConfiguration(raw);
+      EXPECT_EQ(copied->rawConfiguration(), raw) << "seed " << seed;
+      EXPECT_EQ(copied->encodeConfiguration(), codes) << "seed " << seed;
+    }
+    EXPECT_EQ(digest.h, row.digest)
+        << "digest 0x" << std::hex << digest.h;
+  }
 }
 
 TEST(Protocol, GraphAccessor) {

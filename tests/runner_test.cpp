@@ -387,6 +387,11 @@ TEST(ScenarioFile, RejectsMalformedLinesWithLineNumbers) {
                   "budget must be positive");
   expectThrowWith("# ok\nmodel-check:dftc central path:3 budget=-1\n",
                   "line 2: model-check budget must be positive");
+  // Every kind's budget, not only a model check's.
+  expectThrowWith("dftno central ring:8 budget=0\n",
+                  "line 1: budget must be positive, got 0");
+  expectThrowWith("dftno-churn round-robin grid:3x4 budget=-40000\n",
+                  "line 1: budget must be positive, got -40000");
 }
 
 TEST(ScenarioFile, McThreadsZeroMeansTheUsableCores) {
@@ -414,6 +419,9 @@ TEST(CanonicalScenario, RejectsNegativeMcThreadsAndNonPositiveBudgets) {
   s.mcThreads = 2;
   s.budget = -1;
   expectRejected(s, "budget must be positive");
+  Scenario sim = parseScenario("dftno/central/ring:8");
+  sim.budget = 0;
+  expectRejected(sim, "budget must be positive, got 0");
 }
 
 TEST(ScenarioRegistry, NewGeneratorsUsableFromSimulationAndModelCheck) {

@@ -89,44 +89,27 @@ TEST(Simulator, StepOnceReturnsEmptyWhenTerminal) {
 // evaluated against the pre-step configuration.
 class CopyRightProtocol final : public Protocol {
  public:
-  explicit CopyRightProtocol(Graph g) : Protocol(std::move(g)) {
-    v_ = {1, 2, 3};
+  explicit CopyRightProtocol(Graph g)
+      : Protocol(std::move(g)),
+        arena_(graph(), DigitOrder::kLeastFirst),
+        v_(arena_.nodeColumn({.base = 4})) {
+    addArena(arena_);
+    for (NodeId p = 0; p < graph().nodeCount(); ++p) v_[p] = p + 1;
   }
   [[nodiscard]] int actionCount() const override { return 1; }
   [[nodiscard]] std::string actionName(int) const override { return "Copy"; }
   [[nodiscard]] bool enabled(NodeId p, int a) const override {
-    return a == 0 && p + 1 < graph().nodeCount() &&
-           v_[static_cast<std::size_t>(p)] !=
-               v_[static_cast<std::size_t>(p + 1)];
+    return a == 0 && p + 1 < graph().nodeCount() && v_[p] != v_[p + 1];
   }
-  void doExecute(NodeId p, int) override {
-    v_[static_cast<std::size_t>(p)] = v_[static_cast<std::size_t>(p + 1)];
-  }
-  void doRandomizeNode(NodeId, Rng&) override {}
-  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
-    return 4;
-  }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override {
-    return static_cast<std::uint64_t>(v_[static_cast<std::size_t>(p)]);
-  }
-  void doDecodeNode(NodeId p, std::uint64_t code) override {
-    v_[static_cast<std::size_t>(p)] = static_cast<int>(code);
-  }
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override {
-    return {v_[static_cast<std::size_t>(p)]};
-  }
-  void doSetRawNode(NodeId p, std::span<const int> values) override {
-    v_[static_cast<std::size_t>(p)] = values[0];
-  }
+  void doExecute(NodeId p, int) override { v_[p] = v_[p + 1]; }
   [[nodiscard]] std::string dumpNode(NodeId p) const override {
-    return std::to_string(v_[static_cast<std::size_t>(p)]);
+    return std::to_string(v_[p]);
   }
-  [[nodiscard]] int value(NodeId p) const {
-    return v_[static_cast<std::size_t>(p)];
-  }
+  [[nodiscard]] int value(NodeId p) const { return v_[p]; }
 
  private:
-  std::vector<int> v_;
+  StateArena arena_;
+  NodeColumn v_;
 };
 
 TEST(Simulator, SimultaneousMovesReadPreStepState) {

@@ -199,6 +199,27 @@ TEST(Server, SubmitRejectsUnknownOnlyNameListingCandidates) {
   EXPECT_NE(error.find("dftc/central/ring:24"), std::string::npos) << error;
 }
 
+TEST(Server, NonPositiveBudgetOverrideIsRejected) {
+  SchedulerOptions opt;
+  opt.workers = 1;
+  ExpServer server(opt);
+  const auto lines = session(
+      server, {R"({"verb":"submit","target":"dftc/central/ring:5",)"
+               R"("budget":0})",
+               R"({"verb":"submit","target":"model-check:dftc/central/path:3",)"
+               R"("budget":-1})"});
+  ASSERT_EQ(lines.size(), 2u);
+  for (const JsonValue& line : lines) EXPECT_FALSE(line.find("ok")->asBool());
+  EXPECT_NE(lines[0].find("error")->asString().find(
+                "budget must be positive, got 0"),
+            std::string::npos)
+      << lines[0].find("error")->asString();
+  EXPECT_NE(lines[1].find("error")->asString().find(
+                "model-check budget must be positive"),
+            std::string::npos)
+      << lines[1].find("error")->asString();
+}
+
 TEST(Server, OneNodeTopologyIsRejectedAndTheSessionSurvives) {
   // A one-node graph parses as no topology at all, so the submit fails
   // cleanly instead of aborting a protocol constructor (and the server).

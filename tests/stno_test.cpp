@@ -179,10 +179,11 @@ TEST(StnoReachable, ComposedSystemIsNotUnfairDaemonConvergent) {
   Stno stno(Graph::path(3));
   // Plant the parent 2-cycle between nodes 1 and 2 with mismatched
   // names/weights, as found by the checker.
-  // Raw layout per node: [bfs: dist, par(port)] + [W, eta, start..., pi...].
+  // Raw layout per node: [bfs: dist, par(port)] + [W, eta, start..., pi...];
+  // the root's bfs entries are pinned at 0.
   stno.setRawNode(1, {2, 1, 3, 1, 1, 2, 1, 1});  // par port 1 -> node 2
   stno.setRawNode(2, {2, 0, 2, 0, 1, 1});        // par port 0 -> node 1
-  stno.setRawNode(0, {1, 0, 2, 1});
+  stno.setRawNode(0, {0, 0, 1, 0, 2, 1});
   const mc::Result res =
       checkerFor<Stno>(Graph::path(3))
           .checkReachable({stno.encodeConfiguration()},

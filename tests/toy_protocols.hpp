@@ -6,164 +6,84 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "core/state_arena.hpp"
 
 namespace ssno {
 
+/// One value per node, v ∈ 0..domain−1, in a single declared column.
+class OneValueProtocol : public Protocol {
+ public:
+  [[nodiscard]] int actionCount() const override { return 1; }
+  [[nodiscard]] std::string dumpNode(NodeId p) const override {
+    return "v=" + std::to_string(v_[p]);
+  }
+  [[nodiscard]] bool allZero() const {
+    return std::ranges::all_of(v_.data(), [](int v) { return v == 0; });
+  }
+  [[nodiscard]] int value(NodeId p) const { return v_[p]; }
+
+ protected:
+  OneValueProtocol(Graph g, int domain, int initial)
+      : Protocol(std::move(g)),
+        arena_(graph(), DigitOrder::kLeastFirst),
+        v_(arena_.nodeColumn({.base = domain})) {
+    addArena(arena_);
+    v_.fill(initial);
+  }
+
+  StateArena arena_;
+  NodeColumn v_;
+};
+
 /// Trivially self-stabilizing: every node zeroes its value.
 /// Legitimate = all values zero; silent there.
-class ZeroProtocol final : public Protocol {
+class ZeroProtocol final : public OneValueProtocol {
  public:
   ZeroProtocol(Graph g, int domain)
-      : Protocol(std::move(g)), domain_(domain) {
-    v_.assign(static_cast<std::size_t>(graph().nodeCount()), domain_ - 1);
-  }
+      : OneValueProtocol(std::move(g), domain, domain - 1) {}
 
-  [[nodiscard]] int actionCount() const override { return 1; }
   [[nodiscard]] std::string actionName(int) const override { return "Zero"; }
   [[nodiscard]] bool enabled(NodeId p, int a) const override {
-    return a == 0 && v_[static_cast<std::size_t>(p)] != 0;
+    return a == 0 && v_[p] != 0;
   }
-  void doExecute(NodeId p, int) override { v_[static_cast<std::size_t>(p)] = 0; }
-  void doRandomizeNode(NodeId p, Rng& rng) override {
-    v_[static_cast<std::size_t>(p)] = rng.below(domain_);
-  }
-  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
-    return static_cast<std::uint64_t>(domain_);
-  }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override {
-    return static_cast<std::uint64_t>(v_[static_cast<std::size_t>(p)]);
-  }
-  void doDecodeNode(NodeId p, std::uint64_t code) override {
-    v_[static_cast<std::size_t>(p)] = static_cast<int>(code);
-  }
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override {
-    return {v_[static_cast<std::size_t>(p)]};
-  }
-  void doSetRawNode(NodeId p, std::span<const int> values) override {
-    v_[static_cast<std::size_t>(p)] = values[0];
-  }
-  [[nodiscard]] std::string dumpNode(NodeId p) const override {
-    std::ostringstream out;
-    out << "v=" << v_[static_cast<std::size_t>(p)];
-    return out.str();
-  }
+  void doExecute(NodeId p, int) override { v_[p] = 0; }
 
-  [[nodiscard]] bool allZero() const {
-    for (int v : v_)
-      if (v != 0) return false;
-    return true;
-  }
-  [[nodiscard]] int value(NodeId p) const {
-    return v_[static_cast<std::size_t>(p)];
-  }
   void setValue(NodeId p, int v) {
-    v_[static_cast<std::size_t>(p)] = v;
+    v_[p] = v;
     dirtyNeighborhood(p);  // honor the dirtying contract for direct writes
   }
-
- private:
-  int domain_;
-  std::vector<int> v_;
 };
 
 /// Broken on purpose: a node with v=1 flips forever between 1 and 2 —
 /// a cycle entirely inside the illegitimate region (legit = all zero).
-class OscillateProtocol final : public Protocol {
+class OscillateProtocol final : public OneValueProtocol {
  public:
-  explicit OscillateProtocol(Graph g) : Protocol(std::move(g)) {
-    v_.assign(static_cast<std::size_t>(graph().nodeCount()), 1);
-  }
-  [[nodiscard]] int actionCount() const override { return 1; }
+  explicit OscillateProtocol(Graph g) : OneValueProtocol(std::move(g), 3, 1) {}
   [[nodiscard]] std::string actionName(int) const override { return "Flip"; }
   [[nodiscard]] bool enabled(NodeId p, int a) const override {
-    return a == 0 && v_[static_cast<std::size_t>(p)] != 0;
+    return a == 0 && v_[p] != 0;
   }
-  void doExecute(NodeId p, int) override {
-    auto& v = v_[static_cast<std::size_t>(p)];
-    v = (v == 1) ? 2 : 1;
-  }
-  void doRandomizeNode(NodeId p, Rng& rng) override {
-    v_[static_cast<std::size_t>(p)] = rng.below(3);
-  }
-  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
-    return 3;
-  }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override {
-    return static_cast<std::uint64_t>(v_[static_cast<std::size_t>(p)]);
-  }
-  void doDecodeNode(NodeId p, std::uint64_t code) override {
-    v_[static_cast<std::size_t>(p)] = static_cast<int>(code);
-  }
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override {
-    return {v_[static_cast<std::size_t>(p)]};
-  }
-  void doSetRawNode(NodeId p, std::span<const int> values) override {
-    v_[static_cast<std::size_t>(p)] = values[0];
-  }
-  [[nodiscard]] std::string dumpNode(NodeId p) const override {
-    return "v=" + std::to_string(v_[static_cast<std::size_t>(p)]);
-  }
-  [[nodiscard]] bool allZero() const {
-    for (int v : v_)
-      if (v != 0) return false;
-    return true;
-  }
-
- private:
-  std::vector<int> v_;
+  void doExecute(NodeId p, int) override { v_[p] = v_[p] == 1 ? 2 : 1; }
 };
 
 /// Broken on purpose: nothing is ever enabled, so any non-zero value is
 /// an illegitimate terminal configuration (a deadlock).
-class StuckProtocol final : public Protocol {
+class StuckProtocol final : public OneValueProtocol {
  public:
-  explicit StuckProtocol(Graph g) : Protocol(std::move(g)) {
-    v_.assign(static_cast<std::size_t>(graph().nodeCount()), 0);
-  }
-  [[nodiscard]] int actionCount() const override { return 1; }
+  explicit StuckProtocol(Graph g) : OneValueProtocol(std::move(g), 2, 0) {}
   [[nodiscard]] std::string actionName(int) const override { return "Never"; }
   [[nodiscard]] bool enabled(NodeId, int) const override { return false; }
   void doExecute(NodeId, int) override {}
-  void doRandomizeNode(NodeId p, Rng& rng) override {
-    v_[static_cast<std::size_t>(p)] = rng.below(2);
-  }
-  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
-    return 2;
-  }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId p) const override {
-    return static_cast<std::uint64_t>(v_[static_cast<std::size_t>(p)]);
-  }
-  void doDecodeNode(NodeId p, std::uint64_t code) override {
-    v_[static_cast<std::size_t>(p)] = static_cast<int>(code);
-  }
-  [[nodiscard]] std::vector<int> rawNode(NodeId p) const override {
-    return {v_[static_cast<std::size_t>(p)]};
-  }
-  void doSetRawNode(NodeId p, std::span<const int> values) override {
-    v_[static_cast<std::size_t>(p)] = values[0];
-  }
-  [[nodiscard]] std::string dumpNode(NodeId p) const override {
-    return "v=" + std::to_string(v_[static_cast<std::size_t>(p)]);
-  }
-  [[nodiscard]] bool allZero() const {
-    for (int v : v_)
-      if (v != 0) return false;
-    return true;
-  }
-
- private:
-  std::vector<int> v_;
 };
 
 /// A fixed enabled set: setMoves() enables exactly the given moves, and
 /// executing a move changes nothing, so the set stays as given.  Lets
 /// daemon tests hand a production daemon an EnabledView with any
-/// content through a real EnabledCache.
+/// content through a real EnabledCache.  It has no per-node state.
 class FixedMovesProtocol final : public Protocol {
  public:
   FixedMovesProtocol(Graph g, int actions)
@@ -184,14 +104,6 @@ class FixedMovesProtocol final : public Protocol {
     return (masks_[static_cast<std::size_t>(p)] >> a) & 1;
   }
   void doExecute(NodeId, int) override {}
-  void doRandomizeNode(NodeId, Rng&) override {}
-  [[nodiscard]] std::uint64_t localStateCount(NodeId) const override {
-    return 1;
-  }
-  [[nodiscard]] std::uint64_t encodeNode(NodeId) const override { return 0; }
-  void doDecodeNode(NodeId, std::uint64_t) override {}
-  [[nodiscard]] std::vector<int> rawNode(NodeId) const override { return {}; }
-  void doSetRawNode(NodeId, std::span<const int>) override {}
   [[nodiscard]] std::string dumpNode(NodeId) const override { return ""; }
 
  private:

@@ -153,19 +153,26 @@ STATS = ("min", "max", "mean")
 def by_scenario(path):
     """{scenario name: row}, validating the shape every rule relies on —
     a malformed file must die with the path and the problem, not a
-    KeyError traceback deep inside a check."""
+    KeyError traceback deep inside a check.  A name that occurs twice
+    is an error: keeping either row would gate only that one."""
     with open(path) as f:
         rows = json.load(f)
     if not isinstance(rows, list):
         raise SystemExit(f"{path}: expected a JSON array of scenario rows")
     out = {}
+    index = {}
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "scenario" not in row:
             raise SystemExit(f"{path}: row {i} has no \"scenario\" field")
+        name = row["scenario"]
         if not isinstance(row.get("metrics"), dict):
             raise SystemExit(
-                f"{path}: row \"{row['scenario']}\" has no \"metrics\" object")
-        out[row["scenario"]] = row
+                f"{path}: row \"{name}\" has no \"metrics\" object")
+        if name in index:
+            raise SystemExit(f"{path}: scenario \"{name}\" occurs twice, "
+                             f"in rows {index[name]} and {i}")
+        index[name] = i
+        out[name] = row
     return out
 
 
@@ -279,8 +286,9 @@ def gate(baseline_path, fresh_path, args):
 def selftest(args):
     """Feeds each rule a baseline/fresh pair that breaks only that rule
     (exit 1 expected), its condition switched off (exit 0), a stale
-    baseline, a malformed file and a baseline under a name no rule
-    names (exit 1), and one clean pair per file (exit 0)."""
+    baseline, a malformed file, a duplicate scenario name in either file
+    and a baseline under a name no rule names (exit 1), and one clean
+    pair per file (exit 0)."""
     def value_for(g):
         _, _, field, rule, tolerance, _ = g
         if rule == EXACT and tolerance is not None:
@@ -375,6 +383,13 @@ def selftest(args):
     cases.append(("malformed fresh file", 1, "BENCH_scheduler.json",
                   clean["BENCH_scheduler.json"], None,
                   '[{"scenario": "scheduler/x"}]'))
+    twice = clean["BENCH_scheduler.json"] + clean["BENCH_scheduler.json"][:1]
+    cases.append(("duplicate scenario in the baseline", 1,
+                  "BENCH_scheduler.json", twice,
+                  clean["BENCH_scheduler.json"], None))
+    cases.append(("duplicate scenario in the fresh file", 1,
+                  "BENCH_scheduler.json", clean["BENCH_scheduler.json"],
+                  twice, None))
     cases.append(("baseline under an unknown name", 1, "baseline.json",
                   clean["BENCH_scheduler.json"],
                   clean["BENCH_scheduler.json"], None))
