@@ -42,25 +42,6 @@ EnabledCache::EnabledCache(Protocol& protocol)
   makeView();
 }
 
-std::uint64_t EnabledCache::guardMask(NodeId p) const {
-  std::uint64_t mask = 0;
-  for (int a = 0; a < actions_; ++a)
-    if (protocol_.enabled(p, a)) mask |= (std::uint64_t{1} << a);
-  return mask;
-}
-
-void EnabledCache::evaluateBatch(std::span<const NodeId> nodes,
-                                 std::uint64_t* masks) {
-  protocol_.evaluateGuards(nodes, masks);
-#ifndef NDEBUG
-  // Cross-check: a protocol's batch kernel must be bit-identical to the
-  // scalar virtual path (same pattern as the incremental-vs-full-scan
-  // cross-check in refreshView).
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    SSNO_ASSERT(masks[i] == guardMask(nodes[i]));
-#endif
-}
-
 void EnabledCache::rebuildFenwick() {
   // Linear build: seed each slot with its node's move count, then fold
   // every slot into its Fenwick parent.
@@ -91,13 +72,13 @@ void EnabledCache::rebuildAll() {
   moveCount_ = 0;
   nodeCount_ = 0;
   // Full rescans batch the identity node list straight into mask_ —
-  // one evaluateGuards call instead of n virtual guardMask loops.
+  // one evaluateGuards call instead of n per-node guard loops.
   if (allNodes_.empty() && n_ > 0) {
     allNodes_.resize(static_cast<std::size_t>(n_));
     for (NodeId p = 0; p < n_; ++p)
       allNodes_[static_cast<std::size_t>(p)] = p;
   }
-  evaluateBatch(allNodes_, mask_.data());
+  protocol_.evaluateGuards(allNodes_, mask_.data());
   for (NodeId p = 0; p < n_; ++p) {
     const std::uint64_t mask = mask_[static_cast<std::size_t>(p)];
     if (mask != 0) {
@@ -138,10 +119,6 @@ void EnabledCache::makeView() {
 }
 
 const EnabledView& EnabledCache::refreshView() {
-  // Whether this refresh evaluates any guard; only refreshView writes
-  // the representation, so one that evaluates nothing leaves it as the
-  // last refresh did.
-  bool evaluated = true;
   if (!primed_ || protocol_.allDirty()) {
     rebuildAll();
     primed_ = true;
@@ -150,8 +127,7 @@ const EnabledView& EnabledCache::refreshView() {
     // node-sorted batch (the evaluateGuards ordering contract), then
     // patch the representation mask by mask.
     const std::vector<NodeId>& dirtyNodes = protocol_.dirtyNodes();
-    evaluated = !dirtyNodes.empty();
-    if (evaluated) {
+    if (!dirtyNodes.empty()) {
       // Node-sorted batch (the evaluateGuards ordering contract).  A
       // dense dirty set — a synchronous step dirties nearly every
       // processor — recovers the order from the dirty flags with one
@@ -170,7 +146,7 @@ const EnabledView& EnabledCache::refreshView() {
         std::sort(batch_.begin(), batch_.end());
       }
       batchMasks_.resize(batch_.size());
-      evaluateBatch(batch_, batchMasks_.data());
+      protocol_.evaluateGuards(batch_, batchMasks_.data());
       // Dense patches rebuild the Fenwick tree once in O(n) instead of
       // paying an O(log n) scattered update per changed node.
       deferFenwick_ = dense;
@@ -187,34 +163,6 @@ const EnabledView& EnabledCache::refreshView() {
   }
   protocol_.clearDirty();
   makeView();
-#ifndef NDEBUG
-  // Cross-check every piece of incremental state against a full scan:
-  // the masks through the view's move iteration, the node index (every
-  // visited node enabled, every enabled node visited), both totals, and
-  // the Fenwick tree through the k-th move of every rank.  A refresh
-  // that evaluated nothing skips it: every compared structure is as the
-  // last check left it, and a write that skipped its dirty notice is
-  // still caught by the next refresh that evaluates anything.
-  if (evaluated) {
-    const std::vector<Move> scanned = protocol_.enabledMoves();
-    std::vector<Move> fromView;
-    view_.appendMoves(fromView);
-    SSNO_ASSERT(fromView == scanned);
-    SSNO_ASSERT(view_.moveCount() == static_cast<int>(scanned.size()));
-    int nodes = 0;
-    for (std::size_t k = 0; k < scanned.size(); ++k) {
-      if (k == 0 || scanned[k].node != scanned[k - 1].node) ++nodes;
-      SSNO_ASSERT(view_.kthMove(static_cast<int>(k)) == scanned[k]);
-    }
-    SSNO_ASSERT(view_.enabledNodeCount() == nodes);
-    int visited = 0;
-    view_.forEachNode([&](NodeId p) {
-      SSNO_ASSERT(view_.anyEnabled(p));
-      ++visited;
-    });
-    SSNO_ASSERT(visited == nodes);
-  }
-#endif
   return view_;
 }
 

@@ -16,10 +16,11 @@
 // popcount-maintained move/node totals, and a Fenwick tree of per-node
 // move counts.  refreshView() exposes it as an EnabledView; daemons
 // select directly on the masks and nothing proportional to #enabled is
-// materialized.  Debug builds check all of it against
-// Protocol::enabledMoves() after every refresh that evaluated a guard:
-// the listed moves, both totals, the node index and every k-th move of
-// the Fenwick descent.
+// materialized.  tests/enabled_cache_test.cpp checks all of it against
+// Protocol::enabledMoves() after every step of its protocol × daemon ×
+// topology matrix (oracle::expectViewMatchesScan in
+// tests/oracle/view_oracle.hpp): the listed moves, both totals, the
+// node index and every k-th move of the Fenwick descent.
 //
 // Exactly one EnabledCache may drain a Protocol at a time (draining
 // clears the dirty set); the Simulator owns one per run.
@@ -27,7 +28,6 @@
 #define SSNO_CORE_ENABLED_CACHE_HPP
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/bitwords.hpp"
@@ -96,11 +96,9 @@ class EnabledCache {
  private:
   void rebuildAll();
   void applyMask(NodeId p, std::uint64_t mask);
-  void evaluateBatch(std::span<const NodeId> nodes, std::uint64_t* masks);
   void rebuildFenwick();
   void fenwickAdd(NodeId p, int delta);
   void makeView();
-  [[nodiscard]] std::uint64_t guardMask(NodeId p) const;
 
   Protocol& protocol_;
   int n_;

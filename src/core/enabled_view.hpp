@@ -135,8 +135,9 @@ class EnabledView {
     });
   }
 
-  /// Materializes the node-major move vector (Debug checks, tests, and
-  /// daemons that score every candidate).
+  /// Materializes the node-major move vector (tests — the full-scan
+  /// comparison of tests/oracle/view_oracle.hpp — and daemons that score
+  /// every candidate).
   void appendMoves(std::vector<Move>& out) const {
     forEachMove([&out](const Move& m) { out.push_back(m); });
   }

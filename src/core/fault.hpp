@@ -92,7 +92,6 @@ class FaultImpactTracker {
   }
   /// Processors ever enabled since the last resetFootprint().
   [[nodiscard]] const bits::WordBitset& footprint() const { return ever_; }
-  [[nodiscard]] std::size_t enabledCount() const { return enabled_.count(); }
   [[nodiscard]] std::size_t footprintCount() const { return ever_.count(); }
 
   /// Starts a fresh footprint measurement (typically right after an

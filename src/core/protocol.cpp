@@ -96,16 +96,4 @@ void Protocol::setRawConfiguration(const std::vector<int>& values) {
   noteWriteAll();
 }
 
-std::uint64_t Protocol::configurationHash() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (NodeId p = 0; p < graph().nodeCount(); ++p) {
-    std::uint64_t code = encodeNode(p);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (code >> (8 * byte)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  }
-  return h;
-}
-
 }  // namespace ssno

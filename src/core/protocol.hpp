@@ -90,8 +90,8 @@ class Protocol {
   /// (one neighborhood walk per node, autovectorizable inner scans) —
   /// see README "Batch guard kernels" for the contract and when NOT to
   /// override (LexDfsTree's VarColumn candidate walks).  Overrides must
-  /// be bit-identical to the scalar loop; Debug builds assert this on
-  /// every batched refresh (EnabledCache::evaluateBatch).
+  /// be bit-identical to the scalar loop; tests/guard_batch_test.cpp
+  /// compares every override with it mask by mask.
   virtual void evaluateGuards(std::span<const NodeId> nodes,
                               std::uint64_t* masks) const {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -210,9 +210,6 @@ class Protocol {
   [[nodiscard]] std::vector<std::uint64_t> encodeConfiguration() const;
   void decodeConfiguration(const std::vector<std::uint64_t>& codes);
 
-  /// FNV-1a hash of the canonical encoding (for visited-set bookkeeping).
-  [[nodiscard]] std::uint64_t configurationHash() const;
-
   /// ---- Simultaneous-step write bracket (deferred dirtying) -----------
   /// Between begin and end, the mutation wrappers above only RECORD the
   /// written processors instead of expanding each write into its dirty
@@ -254,7 +251,6 @@ class Protocol {
     }
     deferred_writers_.clear();
   }
-  [[nodiscard]] bool inSimultaneousStep() const { return defer_writes_; }
 
   /// Dirty notification for a state write performed OUTSIDE the mutation
   /// wrappers — e.g. a snapshot restore through StateArena columns,

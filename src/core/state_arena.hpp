@@ -158,8 +158,6 @@ class VarColumn {
     relocate(p, values);
   }
 
-  [[nodiscard]] std::size_t poolSize() const { return pool_->size(); }
-
  private:
   friend class StateArena;
   struct Slot {

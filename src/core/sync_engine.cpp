@@ -1,6 +1,7 @@
 #include "core/sync_engine.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/assert.hpp"
 #include "obs/metrics.hpp"
@@ -28,32 +29,13 @@ SimultaneousEngine::SimultaneousEngine(Protocol& protocol)
 
 void SimultaneousEngine::execute(std::span<const Move> moves) {
   SSNO_ASSERT(!moves.empty());
-#ifndef NDEBUG
-  for (std::size_t i = 1; i < moves.size(); ++i)
-    SSNO_ASSERT(moves[i - 1].node < moves[i].node);  // node-ascending
-#endif
-  const bool local = protocol_.guardsAreNeighborhoodLocal();
-#ifndef NDEBUG
-  // Cross-check: the columnar step must be bit-identical to the
-  // raw-vector step.  Run the raw step first, note its post-step
-  // configuration, rewind, then run the real (columnar) step.  The
-  // rewind dirties everything, which only makes the consumer's next
-  // refresh a full (still canonical) rebuild.
-  const std::vector<int> preCheck = protocol_.rawConfiguration();
-  if (local)
-    executeRawNeighborhood(moves);
-  else
-    executeRawFull(moves);
-  const std::vector<int> expected = protocol_.rawConfiguration();
-  protocol_.setRawConfiguration(preCheck);
-#endif
-  if (local)
+  SSNO_DBG_ASSERT(std::ranges::adjacent_find(  // node-ascending, distinct
+                      moves, std::ranges::greater_equal{}, &Move::node) ==
+                  moves.end());
+  if (protocol_.guardsAreNeighborhoodLocal())
     executeColumnar(moves);
   else
     executeColumnarFull(moves);
-#ifndef NDEBUG
-  SSNO_ASSERT(protocol_.rawConfiguration() == expected);
-#endif
 }
 
 void SimultaneousEngine::capturePost(NodeId p) {
@@ -188,67 +170,6 @@ void SimultaneousEngine::executeColumnarFull(std::span<const Move> moves) {
   kSyncRollbacks.inc(captured_.size());
   protocol_.endSimultaneousStep();
   undoable_ = true;  // undo() restores the actors from pre_
-}
-
-void SimultaneousEngine::executeRawNeighborhood(
-    std::span<const Move> moves) {
-  // Per-actor rawNode/setRawNode vector round-trips with immediate
-  // dirty notifications.
-  const std::size_t k = moves.size();
-  if (preVec_.size() < k) {
-    preVec_.resize(k);
-    postVec_.resize(k);
-  }
-  if (actingIndex_.size() !=
-      static_cast<std::size_t>(protocol_.graph().nodeCount()))
-    actingIndex_.assign(
-        static_cast<std::size_t>(protocol_.graph().nodeCount()), -1);
-  for (std::size_t i = 0; i < k; ++i) {
-    preVec_[i] = protocol_.rawNode(moves[i].node);
-    actingIndex_[static_cast<std::size_t>(moves[i].node)] =
-        static_cast<int>(i);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const NodeId p = moves[i].node;
-    for (const NodeId q : protocol_.graph().neighbors(p)) {
-      const int j = actingIndex_[static_cast<std::size_t>(q)];
-      if (j >= 0 && static_cast<std::size_t>(j) < i)
-        protocol_.setRawNode(q, preVec_[static_cast<std::size_t>(j)]);
-    }
-    SSNO_DBG_ASSERT(protocol_.enabled(p, moves[i].action));
-    protocol_.execute(p, moves[i].action);
-    postVec_[i] = protocol_.rawNode(p);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    protocol_.setRawNode(moves[i].node, postVec_[i]);
-    actingIndex_[static_cast<std::size_t>(moves[i].node)] = -1;
-  }
-}
-
-void SimultaneousEngine::executeRawFull(std::span<const Move> moves) {
-  // Full-configuration snapshots through the raw-vector API; the post
-  // states live in one reused flat buffer (postOff_ records extents)
-  // instead of a fresh vector<vector<int>> per step.
-  preConfig_ = protocol_.rawConfiguration();
-  std::vector<int>& post = postFlat_;
-  post.clear();
-  postOff_.clear();
-  for (const Move& m : moves) {
-    protocol_.setRawConfiguration(preConfig_);
-    SSNO_DBG_ASSERT(protocol_.enabled(m.node, m.action));
-    protocol_.execute(m.node, m.action);
-    postOff_.push_back(post.size());
-    const std::vector<int> node = protocol_.rawNode(m.node);
-    post.insert(post.end(), node.begin(), node.end());
-  }
-  postOff_.push_back(post.size());
-  protocol_.setRawConfiguration(preConfig_);
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    protocol_.setRawNode(
-        moves[i].node,
-        std::span<const int>(post).subspan(postOff_[i],
-                                           postOff_[i + 1] - postOff_[i]));
-  }
 }
 
 void SimultaneousEngine::undo() {

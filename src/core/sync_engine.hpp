@@ -49,13 +49,16 @@
 //
 // Every protocol declares its whole state in arenas (Protocol::arenas;
 // one without state declares none), so every step is columnar.  The
-// raw-vector step — per-actor rawNode()/setRawNode() round-trips with
-// immediate dirtying, or full-configuration snapshots for non-local
-// guards — is kept only as the Debug reference: Debug builds run it
-// first, rewind, run the columnar step and assert the two post-step
-// configurations are identical.  undo() restores the pre-step
-// configuration of the last step (with dirty notifications), which is
-// what lets the model checker expand synchronous successors in place.
+// oracle is the brute-force step of tests/oracle/step_oracle.hpp, which
+// runs every move from the whole pre-step configuration:
+// SimultaneousEngine.MatchesBruteForceAndUndoRestores (sync_equiv_test)
+// compares single steps on every path,
+// Simulator.SimultaneousMovesReadPreStepState (scheduler_test) has a
+// statement read an earlier actor on the rollback path and on the write
+// log, and the equivalence suites compare whole runs.  undo() restores
+// the pre-step configuration of the last step (with dirty
+// notifications), which is what lets the model checker expand
+// synchronous successors in place.
 #ifndef SSNO_CORE_SYNC_ENGINE_HPP
 #define SSNO_CORE_SYNC_ENGINE_HPP
 
@@ -95,9 +98,6 @@ class SimultaneousEngine {
  private:
   void executeColumnar(std::span<const Move> moves);
   void executeColumnarFull(std::span<const Move> moves);
-  /// The Debug references the columnar steps are checked against.
-  void executeRawNeighborhood(std::span<const Move> moves);
-  void executeRawFull(std::span<const Move> moves);
 
   /// Appends `p`'s current (post) state to the flat capture buffers.
   void capturePost(NodeId p);
@@ -119,13 +119,6 @@ class SimultaneousEngine {
                                               // postData_[a] start offset
   std::vector<NodeId> captured_;              // capture order
   std::vector<std::uint8_t> capturedFlag_;    // per actor slot
-
-  // Raw-vector reference scratch.
-  std::vector<int> preConfig_;  // full-configuration pre state
-  std::vector<int> postFlat_;   // full-configuration post states
-  std::vector<std::vector<int>> preVec_;
-  std::vector<std::vector<int>> postVec_;
-  std::vector<int> actingIndex_;  // node -> move index, or -1
 };
 
 }  // namespace ssno

@@ -130,7 +130,7 @@ class Dftc final : public Protocol {
   /// Fused columnar kernel: one neighborhood walk per idle node, O(1)
   /// for pointer-holding nodes — vs up to six virtual enabled() calls
   /// each re-walking the neighborhood.  Bit-identical to the scalar
-  /// guards (asserted per batch in Debug by EnabledCache).
+  /// guards (GuardBatch.KernelsMatchScalarOnRandomizedStates).
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;

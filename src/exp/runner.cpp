@@ -14,6 +14,7 @@
 #include "core/rng.hpp"
 #include "core/scheduler.hpp"
 #include "dftc/dftc.hpp"
+#include "exp/fmt.hpp"
 #include "mc/explorer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -434,6 +435,9 @@ void validateLimits(const Scenario& s) {
     throw std::invalid_argument(
         "mc-threads must be >= 0 (0 = the usable cores), got " +
         std::to_string(s.mcThreads));
+  if (!(s.faultRate >= 0 && s.faultRate <= 1))  // NaN fails both
+    throw std::invalid_argument("fault rate must be in [0, 1], got " +
+                                shortestDouble(s.faultRate));
   if (s.budget > 0) return;
   if (s.protocol == ProtocolKind::kModelCheck)
     throw std::invalid_argument(

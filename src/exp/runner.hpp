@@ -109,11 +109,12 @@ struct Scenario {
 };
 
 /// Throws std::invalid_argument naming the offending key when a
-/// scenario's limits are unusable: mc-threads < 0, or a budget <= 0 (a
-/// model check's cap on explored states, every other kind's move budget
-/// or step horizon).  Every override from outside — exp_cli's --budget,
-/// a scenario-file line, a canonical scenario, a served request — is
-/// checked with it.
+/// scenario's limits are unusable: mc-threads < 0, a fault rate outside
+/// [0, 1] or NaN (a probability, drawn by Rng::chance), or a budget <= 0
+/// (a model check's cap on explored states, every other kind's move
+/// budget or step horizon).  Every override from outside — exp_cli's
+/// --budget and --rate, a scenario-file line, a canonical scenario, a
+/// served request — is checked with it.
 void validateLimits(const Scenario& s);
 
 /// One trial's named metric samples, in a protocol-defined fixed order.

@@ -10,12 +10,12 @@
 //     the worker's own thread; switching the worker to the next state
 //     delta-decodes only the differing nodes, so the protocol's dirty
 //     set — and therefore guard re-evaluation — stays proportional to
-//     the diff, not to n.  In Debug builds the cache cross-checks the
-//     incremental enabled set against a naive full scan whenever a
-//     refresh evaluated a guard.  Both paths share the successor
-//     enumeration (execute / encode / restore, or the columnar engine's
-//     execute / undo under synchronous steps), the violation selection,
-//     the report and the convergence pass.
+//     the diff, not to n.  A stale cache would change the transition
+//     counts that tests/mc_equiv_test.cpp compares with the brute-force
+//     explorer, which scans every state's guards.  Both paths share the
+//     successor enumeration (execute / encode / restore, or the
+//     columnar engine's execute / undo under synchronous steps), the
+//     violation selection, the report and the convergence pass.
 //   * checkFullSpace names every configuration by its mixed-radix index
 //     and never hashes one.  Each worker takes one contiguous range of
 //     whole bitset words.  Pass 1 evaluates legitimacy into a bitset

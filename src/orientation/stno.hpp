@@ -98,7 +98,6 @@ class Stno final : public Protocol {
 
   /// The tree the orientation layer currently reads.
   [[nodiscard]] const TreeView& tree() const { return *view_; }
-  [[nodiscard]] bool usesFixedTree() const { return bfs_ == nullptr; }
 
   /// L_ST: substrate stabilized (always true in fixed-tree mode).
   [[nodiscard]] bool substrateLegitimate();

@@ -71,7 +71,6 @@ class SearchingDaemon final : public Daemon {
   [[nodiscard]] const std::vector<Move>& schedule() const {
     return schedule_;
   }
-  void clearSchedule() { schedule_.clear(); }
 
  private:
   void choose(std::span<const Move> enabled, std::vector<Move>& out);

@@ -42,7 +42,8 @@ class BfsTree final : public Protocol, public TreeView {
   [[nodiscard]] bool enabled(NodeId p, int action) const override;
   /// Columnar kernel: one fused min-distance walk per node over the
   /// dist_ column (vs enabled()'s separate min + parent lookups through
-  /// the virtual call).  Bit-identical to enabled() per Debug asserts.
+  /// the virtual call).  Bit-identical to enabled()
+  /// (GuardBatch.KernelsMatchScalarOnRandomizedStates).
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;

@@ -66,16 +66,12 @@ class LexDfsTree final : public Protocol, public TreeView {
 
   // ---- Substrate-specific API ----
   /// ⊤ (no valid path known) is represented as an absent word.
-  /// (Materializes a copy; the live word is a VarColumn row — use
-  /// wordRow()/hasWord() on hot paths.)
+  /// Materializes a copy of the word's VarColumn row, for inspection;
+  /// the guards read the row in place.
   [[nodiscard]] std::optional<std::vector<Port>> word(NodeId p) const {
     if (!has_[p]) return std::nullopt;
     const std::span<const int> row = word_.row(p);
     return std::vector<Port>(row.begin(), row.end());
-  }
-  [[nodiscard]] bool hasWord(NodeId p) const { return has_[p] != 0; }
-  [[nodiscard]] std::span<const int> wordRow(NodeId p) const {
-    return word_.row(p);
   }
 
   /// L: silent, i.e. every word is the lex-min root path and every

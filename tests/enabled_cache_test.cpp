@@ -9,15 +9,20 @@
 // Because daemons draw from the RNG based on the enabled set they are
 // handed, any discrepancy in the incremental set (content OR order)
 // diverges the runs immediately; fault injection mid-run additionally
-// exercises the dirty paths of randomizeNode and decodeNode.
+// exercises the dirty paths of randomizeNode and decodeNode.  After
+// every production step the post-step view is also checked against a
+// full guard scan (tests/oracle/view_oracle.hpp): the structures a
+// daemon does not read — the Fenwick tree under round-robin, the node
+// walk under the central daemon — must be right too.
 #include "core/enabled_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
-#include <set>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/daemon.hpp"
@@ -27,6 +32,7 @@
 #include "dftc/dftc.hpp"
 #include "exp/topology.hpp"
 #include "oracle/sim_oracle.hpp"
+#include "oracle/view_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -87,7 +93,8 @@ struct RunLog {
 };
 
 /// One deterministic scenario: scramble, run, inject 2 faults, run again
-/// — on the production Simulator, or on the reference simulator.
+/// — on the production Simulator, whose view is checked against a full
+/// scan after every step, or on the reference simulator.
 template <class Sim, class SimDaemon>
 RunLog runLogged(Protocol& protocol, SimDaemon& daemon, std::uint64_t seed,
                  StepCount budget) {
@@ -96,6 +103,12 @@ RunLog runLogged(Protocol& protocol, SimDaemon& daemon, std::uint64_t seed,
   Sim sim(protocol, daemon, rng);
   RunLog log;
   sim.setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
+  if constexpr (std::is_same_v<Sim, Simulator>)
+    sim.setStatusObserver([&protocol](std::span<const NodeId>, bool,
+                                      const EnabledView& view) {
+      if (!::testing::Test::HasFatalFailure())  // the first bad step only
+        oracle::expectViewMatchesScan(view, protocol);
+    });
   log.phase1 = sim.runToQuiescence(budget);
   FaultInjector(protocol).corruptK(2, rng);
   log.phase2 = sim.runToQuiescence(budget);
@@ -153,7 +166,10 @@ TEST_P(EnabledCacheEquivalence, SimulatorMatchesTheReferenceSimulator) {
 // daemon's cursor search runs to the end of the node index and wraps
 // whenever the token moves to a lower-numbered processor, and every
 // round opening walks the whole index.  One full token circulation must
-// match the reference simulator move for move.
+// match the reference simulator move for move, and the final production
+// view a full guard scan: every refresh here is sparse, so the cache
+// patches its Fenwick tree node by node, and round-robin selection never
+// reads that tree.
 TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
   constexpr NodeId n = 64 * 64 + 4;
   struct Log {
@@ -172,9 +188,16 @@ TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
     Log log;
     auto sim = makeSim(dftc, rng);
     sim->setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
+    const EnabledView* view = nullptr;  // the production post-step view
+    if constexpr (std::is_same_v<std::decay_t<decltype(*sim)>, Simulator>)
+      sim->setStatusObserver(
+          [&view](std::span<const NodeId>, bool, const EnabledView& v) {
+            view = &v;
+          });
     // Until the root starts its second token: one whole circulation.
     log.stats = sim->runUntil([&starts] { return starts >= 2; }, 8 * n);
     log.finalConfig = dftc.rawConfiguration();
+    if (view != nullptr) oracle::expectViewMatchesScan(*view, dftc);
     dftc.setHooks(TokenHooks{});
     return log;
   };
@@ -221,10 +244,10 @@ TEST(EnabledCacheEquivalence, SynchronousSimultaneousStepsMatch) {
   }
 }
 
-// Direct unit coverage of the EnabledView: counts, membership, k-th
-// selection (the central daemon's Fenwick descend), and the cyclic
-// successor (the round-robin draw) against the materialized vector, on
-// hundreds of randomized DFTNO configurations.
+// Direct unit coverage of the EnabledView on hundreds of randomized DFTNO
+// configurations: counts, membership and k-th selection (the central
+// daemon's Fenwick descent) against a full guard scan, and the cyclic
+// successor (the round-robin draw) against the materialized vector.
 TEST(EnabledView, CountsMembershipKthAndCyclicSuccessorMatchVector) {
   Rng topoRng(0x71E4);
   const Graph g = Graph::randomConnected(40, 0.15, topoRng);
@@ -234,21 +257,14 @@ TEST(EnabledView, CountsMembershipKthAndCyclicSuccessorMatchVector) {
   EnabledCache cache(proto);
   for (int step = 0; step < 300; ++step) {
     const EnabledView& view = cache.refreshView();
+    ASSERT_NO_FATAL_FAILURE(oracle::expectViewMatchesScan(view, proto));
     std::vector<Move> vec;
     view.appendMoves(vec);
-    ASSERT_EQ(static_cast<int>(vec.size()), view.moveCount());
-    std::set<NodeId> nodes;
-    for (const Move& m : vec) nodes.insert(m.node);
-    EXPECT_EQ(static_cast<int>(nodes.size()), view.enabledNodeCount());
-    for (NodeId p = 0; p < g.nodeCount(); ++p)
-      EXPECT_EQ(view.anyEnabled(p), nodes.contains(p));
-    for (std::size_t k = 0; k < vec.size(); ++k)
-      EXPECT_EQ(view.kthMove(static_cast<int>(k)), vec[k]) << "k=" << k;
+    if (vec.empty()) break;
     // Cyclic successor from every vector position, plus the sentinel.
     EXPECT_EQ(view.nextPairAfter(Move{-1, 1 << 20}), vec.front());
     for (std::size_t i = 0; i < vec.size(); ++i)
       EXPECT_EQ(view.nextPairAfter(vec[i]), vec[(i + 1) % vec.size()]);
-    if (vec.empty()) break;
     proto.execute(vec.front().node, vec.front().action);
   }
 }
@@ -269,26 +285,17 @@ TEST(EnabledView, TwoLevelSearchMatchesNaiveScanAcrossSummaryWords) {
     SCOPED_TRACE(when);
     const EnabledView& view = cache.refreshView();
     const std::vector<Move> naive = proto.enabledMoves();
-    std::vector<NodeId> nodes;
-    for (const Move& m : naive) nodes.push_back(m.node);
     // Naive successor of every node: the first enabled node after it.
     std::vector<NodeId> next(static_cast<std::size_t>(n), kNoNode);
     for (NodeId p = n - 2, after = kNoNode; p >= 0; --p) {
       if (proto.value(p + 1) != 0) after = p + 1;
       next[static_cast<std::size_t>(p)] = after;
     }
-    EXPECT_EQ(view.firstNode(), nodes.empty() ? kNoNode : nodes.front());
+    EXPECT_EQ(view.firstNode(), naive.empty() ? kNoNode : naive.front().node);
     for (NodeId p = 0; p < n; ++p)
       ASSERT_EQ(view.nextNode(p), next[static_cast<std::size_t>(p)])
           << "p=" << p;
-    std::vector<NodeId> visited;
-    view.forEachNode([&visited](NodeId p) { visited.push_back(p); });
-    EXPECT_EQ(visited, nodes);
-    std::vector<Move> moves;
-    view.appendMoves(moves);
-    EXPECT_EQ(moves, naive);
-    for (std::size_t k = 0; k < moves.size(); ++k)
-      EXPECT_EQ(view.kthMove(static_cast<int>(k)), moves[k]) << "k=" << k;
+    ASSERT_NO_FATAL_FAILURE(oracle::expectViewMatchesScan(view, proto));
     if (naive.empty()) return;
     EXPECT_EQ(view.firstMove(), naive.front());
     EXPECT_EQ(view.nextPairAfter(Move{-1, 1 << 20}), naive.front());
@@ -313,13 +320,6 @@ TEST(EnabledView, TwoLevelSearchMatchesNaiveScanAcrossSummaryWords) {
   }
 }
 
-/// The refreshed view's moves, in node-major order.
-std::vector<Move> refreshedMoves(EnabledCache& cache) {
-  std::vector<Move> moves;
-  cache.refreshView().appendMoves(moves);
-  return moves;
-}
-
 // Direct cache unit test: after a single move, only the dirty region is
 // re-evaluated, yet the refreshed set equals a fresh full scan.
 TEST(EnabledCache, RefreshTracksSingleMoves) {
@@ -328,10 +328,11 @@ TEST(EnabledCache, RefreshTracksSingleMoves) {
   dftc.resetClean();
   EnabledCache cache(dftc);
   for (int step = 0; step < 200; ++step) {
-    const std::vector<Move> cached = refreshedMoves(cache);
-    EXPECT_EQ(cached, dftc.enabledMoves());
-    ASSERT_FALSE(cached.empty());  // the token never stops
-    dftc.execute(cached.front().node, cached.front().action);
+    const EnabledView& view = cache.refreshView();
+    ASSERT_NO_FATAL_FAILURE(oracle::expectViewMatchesScan(view, dftc));
+    ASSERT_FALSE(view.empty());  // the token never stops
+    const Move m = view.firstMove();
+    dftc.execute(m.node, m.action);
   }
 }
 
@@ -346,22 +347,23 @@ TEST(EnabledCache, PicksUpExternalWrites) {
   // neighborhood and be reflected by the next refresh.
   for (NodeId p = 0; p < g.nodeCount(); ++p) {
     stno.randomizeNode(p, rng);
-    EXPECT_EQ(refreshedMoves(cache), stno.enabledMoves());
+    ASSERT_NO_FATAL_FAILURE(
+        oracle::expectViewMatchesScan(cache.refreshView(), stno));
   }
   // Whole-configuration restore marks everything dirty.
   const std::vector<int> snapshot = stno.rawConfiguration();
   stno.randomize(rng);
   (void)cache.refreshView();
   stno.setRawConfiguration(snapshot);
-  EXPECT_EQ(refreshedMoves(cache), stno.enabledMoves());
+  oracle::expectViewMatchesScan(cache.refreshView(), stno);
 }
 
 // STNO on star:64, over the BFS substrate and over the fixed star tree:
 // every leaf's NodeLabel guard reads the hub's Start entry for it through
 // parentPort and backPort, and a hub Distribute dirties all 63 leaves.
-// After every central-daemon step the incremental view must list exactly
-// Protocol::enabledMoves().  This check runs in every build type; the
-// cache's batch-vs-scalar guard cross-check runs only in Debug.
+// After every central-daemon step the incremental view must match a
+// full guard scan (tests/oracle/view_oracle.hpp).  Stno's batch kernel
+// against its scalar guards is guard_batch_test's.
 TEST(EnabledCache, StnoOnAStarMatchesFullScanAfterEveryStep) {
   const Graph g = exp::TopologySpec::parse("star:64").build();
   std::vector<NodeId> hubParents(64, 0);
@@ -377,13 +379,11 @@ TEST(EnabledCache, StnoOnAStarMatchesFullScanAfterEveryStep) {
       stno.randomize(rng);
       EnabledCache cache(stno);
       const auto daemon = makeDaemon(DaemonKind::kCentral);
-      std::vector<Move> listed;
       std::vector<Move> chosen;
       for (int step = 0; step < 200; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
         const EnabledView& view = cache.refreshView();
-        listed.clear();
-        view.appendMoves(listed);
-        ASSERT_EQ(listed, stno.enabledMoves()) << "step " << step;
+        ASSERT_NO_FATAL_FAILURE(oracle::expectViewMatchesScan(view, stno));
         if (view.empty()) break;
         daemon->selectInto(view, rng, chosen);
         for (const Move& m : chosen) stno.execute(m.node, m.action);

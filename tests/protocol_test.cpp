@@ -58,15 +58,6 @@ TEST(Protocol, RawConfigurationRoundTrips) {
   EXPECT_EQ(other.rawConfiguration(), raw);
 }
 
-TEST(Protocol, ConfigurationHashDistinguishesStates) {
-  ZeroProtocol a(Graph::path(3), 4), b(Graph::path(3), 4);
-  a.setValue(0, 1);
-  b.setValue(0, 2);
-  EXPECT_NE(a.configurationHash(), b.configurationHash());
-  b.setValue(0, 1);
-  EXPECT_EQ(a.configurationHash(), b.configurationHash());
-}
-
 // ---- Every production protocol's per-node state -------------------------
 
 using Factory = std::function<std::unique_ptr<Protocol>(const Graph&)>;

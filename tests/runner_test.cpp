@@ -392,6 +392,8 @@ TEST(ScenarioFile, RejectsMalformedLinesWithLineNumbers) {
                   "line 1: budget must be positive, got 0");
   expectThrowWith("dftno-churn round-robin grid:3x4 budget=-40000\n",
                   "line 1: budget must be positive, got -40000");
+  expectThrowWith("# ok\ndftno-churn round-robin ring:8 rate=1.5\n",
+                  "line 2: fault rate must be in [0, 1], got 1.5");
 }
 
 TEST(ScenarioFile, McThreadsZeroMeansTheUsableCores) {
@@ -422,6 +424,9 @@ TEST(CanonicalScenario, RejectsNegativeMcThreadsAndNonPositiveBudgets) {
   Scenario sim = parseScenario("dftno/central/ring:8");
   sim.budget = 0;
   expectRejected(sim, "budget must be positive, got 0");
+  Scenario churn = parseScenario("dftno-churn/round-robin/ring:8");
+  churn.faultRate = std::numeric_limits<double>::quiet_NaN();
+  expectRejected(churn, "fault rate must be in [0, 1], got nan");
 }
 
 TEST(ScenarioRegistry, NewGeneratorsUsableFromSimulationAndModelCheck) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/graph.hpp"
 #include "toy_protocols.hpp"
 
@@ -83,14 +86,21 @@ TEST(Simulator, StepOnceReturnsEmptyWhenTerminal) {
   EXPECT_TRUE(sim.stepOnce().empty());
 }
 
-// A protocol whose statement reads a neighbor: p copies its right
-// neighbor's value.  Under correct shared-memory semantics, when both
-// nodes act in the same synchronous step, both right-hand sides must be
-// evaluated against the pre-step configuration.
-class CopyRightProtocol final : public Protocol {
+// A protocol whose statement reads a neighbor: p copies the value of
+// p + from, its right neighbor (from = +1) or its left one (from = -1).
+// Under correct shared-memory semantics, when both nodes act in the
+// same synchronous step, both right-hand sides must be evaluated
+// against the pre-step configuration.  Moves run node-ascending, so
+// copying from the left reads an actor that has already executed: the
+// engine must roll it back first, or, when the guards are declared
+// non-local (always safe), restore it through the full-configuration
+// write log.
+class CopyProtocol final : public Protocol {
  public:
-  explicit CopyRightProtocol(Graph g)
+  CopyProtocol(Graph g, int from, bool local)
       : Protocol(std::move(g)),
+        from_(from),
+        local_(local),
         arena_(graph(), DigitOrder::kLeastFirst),
         v_(arena_.nodeColumn({.base = 4})) {
     addArena(arena_);
@@ -99,37 +109,54 @@ class CopyRightProtocol final : public Protocol {
   [[nodiscard]] int actionCount() const override { return 1; }
   [[nodiscard]] std::string actionName(int) const override { return "Copy"; }
   [[nodiscard]] bool enabled(NodeId p, int a) const override {
-    return a == 0 && p + 1 < graph().nodeCount() && v_[p] != v_[p + 1];
+    const NodeId q = p + from_;
+    return a == 0 && q >= 0 && q < graph().nodeCount() && v_[p] != v_[q];
   }
-  void doExecute(NodeId p, int) override { v_[p] = v_[p + 1]; }
+  [[nodiscard]] bool guardsAreNeighborhoodLocal() const override {
+    return local_;
+  }
+  void doExecute(NodeId p, int) override { v_[p] = v_[p + from_]; }
   [[nodiscard]] std::string dumpNode(NodeId p) const override {
     return std::to_string(v_[p]);
   }
   [[nodiscard]] int value(NodeId p) const { return v_[p]; }
 
  private:
+  int from_;
+  bool local_;
   StateArena arena_;
   NodeColumn v_;
 };
 
 TEST(Simulator, SimultaneousMovesReadPreStepState) {
-  CopyRightProtocol proto(Graph::path(3));
-  SynchronousDaemon daemon;
-  Rng rng(8);
-  Simulator sim(proto, daemon, rng);
-  // Both node 0 and node 1 are enabled; a synchronous step must give
-  // v = (2, 3, 3): node 0 copies the OLD v_1 = 2, not the new 3.
-  const auto executed = sim.stepOnce();
-  EXPECT_EQ(executed.size(), 2u);
-  EXPECT_EQ(proto.value(0), 2);
-  EXPECT_EQ(proto.value(1), 3);
-  EXPECT_EQ(proto.value(2), 3);
+  // v = (1, 2, 3) on a path, and both enabled nodes act in one
+  // synchronous step, reading the OLD values: copying from the right
+  // must give (2, 3, 3), from the left (1, 1, 2) — node 2 copies the old
+  // v_1 = 2, not the new 1 — on the rollback path and the write log.
+  struct Case {
+    int from;
+    bool local;
+    std::vector<int> want;
+  };
+  for (const Case& c : {Case{+1, true, {2, 3, 3}}, Case{-1, true, {1, 1, 2}},
+                        Case{-1, false, {1, 1, 2}}}) {
+    SCOPED_TRACE("from " + std::to_string(c.from) +
+                 (c.local ? " local" : " non-local"));
+    CopyProtocol proto(Graph::path(3), c.from, c.local);
+    SynchronousDaemon daemon;
+    Rng rng(8);
+    Simulator sim(proto, daemon, rng);
+    EXPECT_EQ(sim.stepOnce().size(), 2u);
+    EXPECT_EQ((std::vector<int>{proto.value(0), proto.value(1),
+                                proto.value(2)}),
+              c.want);
+  }
 }
 
 TEST(Simulator, RoundCountMatchesDiffusionDepth) {
-  // CopyRight on a path: values propagate leftward one hop per round
-  // under the synchronous daemon.
-  CopyRightProtocol proto(Graph::path(3));
+  // Copying from the right on a path: values propagate leftward one hop
+  // per round under the synchronous daemon.
+  CopyProtocol proto(Graph::path(3), +1, true);
   SynchronousDaemon daemon;
   Rng rng(9);
   Simulator sim(proto, daemon, rng);

@@ -207,8 +207,10 @@ TEST(Server, NonPositiveBudgetOverrideIsRejected) {
       server, {R"({"verb":"submit","target":"dftc/central/ring:5",)"
                R"("budget":0})",
                R"({"verb":"submit","target":"model-check:dftc/central/path:3",)"
-               R"("budget":-1})"});
-  ASSERT_EQ(lines.size(), 2u);
+               R"("budget":-1})",
+               R"({"verb":"submit","target":"dftno-churn/round-robin/ring:8",)"
+               R"("rate":-0.5})"});
+  ASSERT_EQ(lines.size(), 3u);
   for (const JsonValue& line : lines) EXPECT_FALSE(line.find("ok")->asBool());
   EXPECT_NE(lines[0].find("error")->asString().find(
                 "budget must be positive, got 0"),
@@ -218,6 +220,10 @@ TEST(Server, NonPositiveBudgetOverrideIsRejected) {
                 "model-check budget must be positive"),
             std::string::npos)
       << lines[1].find("error")->asString();
+  EXPECT_NE(lines[2].find("error")->asString().find(
+                "fault rate must be in [0, 1], got -0.5"),
+            std::string::npos)
+      << lines[2].find("error")->asString();
 }
 
 TEST(Server, OneNodeTopologyIsRejectedAndTheSessionSurvives) {

@@ -22,6 +22,7 @@
 #include "dftc/dftc.hpp"
 #include "oracle/sim_oracle.hpp"
 #include "oracle/step_oracle.hpp"
+#include "oracle/view_oracle.hpp"
 #include "orientation/baseline.hpp"
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
@@ -31,7 +32,7 @@
 namespace ssno {
 namespace {
 
-enum class Proto { kDftc, kDftno, kStno, kBfsTree, kLexDfsTree };
+enum class Proto { kDftc, kDftno, kStno, kBfsTree, kLexDfsTree, kBaseline };
 
 std::unique_ptr<Protocol> makeProto(Proto kind, const Graph& g) {
   switch (kind) {
@@ -40,6 +41,7 @@ std::unique_ptr<Protocol> makeProto(Proto kind, const Graph& g) {
     case Proto::kStno: return std::make_unique<Stno>(g);
     case Proto::kBfsTree: return std::make_unique<BfsTree>(g);
     case Proto::kLexDfsTree: return std::make_unique<LexDfsTree>(g);
+    case Proto::kBaseline: return std::make_unique<InitBasedOrientation>(g);
   }
   return nullptr;
 }
@@ -141,14 +143,28 @@ TEST(SyncEquivalence, FullSnapshotFallbackMatchesTheReferenceSimulator) {
   }
 }
 
+// Single steps against the brute-force step on every engine path: the
+// batched two-phase kernels (Dftc, Dftno), the neighborhood rollback
+// (Stno, BfsTree, LexDfsTree) and the write-logging full-configuration
+// path (InitBasedOrientation).  Odd rounds select few movers, so the
+// step stays below Protocol::endSimultaneousStep's dense threshold and
+// the cache patches only the step's dirty region.  One long-lived cache
+// is refreshed and checked against a full scan after every step and
+// every undo: a step or an undo that skips a dirty notice leaves it
+// stale.
 TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
   const Graph g = Graph::grid(3, 4);
-  for (Proto kind : {Proto::kDftc, Proto::kDftno, Proto::kLexDfsTree}) {
+  for (Proto kind : {Proto::kDftc, Proto::kDftno, Proto::kStno,
+                     Proto::kBfsTree, Proto::kLexDfsTree,
+                     Proto::kBaseline}) {
+    SCOPED_TRACE("proto=" + std::to_string(int(kind)));
     const std::unique_ptr<Protocol> proto = makeProto(kind, g);
     const std::unique_ptr<Protocol> ref = makeProto(kind, g);
     SimultaneousEngine engine(*proto);
+    EnabledCache cache(*proto);
     Rng rng(42);
     for (int round = 0; round < 30; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
       {
         Rng r2(1000 + round);
         proto->randomize(r2);
@@ -158,14 +174,17 @@ TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
         ref->randomize(r2);
       }
       ASSERT_EQ(proto->rawConfiguration(), ref->rawConfiguration());
+      ASSERT_NO_FATAL_FAILURE(
+          oracle::expectViewMatchesScan(cache.refreshView(), *proto));
       // A random simultaneous selection: one enabled action for a
       // random subset of enabled processors (node-ascending).
+      const double skip = round % 2 == 0 ? 0.3 : 0.8;
       std::vector<Move> sel;
       for (NodeId p = 0; p < g.nodeCount(); ++p) {
         std::vector<int> actions;
         for (int a = 0; a < proto->actionCount(); ++a)
           if (proto->enabled(p, a)) actions.push_back(a);
-        if (actions.empty() || rng.chance(0.3)) continue;
+        if (actions.empty() || rng.chance(skip)) continue;
         sel.push_back(
             {p, actions[static_cast<std::size_t>(
                     rng.below(static_cast<int>(actions.size())))]});
@@ -173,16 +192,13 @@ TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
       if (sel.empty()) continue;
       const std::vector<int> before = proto->rawConfiguration();
       engine.execute(sel);
-      const std::vector<int> after = proto->rawConfiguration();
-      EXPECT_EQ(after, oracle::bruteForceStep(*ref, sel));
+      EXPECT_EQ(proto->rawConfiguration(), oracle::bruteForceStep(*ref, sel));
+      ASSERT_NO_FATAL_FAILURE(
+          oracle::expectViewMatchesScan(cache.refreshView(), *proto));
       engine.undo();
       EXPECT_EQ(proto->rawConfiguration(), before);
-      // After undo, the protocol must also report the pre-step enabled
-      // relation (dirtying propagated through the undo restores).
-      EnabledCache cache(*proto);
-      std::vector<Move> cached;
-      cache.refreshView().appendMoves(cached);
-      EXPECT_EQ(cached, proto->enabledMoves());
+      ASSERT_NO_FATAL_FAILURE(
+          oracle::expectViewMatchesScan(cache.refreshView(), *proto));
     }
   }
 }
