@@ -125,9 +125,13 @@ Scenario parseCanonicalScenario(const std::string& text) {
 }
 
 Digest128 scenarioDigest(const Scenario& s, std::string_view salt) {
+  return canonicalDigest(canonicalScenario(s), salt);
+}
+
+Digest128 canonicalDigest(std::string_view canon, std::string_view salt) {
   std::string bytes(salt);
   bytes += '\n';
-  bytes += canonicalScenario(s);
+  bytes += canon;
   return fnv1a128(bytes);
 }
 

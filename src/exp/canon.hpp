@@ -65,6 +65,11 @@ struct Digest128 {
 [[nodiscard]] Digest128 scenarioDigest(const Scenario& s,
                                        std::string_view salt);
 
+/// scenarioDigest() of a scenario whose canonicalScenario() text is
+/// `canon`, for callers that have already rendered it.
+[[nodiscard]] Digest128 canonicalDigest(std::string_view canon,
+                                        std::string_view salt);
+
 /// Serializes the result fields of `r` (everything except r.scenario).
 [[nodiscard]] std::string resultPayload(const ScenarioResult& r);
 

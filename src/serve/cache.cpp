@@ -1,10 +1,13 @@
 #include "serve/cache.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
+#include <fcntl.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <filesystem>
+#include <stdexcept>
 
 #include "io/fault.hpp"
 #include "io/file.hpp"
@@ -45,15 +48,41 @@ std::string hex32(std::uint32_t v) {
   return out;
 }
 
-/// "key value" line reader: true iff the line exists and starts with
-/// `key` + space; leaves the value (rest of line) in *value.
-bool headerLine(std::istream& in, const char* key, std::string* value) {
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  const std::string prefix = std::string(key) + " ";
-  if (line.rfind(prefix, 0) != 0) return false;
-  *value = line.substr(prefix.size());
-  return true;
+/// Takes the next '\n'-terminated line off the front of `rest`.
+std::optional<std::string_view> takeLine(std::string_view& rest) {
+  const std::size_t nl = rest.find('\n');
+  if (nl == std::string_view::npos) return std::nullopt;
+  const std::string_view line = rest.substr(0, nl);
+  rest.remove_prefix(nl + 1);
+  return line;
+}
+
+/// Takes the next line off `rest` if it reads "key value"; returns the
+/// value.
+std::optional<std::string_view> takeHeader(std::string_view& rest,
+                                           std::string_view key) {
+  const auto line = takeLine(rest);
+  if (!line || line->size() <= key.size() || !line->starts_with(key) ||
+      (*line)[key.size()] != ' ')
+    return std::nullopt;
+  return line->substr(key.size() + 1);
+}
+
+/// The bytes of the file at `path`, or nullopt when it cannot be
+/// opened.  A read error ends the bytes early, which no record passes.
+std::optional<std::string> readWhole(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::string data;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof chunk)) != 0;) {
+    if (n > 0)
+      data.append(chunk, static_cast<std::size_t>(n));
+    else if (errno != EINTR)
+      break;
+  }
+  ::close(fd);
+  return data;
 }
 
 }  // namespace
@@ -69,50 +98,46 @@ ResultCache::ResultCache(std::string dir, std::string salt)
 }
 
 std::string ResultCache::keyHex(const exp::Scenario& s) const {
-  return exp::scenarioDigest(s, salt_).hex();
+  return keyFor(exp::canonicalScenario(s));
+}
+
+std::string ResultCache::keyFor(std::string_view canon) const {
+  return exp::canonicalDigest(canon, salt_).hex();
 }
 
 std::string ResultCache::recordPath(const std::string& key) const {
   return dir_ + "/" + key.substr(0, 2) + "/" + key + ".rec";
 }
 
-std::optional<std::string> ResultCache::readRecord(const exp::Scenario& s,
-                                                   const std::string& key,
+std::optional<std::string> ResultCache::readRecord(std::string_view canon,
                                                    bool* bad) const {
-  *bad = false;
-  std::ifstream in(recordPath(key), std::ios::binary);
-  if (!in) return std::nullopt;  // plain miss: no record yet
+  const std::string key = keyFor(canon);
+  std::optional<std::string> data = readWhole(recordPath(key));
+  *bad = data.has_value();
+  if (!data) return std::nullopt;  // plain miss: no record yet
   // From here on every anomaly is a *bad* record, not a plain miss.
-  *bad = true;
-  std::string line, value;
-  if (!std::getline(in, line) || line != kMagic) return std::nullopt;
-  if (!headerLine(in, "salt", &value) || value != salt_) return std::nullopt;
-  if (!headerLine(in, "key", &value) || value != key) return std::nullopt;
-  if (!headerLine(in, "scenario", &value) ||
-      value != exp::canonicalScenario(s))
+  std::string_view rest = *data;
+  if (takeLine(rest) != kMagic || takeHeader(rest, "salt") != salt_ ||
+      takeHeader(rest, "key") != key || takeHeader(rest, "scenario") != canon)
     return std::nullopt;
-  if (!headerLine(in, "bytes", &value)) return std::nullopt;
+  const auto bytesField = takeHeader(rest, "bytes");
+  if (!bytesField) return std::nullopt;
   std::size_t bytes = 0;
-  try {
-    std::size_t used = 0;
-    bytes = std::stoull(value, &used);
-    if (used != value.size()) return std::nullopt;
-  } catch (const std::exception&) {
+  const char* const end = bytesField->data() + bytesField->size();
+  const auto [stop, ec] = std::from_chars(bytesField->data(), end, bytes);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  const auto crc = takeHeader(rest, "crc32");
+  // The payload is exactly the rest of the file.
+  if (!crc || rest.size() != bytes || hex32(crc32(rest)) != *crc)
     return std::nullopt;
-  }
-  if (!headerLine(in, "crc32", &value)) return std::nullopt;
-  std::string payload(bytes, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) return std::nullopt;
-  if (in.get() != std::ifstream::traits_type::eof()) return std::nullopt;
-  if (hex32(crc32(payload)) != value) return std::nullopt;
   *bad = false;
-  return payload;
+  data->erase(0, data->size() - rest.size());
+  return data;
 }
 
 std::optional<std::string> ResultCache::fetch(const exp::Scenario& s) {
   bool bad = false;
-  auto payload = readRecord(s, keyHex(s), &bad);
+  auto payload = readRecord(exp::canonicalScenario(s), &bad);
   if (bad) {
     ++badRecords_;
     kCacheBad.inc();
@@ -130,7 +155,7 @@ std::optional<std::string> ResultCache::fetch(const exp::Scenario& s) {
 std::optional<exp::ScenarioResult> ResultCache::fetchResult(
     const exp::Scenario& s) {
   bool bad = false;
-  const auto payload = readRecord(s, keyHex(s), &bad);
+  const auto payload = readRecord(exp::canonicalScenario(s), &bad);
   if (payload) {
     try {
       exp::ScenarioResult r = exp::parseResultPayload(*payload);
@@ -152,7 +177,8 @@ std::optional<exp::ScenarioResult> ResultCache::fetchResult(
 }
 
 bool ResultCache::store(const exp::Scenario& s, std::string_view payload) {
-  const std::string key = keyHex(s);
+  const std::string canon = exp::canonicalScenario(s);
+  const std::string key = keyFor(canon);
   const std::string path = recordPath(key);
   const std::string temp =
       path + ".tmp." + std::to_string(::getpid()) + "." +
@@ -168,8 +194,8 @@ bool ResultCache::store(const exp::Scenario& s, std::string_view payload) {
   std::error_code ec;
   io::createDirectories(fs::path(path).parent_path().string(), ec);
   std::string record = kMagic;
-  record += "\nsalt " + salt_ + "\nkey " + key + "\nscenario " +
-            exp::canonicalScenario(s) + "\nbytes " +
+  record += "\nsalt " + salt_ + "\nkey " + key + "\nscenario " + canon +
+            "\nbytes " +
             std::to_string(payload.size()) + "\ncrc32 " +
             hex32(crc32(payload)) + "\n";
   record.append(payload.data(), payload.size());

@@ -118,9 +118,12 @@ class ResultCache {
 
  private:
   [[nodiscard]] std::string recordPath(const std::string& key) const;
-  /// nullopt on miss; sets *bad when a file existed but was unusable.
-  [[nodiscard]] std::optional<std::string> readRecord(
-      const exp::Scenario& s, const std::string& key, bool* bad) const;
+  /// keyHex() of the scenario whose canonical text is `canon`.
+  [[nodiscard]] std::string keyFor(std::string_view canon) const;
+  /// The payload of the record for canonical text `canon`, or nullopt
+  /// on a miss; sets *bad when a file existed but was unusable.
+  [[nodiscard]] std::optional<std::string> readRecord(std::string_view canon,
+                                                      bool* bad) const;
 
   std::string dir_;
   std::string salt_;

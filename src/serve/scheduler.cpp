@@ -66,14 +66,13 @@ std::string JobScheduler::checkpointPath(const std::string& name) const {
   return opt_.checkpointDir + "/" + name + ".ckpt";
 }
 
-void JobScheduler::appendCheckpoint(Job& job, const std::string& line) {
-  if (job.checkpoint.empty()) return;
+void JobScheduler::appendCheckpoint(const Job& job, const std::string& lines) {
+  if (job.checkpoint.empty() || lines.empty()) return;
   io::File out = io::File::openAppend(checkpointPath(job.checkpoint));
-  // One writeAll per line: a crash tears at most the line being
+  // One writeAll per append: a crash tears at most the last line being
   // appended, which resume() skips.  fsync before close so "done" lines
   // survive a post-append power cut.
-  if (!out.valid() || !out.writeAll(line + "\n") || !out.sync() ||
-      !out.close())
+  if (!out.valid() || !out.writeAll(lines) || !out.sync() || !out.close())
     kCkptAppendFailures.inc();
 }
 
@@ -115,6 +114,12 @@ std::uint64_t JobScheduler::submit(std::vector<exp::Scenario> sweep,
       throw std::runtime_error("cannot write checkpoint " + ckptPath);
   }
 
+  // A unit not in flight gets its one cache lookup here, under mu_: a
+  // worker stores a record before it takes mu_ to leave inflight_, so a
+  // finished computation is found either in flight or in the cache and
+  // is never run twice.  Queued units have all missed, so workers only
+  // compute and store.
+  std::string hitLines;  // the hits' checkpoint lines, for one append
   for (int unit = 0; unit < static_cast<int>(job.scenarios.size()); ++unit) {
     const exp::Scenario& s =
         job.scenarios[static_cast<std::size_t>(unit)];
@@ -125,6 +130,13 @@ std::uint64_t JobScheduler::submit(std::vector<exp::Scenario> sweep,
       ++dedupedUnits_;
       continue;
     }
+    if (opt_.cache != nullptr) {
+      if (const auto hit = opt_.cache->fetchResult(s)) {
+        settle(job, unit, /*cached=*/true, /*failed=*/false, {}, *hit,
+               &hitLines);
+        continue;
+      }
+    }
     auto comp = std::make_shared<Computation>();
     comp->canon = canon;
     comp->scenario = s;
@@ -132,6 +144,7 @@ std::uint64_t JobScheduler::submit(std::vector<exp::Scenario> sweep,
     inflight_.emplace(canon, comp);
     queue_.push({priority, nextSeq_++, std::move(comp)});
   }
+  appendCheckpoint(job, hitLines);
   cv_.notify_all();
   return id;
 }
@@ -178,37 +191,41 @@ std::uint64_t JobScheduler::resume(const std::string& checkpoint,
   return submit(std::move(sweep), priority, checkpoint);
 }
 
-void JobScheduler::deliver(const std::shared_ptr<Computation>& comp,
-                           bool cached, bool failed, const std::string& error,
-                           const exp::ScenarioResult& result) {
-  for (const auto& [jobId, unit] : comp->subscribers) {
-    const auto it = jobs_.find(jobId);
-    if (it == jobs_.end() || it->second.cancelled) continue;
-    Job& job = it->second;
-    RowEvent ev;
-    ev.job = jobId;
-    ev.unit = unit;
-    ev.scenario = job.scenarios[static_cast<std::size_t>(unit)];
-    ev.cached = cached;
-    ev.failed = failed;
-    ev.error = error;
-    if (!failed) {
-      ev.result = result;
-      ev.result.scenario = ev.scenario;  // the submitter's display name
-      job.results[static_cast<std::size_t>(unit)] = ev.result;
-      ++job.done;
-      if (cached) ++job.cachedHits;
-    } else {
-      ++job.failed;
-    }
-    ++job.settled;
-    if (!failed && opt_.cache != nullptr)
-      appendCheckpoint(job, "done " + std::to_string(unit) + " " +
-                                opt_.cache->keyHex(ev.scenario));
-    if (job.settled == static_cast<int>(job.scenarios.size()))
-      appendCheckpoint(job, "complete");
-    job.log.push_back(std::move(ev));
+void JobScheduler::settle(Job& job, int unit, bool cached, bool failed,
+                          const std::string& error,
+                          const exp::ScenarioResult& result,
+                          std::string* batch) {
+  RowEvent ev;
+  ev.job = job.id;
+  ev.unit = unit;
+  ev.scenario = job.scenarios[static_cast<std::size_t>(unit)];
+  ev.cached = cached;
+  ev.failed = failed;
+  ev.error = error;
+  if (!failed) {
+    ev.result = result;
+    ev.result.scenario = ev.scenario;  // the submitter's display name
+    job.results[static_cast<std::size_t>(unit)] = ev.result;
+    ++job.done;
+    if (cached) ++job.cachedHits;
+  } else {
+    ++job.failed;
   }
+  ++job.settled;
+  if (!job.checkpoint.empty()) {
+    const auto earn = [&](const std::string& line) {
+      if (batch != nullptr)
+        *batch += line;
+      else
+        appendCheckpoint(job, line);
+    };
+    if (!failed && opt_.cache != nullptr)
+      earn("done " + std::to_string(unit) + " " +
+           opt_.cache->keyHex(ev.scenario) + "\n");
+    if (job.settled == static_cast<int>(job.scenarios.size()))
+      earn("complete\n");
+  }
+  job.log.push_back(std::move(ev));
 }
 
 void JobScheduler::workerLoop() {
@@ -233,23 +250,15 @@ void JobScheduler::workerLoop() {
     ++busy_;
     lk.unlock();
 
-    bool cached = false, failed = false;
+    // submit() already missed the cache for this unit: compute, store.
+    bool failed = false, computed = false;
     std::string error;
     exp::ScenarioResult result;
-    bool computed = false;
     try {
-      if (opt_.cache != nullptr) {
-        if (auto hit = opt_.cache->fetchResult(comp->scenario)) {
-          result = std::move(*hit);
-          cached = true;
-        }
-      }
-      if (!cached) {
-        const exp::ExperimentRunner runner(opt_.trialThreads);
-        result = runner.run(comp->scenario);
-        computed = true;
-        if (opt_.cache != nullptr) opt_.cache->storeResult(result);
-      }
+      const exp::ExperimentRunner runner(opt_.trialThreads);
+      result = runner.run(comp->scenario);
+      computed = true;
+      if (opt_.cache != nullptr) opt_.cache->storeResult(result);
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
@@ -261,7 +270,12 @@ void JobScheduler::workerLoop() {
     // Future submits of this scenario go through the cache (or, absent
     // one, recompute) rather than subscribing to a finished unit.
     inflight_.erase(comp->canon);
-    deliver(comp, cached, failed, error, result);
+    for (const auto& [jobId, unit] : comp->subscribers) {
+      const auto it = jobs_.find(jobId);
+      if (it == jobs_.end() || it->second.cancelled) continue;
+      settle(it->second, unit, /*cached=*/false, failed, error, result,
+             /*batch=*/nullptr);
+    }
     cv_.notify_all();
   }
 }
@@ -306,15 +320,17 @@ std::vector<std::optional<exp::ScenarioResult>> JobScheduler::wait(
 }
 
 std::vector<RowEvent> JobScheduler::eventsSince(std::uint64_t job,
-                                                std::size_t from) {
+                                                std::size_t from,
+                                                bool* ended) {
   std::unique_lock<std::mutex> lk(mu_);
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) throw std::invalid_argument("unknown job");
   Job& j = it->second;
-  cv_.wait(lk, [&j, from] {
-    return j.log.size() > from || j.cancelled ||
-           j.settled == static_cast<int>(j.scenarios.size());
-  });
+  const auto over = [&j] {
+    return j.cancelled || j.settled == static_cast<int>(j.scenarios.size());
+  };
+  cv_.wait(lk, [&j, from, &over] { return j.log.size() > from || over(); });
+  if (ended != nullptr) *ended = over();
   return {j.log.begin() + static_cast<std::ptrdiff_t>(
                               std::min(from, j.log.size())),
           j.log.end()};

@@ -6,8 +6,12 @@
 // attaches the new (job, unit) as a subscriber to the in-flight
 // computation instead of enqueueing a second copy — one computation,
 // every subscriber delivered the identical result.  Completed units go
-// through the ResultCache (when configured), so re-submits after
-// completion are O(lookup) rather than deduplicated in memory.
+// through the ResultCache (when configured): submit() looks each unit
+// that is not in flight up once, under the scheduler lock.  A hit
+// settles before submit() returns, without a trip through the queue; a
+// miss is queued, and a worker only computes and stores it.  A worker
+// stores its record before its unit leaves the in-flight set, so a
+// re-submit after completion is one lookup, never a second computation.
 //
 // Scheduling is by (priority desc, submission order) over computations;
 // a deduplicated unit keeps the priority of its first submitter.
@@ -23,12 +27,15 @@
 //       ssno-checkpoint v1
 //       name <name>
 //       unit<TAB><display name><TAB><canonical scenario text>   (per unit)
-//       done <unit index> <cache key>                (appended, flushed)
+//       done <unit index> <cache key>                (appended, fsynced)
 //       complete                                     (on job completion)
+//
+// A unit a worker settles appends its lines one at a time; the hits
+// of one submit() append theirs together, in one write.
 //
 // resume() re-reads the unit lines and submits them as a fresh job with
 // the original display names; units finished before the crash hit the
-// cache and settle instantly, so a SIGKILLed million-trial sweep
+// cache and settle inside submit(), so a SIGKILLed million-trial sweep
 // restarts where it stopped and its final report is byte-identical to
 // an uninterrupted run (proved end to end by tests/serve_test.cpp and
 // the CI serve-smoke job).  The `done` lines are a human-readable
@@ -105,7 +112,8 @@ class JobScheduler {
   /// Validates every scenario (trials, topology domain) up front and
   /// throws std::invalid_argument before any work is enqueued.  With a
   /// non-empty `checkpoint` (requires checkpointDir), (re)writes the
-  /// checkpoint file.  Returns the job id.
+  /// checkpoint file.  Units found in the cache have settled when it
+  /// returns.  Returns the job id.
   std::uint64_t submit(std::vector<exp::Scenario> sweep, int priority = 0,
                        const std::string& checkpoint = "");
 
@@ -125,8 +133,11 @@ class JobScheduler {
 
   /// Event-log slice [from, log.size()) for `job`, blocking until it is
   /// non-empty, the job completes, or the job is cancelled.  Returns
-  /// empty only at end of stream; unknown jobs throw.
-  std::vector<RowEvent> eventsSince(std::uint64_t job, std::size_t from);
+  /// empty only at end of stream; unknown jobs throw.  `ended`, when
+  /// given, is set when no row follows this slice (the job has settled
+  /// or was cancelled).
+  std::vector<RowEvent> eventsSince(std::uint64_t job, std::size_t from,
+                                    bool* ended = nullptr);
 
   [[nodiscard]] SchedulerStats stats() const;
 
@@ -165,10 +176,15 @@ class JobScheduler {
   };
 
   void workerLoop();
-  void deliver(const std::shared_ptr<Computation>& comp, bool cached,
-               bool failed, const std::string& error,
-               const exp::ScenarioResult& result);
-  void appendCheckpoint(Job& job, const std::string& line);
+  /// Settles `unit` of `job`: its row in the event log, its result and
+  /// the job's counters.  The checkpoint lines it earns (`done`, then
+  /// `complete` when it was the job's last unit) are appended one by
+  /// one, or collected into *batch for the caller's single append.
+  void settle(Job& job, int unit, bool cached, bool failed,
+              const std::string& error, const exp::ScenarioResult& result,
+              std::string* batch);
+  /// Appends `lines` ('\n'-terminated) to the job's checkpoint, if any.
+  void appendCheckpoint(const Job& job, const std::string& lines);
 
   SchedulerOptions opt_;
   mutable std::mutex mu_;

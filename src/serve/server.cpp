@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -50,9 +51,24 @@ obs::Histogram verbHistogram(const std::string& v) {
   return other;
 }
 
+/// Buffers one response line; the session's stream sends it with the
+/// rest of the reply (see FlushAtEnd).
 void emitLine(std::ostream& out, const JsonValue::Object& fields) {
-  out << JsonValue(fields).dump() << "\n" << std::flush;
+  out << JsonValue(fields).dump() << '\n';
 }
+
+/// Flushes the session stream when a request has been answered, so each
+/// reply leaves in one write.
+class FlushAtEnd {
+ public:
+  explicit FlushAtEnd(std::ostream& out) : out_(out) {}
+  ~FlushAtEnd() { out_.flush(); }
+  FlushAtEnd(const FlushAtEnd&) = delete;
+  FlushAtEnd& operator=(const FlushAtEnd&) = delete;
+
+ private:
+  std::ostream& out_;
+};
 
 JsonValue::Object errorObject(const std::string& what) {
   return {{"ok", false}, {"error", what}};
@@ -82,8 +98,12 @@ void applyOverrides(const JsonValue& req, std::vector<exp::Scenario>* out) {
   }
 }
 
-/// Minimal bidirectional streambuf over a connected socket fd.
-/// Reads retry on EINTR; with a receive timeout on the fd (see
+/// Bidirectional streambuf over a connected socket fd, buffered both
+/// ways.  Output collects in a put area and leaves on sync() (once per
+/// request, see FlushAtEnd) or when the area fills, through send() with
+/// MSG_NOSIGNAL: a client that has gone away costs an EPIPE that fails
+/// this session's stream, not a SIGPIPE that kills the server.  Reads
+/// and writes retry on EINTR; with a receive timeout on the fd (see
 /// acceptLoop), EAGAIN wakes the read up periodically to re-check the
 /// server's shutdown flag, so an idle client connection cannot park a
 /// session thread forever.
@@ -92,6 +112,7 @@ class FdStreamBuf : public std::streambuf {
   explicit FdStreamBuf(int fd, const std::atomic<bool>* stop = nullptr)
       : fd_(fd), stop_(stop) {
     setg(in_, in_, in_);
+    setp(out_, out_ + sizeof out_);
   }
 
  protected:
@@ -112,27 +133,35 @@ class FdStreamBuf : public std::streambuf {
     }
   }
 
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    std::streamsize sent = 0;
-    while (sent < n) {
-      const ssize_t w = ::write(fd_, s + sent,
-                                static_cast<std::size_t>(n - sent));
-      if (w <= 0) return sent;
-      sent += w;
+  int_type overflow(int_type ch) override {
+    if (!drain()) return traits_type::eof();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
     }
-    return sent;
+    return traits_type::not_eof(ch);
   }
 
-  int_type overflow(int_type ch) override {
-    if (ch == traits_type::eof()) return ch;
-    const char c = traits_type::to_char_type(ch);
-    return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
-  }
+  int sync() override { return drain() ? 0 : -1; }
 
  private:
+  /// Sends the put area; false once the peer is gone.
+  bool drain() {
+    for (const char* p = pbase(); p < pptr();) {
+      const ssize_t w = ::send(fd_, p, static_cast<std::size_t>(pptr() - p),
+                               MSG_NOSIGNAL);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) return false;
+      p += w;
+    }
+    setp(out_, out_ + sizeof out_);
+    return true;
+  }
+
   int fd_;
   const std::atomic<bool>* stop_;
   char in_[4096];
+  char out_[65536];
 };
 
 }  // namespace
@@ -150,6 +179,7 @@ void ExpServer::handleLine(const std::string& line, std::ostream& out) {
       throw std::invalid_argument("request needs a \"verb\"");
     const std::string& v = verb->asString();
     const obs::ScopedTimer verbTimer(verbHistogram(v));
+    const FlushAtEnd flush(out);  // sends before the timer stops
 
     if (v == "submit" || v == "resume") {
       const int priority =
@@ -222,11 +252,13 @@ void ExpServer::handleLine(const std::string& line, std::ostream& out) {
         return;
       }
       // result: stream rows in completion order until end of stream.
+      // Each batch leaves before the session waits for the next, so a
+      // long job streams row by row; the last batch leaves together
+      // with the summary line.
       std::size_t cursor = 0;
-      for (;;) {
+      for (bool ended = false; !ended;) {
         const std::vector<RowEvent> events =
-            scheduler_.eventsSince(job, cursor);
-        if (events.empty()) break;
+            scheduler_.eventsSince(job, cursor, &ended);
         cursor += events.size();
         for (const RowEvent& ev : events) {
           JsonValue::Object row = {{"ok", true},
@@ -241,6 +273,7 @@ void ExpServer::handleLine(const std::string& line, std::ostream& out) {
             row.emplace_back("csv", exp::csvRows(ev.result));
           emitLine(out, row);
         }
+        if (!ended && !out.flush()) return;  // the client has gone
       }
       st = scheduler_.status(job);
       emitLine(out, {{"ok", true},
@@ -316,12 +349,13 @@ void ExpServer::handleLine(const std::string& line, std::ostream& out) {
   } catch (const std::exception& e) {
     kErrors.inc();
     emitLine(out, errorObject(e.what()));
+    out.flush();
   }
 }
 
 void ExpServer::serveStream(std::istream& in, std::ostream& out) {
   std::string line;
-  while (!shutdownRequested() && std::getline(in, line)) {
+  while (out && !shutdownRequested() && std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     handleLine(line, out);
   }
@@ -351,10 +385,28 @@ int ExpServer::listenUnix(const std::string& path) {
 }
 
 void ExpServer::acceptLoop(int fd) {
+  // A session that ends takes its fd out of `sessionFds` under `mu` and
+  // only then closes it, so the shutdown loop below never reaches a
+  // reused descriptor; the accept loop joins ended sessions as it goes.
   std::mutex mu;
   std::vector<int> sessionFds;
-  std::vector<std::thread> sessions;
+  std::vector<std::uint64_t> ended;
+  std::map<std::uint64_t, std::thread> sessions;
+  const auto joinEnded = [&] {
+    std::vector<std::uint64_t> ids;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      ids.swap(ended);
+    }
+    for (const std::uint64_t id : ids) {
+      const auto it = sessions.find(id);
+      it->second.join();
+      sessions.erase(it);
+    }
+  };
+  std::uint64_t nextId = 0;
   while (!shutdownRequested()) {
+    joinEnded();
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout ms=*/200);
     if (ready <= 0) continue;  // timeout or EINTR: re-check shutdown
@@ -366,11 +418,13 @@ void ExpServer::acceptLoop(int fd) {
     timeout.tv_usec = 500 * 1000;
     (void)::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout,
                        sizeof(timeout));
+    const std::uint64_t id = nextId++;
     {
       std::lock_guard<std::mutex> lk(mu);
       sessionFds.push_back(conn);
     }
-    sessions.emplace_back([this, conn] {
+    sessions.emplace(id, std::thread([this, conn, id, &mu, &sessionFds,
+                                      &ended] {
       // Session isolation: an exception escaping a thread body would
       // std::terminate the whole service.  handleLine already answers
       // per-request errors; this guards everything else (stream-layer
@@ -383,18 +437,20 @@ void ExpServer::acceptLoop(int fd) {
         serveStream(in, out);
       } catch (...) {
       }
-    });
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        std::erase(sessionFds, conn);
+        ended.push_back(id);
+      }
+      ::close(conn);
+    }));
   }
   // Unblock any session still parked in read() so the joins finish.
   {
     std::lock_guard<std::mutex> lk(mu);
     for (const int conn : sessionFds) ::shutdown(conn, SHUT_RDWR);
   }
-  for (std::thread& th : sessions) th.join();
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const int conn : sessionFds) ::close(conn);
-  }
+  for (auto& [id, th] : sessions) th.join();
   ::close(fd);
 }
 

@@ -43,10 +43,15 @@
 // identical `exp_cli --csv` file; tools/serve_smoke.py does exactly
 // that and CI asserts the equality.
 //
+// Each request's reply is buffered and leaves in one write when the
+// request has been answered; a `result` for a job still running also
+// sends each batch of rows before it waits for the next.
+//
 // Transports: serveStream() runs one session over any istream/ostream
 // pair (the exp_serve --pipe mode and the unit tests), listenUnix() +
 // acceptLoop() serve a local AF_UNIX socket with one thread per
-// connection (the exp_serve --socket mode).
+// connection (the exp_serve --socket mode).  A client that disconnects
+// ends only its own session.
 #ifndef SSNO_SERVE_SERVER_HPP
 #define SSNO_SERVE_SERVER_HPP
 
@@ -68,7 +73,8 @@ class ExpServer {
   JobScheduler& scheduler() { return scheduler_; }
   [[nodiscard]] ResultCache* cache() const { return cache_; }
 
-  /// Serves one session until EOF or a shutdown verb.
+  /// Serves one session until EOF, a shutdown verb, or a failed write
+  /// to `out`.
   void serveStream(std::istream& in, std::ostream& out);
 
   /// Binds and listens on an AF_UNIX socket at `path` (an existing
@@ -77,8 +83,10 @@ class ExpServer {
   int listenUnix(const std::string& path);
 
   /// Accepts connections on `fd` (one session thread each) until a
-  /// shutdown verb arrives or requestShutdown() is called; joins all
-  /// session threads before returning and closes `fd`.
+  /// shutdown verb arrives or requestShutdown() is called.  A session
+  /// closes its connection when it ends, and its thread is joined while
+  /// the loop runs; the rest are unblocked and joined before returning.
+  /// Closes `fd`.
   void acceptLoop(int fd);
 
   void requestShutdown() { shutdown_.store(true); }

@@ -82,6 +82,9 @@ std::vector<TopologyCase> topologyCases() {
   out.push_back({"complete(6)", Graph::complete(6)});
   out.push_back({"star(8)", Graph::star(8)});
   out.push_back({"random(10)", Graph::randomConnected(10, 0.3, topo)});
+  // A single move dirties fewer than 64 / 16 nodes here, so refreshes
+  // take the sparse path that patches the Fenwick tree node by node.
+  out.push_back({"ring(64)", Graph::ring(64)});
   return out;
 }
 

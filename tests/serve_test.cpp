@@ -1,6 +1,8 @@
 // The experiment service end to end (serve/scheduler + serve/server):
-// in-flight deduplication, cancel → checkpoint-resume with a byte-
-// identical final report, the line-delimited JSON protocol, and the
+// in-flight deduplication, cache hits settled inside submit(), cancel →
+// checkpoint-resume with a byte-identical final report, the line-
+// delimited JSON protocol, socket sessions (a client leaving mid-
+// result, descriptors released), and the
 // cold-miss/warm-hit determinism proof for the model-check and
 // scheduler presets — the served bytes equal what a direct exp_cli run
 // produces, even for wall-clock metrics, because both flow through one
@@ -8,14 +10,20 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,6 +64,82 @@ std::vector<JsonValue> session(ExpServer& server,
   while (std::getline(out, line))
     if (!line.empty()) lines.push_back(JsonValue::parse(line));
   return lines;
+}
+
+/// An ExpServer on an AF_UNIX socket, accepting on its own thread
+/// until destroyed.
+class SocketServer {
+ public:
+  SocketServer(const SchedulerOptions& opt, const std::string& leaf)
+      : server_(opt), path_(freshDir(leaf) + "/s.sock") {
+    fs::create_directories(fs::path(path_).parent_path());
+    const int fd = server_.listenUnix(path_);
+    acceptor_ = std::thread([this, fd] { server_.acceptLoop(fd); });
+  }
+  ~SocketServer() {
+    server_.requestShutdown();
+    acceptor_.join();
+  }
+  SocketServer(const SocketServer&) = delete;
+  SocketServer& operator=(const SocketServer&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  ExpServer server_;
+  std::string path_;
+  std::thread acceptor_;
+};
+
+/// One client connection speaking the line protocol.
+class LineClient {
+ public:
+  explicit LineClient(const std::string& path)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) != 0)
+      ADD_FAILURE() << "connect(" << path << "): " << std::strerror(errno);
+  }
+  ~LineClient() { ::close(fd_); }
+  LineClient(const LineClient&) = delete;
+  LineClient& operator=(const LineClient&) = delete;
+
+  void send(const std::string& line) {
+    const std::string data = line + "\n";
+    ASSERT_EQ(::write(fd_, data.data(), data.size()),
+              static_cast<ssize_t>(data.size()));
+  }
+
+  /// The next response line, parsed; a null JsonValue at end of stream.
+  JsonValue readLine() {
+    std::size_t nl;
+    while ((nl = buf_.find('\n')) == std::string::npos) {
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+      if (n <= 0) return {};
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+    const std::string line = buf_.substr(0, nl);
+    buf_.erase(0, nl + 1);
+    return JsonValue::parse(line);
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+};
+
+/// Polls `done` for up to 30 s.
+bool eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
 }
 
 /// Reassembles an exp_cli-identical CSV from `result` row lines:
@@ -150,6 +234,106 @@ TEST(Scheduler, CancelledSweepResumesByteIdentical) {
   EXPECT_EQ(exp::toCsv(flat), csvDirect);
   // The pre-cancel work was not wasted: it came back from the cache.
   EXPECT_GE(sched.status(job).cachedHits, 1);
+}
+
+// Cache hits settle inside submit(): a job whose every unit is cached
+// is complete before any worker sees it.
+TEST(Scheduler, AllCachedJobIsCompleteWhenSubmitReturns) {
+  ResultCache cache(freshDir("sched-all-hits"));
+  SchedulerOptions opt;
+  opt.workers = 1;
+  opt.cache = &cache;
+  JobScheduler sched(opt);
+  const std::vector<exp::Scenario> sweep = {dftcRing(24), dftcRing(32),
+                                            dftcRing(24, "same work")};
+  (void)sched.wait(sched.submit(sweep));
+  const std::uint64_t job = sched.submit(sweep);
+  const JobStatus st = sched.status(job);
+  EXPECT_TRUE(st.complete);
+  EXPECT_EQ(st.done, 3);
+  EXPECT_EQ(st.cachedHits, 3);
+  bool ended = false;
+  const std::vector<RowEvent> rows = sched.eventsSince(job, 0, &ended);
+  EXPECT_TRUE(ended);
+  ASSERT_EQ(rows.size(), 3u);
+  for (const RowEvent& row : rows) EXPECT_TRUE(row.cached);
+  EXPECT_EQ(rows[2].result.scenario.name, "same work");
+  EXPECT_EQ(sched.stats().computed, 2u);
+}
+
+// One job holding a cached unit, a new unit, and a unit another job
+// has in flight: submit() looks up the first two, once each, and
+// workers look nothing up.
+TEST(Scheduler, MixedJobLooksEachUnitNotInFlightUpOnce) {
+  ResultCache cache(freshDir("sched-mixed"));
+  SchedulerOptions opt;
+  opt.workers = 1;  // the filler unit pins the only worker
+  opt.cache = &cache;
+  JobScheduler sched(opt);
+  const exp::Scenario cached = dftcRing(24);
+  const exp::Scenario fresh = dftcRing(32);
+  const exp::Scenario shared = dftcRing(48);
+  (void)sched.wait(sched.submit({cached}));
+  const auto lookups = [&cache] {
+    const ResultCache::Counters c = cache.counters();
+    return c.hits + c.misses;
+  };
+  const std::uint64_t before = lookups();
+  const std::uint64_t jobA = sched.submit({dftcRing(128), shared});
+  EXPECT_EQ(lookups(), before + 2);  // two misses, both queued
+  const std::uint64_t jobB = sched.submit({cached, fresh, shared});
+  EXPECT_EQ(lookups(), before + 4);  // one hit, one miss, one in flight
+  EXPECT_EQ(cache.counters().hits, 1u);
+  EXPECT_EQ(sched.status(jobB).cachedHits, 1);  // settled inside submit()
+  const auto resultsB = sched.wait(jobB);
+  const auto resultsA = sched.wait(jobA);
+  for (const auto& r : resultsB) ASSERT_TRUE(r.has_value());
+  ASSERT_TRUE(resultsA[1].has_value());
+  EXPECT_EQ(exp::resultPayload(*resultsA[1]),
+            exp::resultPayload(*resultsB[2]));
+  EXPECT_EQ(lookups(), before + 4);  // the workers only computed
+  const SchedulerStats stats = sched.stats();
+  EXPECT_EQ(stats.dedupedUnits, 1u);
+  EXPECT_EQ(stats.computed, 4u);  // cached, filler, shared once, fresh
+  EXPECT_EQ(cache.counters().stores, 4u);
+}
+
+// A checkpointed job that hits on every unit writes its unit list and
+// then one append: every done line and complete, in one write.
+TEST(Scheduler, CheckpointedAllHitJobAppendsItsLinesAtOnce) {
+  const std::string dir = freshDir("sched-ckpt-hits");
+  ResultCache cache(dir + "/cache");
+  SchedulerOptions opt;
+  opt.workers = 1;
+  opt.cache = &cache;
+  opt.checkpointDir = dir + "/ckpt";
+  JobScheduler sched(opt);
+  const std::vector<exp::Scenario> sweep = {dftcRing(24), dftcRing(32),
+                                            dftcRing(40)};
+  (void)sched.wait(sched.submit(sweep));
+
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t writes0 = reg.counterValue("io_write_total");
+  const std::uint64_t fsyncs0 = reg.counterValue("io_fsync_total");
+  const std::uint64_t job = sched.submit(sweep, 0, "hits");
+  // The unit list (written, fsynced, renamed, directory fsynced), then
+  // one append.
+  EXPECT_EQ(reg.counterValue("io_write_total") - writes0, 2u);
+  EXPECT_EQ(reg.counterValue("io_fsync_total") - fsyncs0, 3u);
+  EXPECT_TRUE(sched.status(job).complete);
+  EXPECT_FALSE(sched.cancel(job));
+
+  std::ifstream in(sched.checkpointPath("hits"));
+  std::vector<std::string> tail;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("unit\t", 0) != 0 && line.rfind("name ", 0) != 0)
+      tail.push_back(line);
+  ASSERT_EQ(tail.size(), 5u);  // magic, three done lines, complete
+  for (int unit = 0; unit < 3; ++unit)
+    EXPECT_EQ(tail[static_cast<std::size_t>(unit) + 1],
+              "done " + std::to_string(unit) + " " +
+                  cache.keyHex(sweep[static_cast<std::size_t>(unit)]));
+  EXPECT_EQ(tail.back(), "complete");
 }
 
 TEST(Server, ProtocolHandlesGoodAndBadRequestsInOneSession) {
@@ -530,6 +714,64 @@ TEST(Server, PruneWithoutACacheIsAnErrorNotACrash) {
   EXPECT_FALSE(lines[0].find("ok")->asBool());
   const std::string error = lines[0].find("error")->asString();
   EXPECT_NE(error.find("cache"), std::string::npos) << error;
+}
+
+// A client that submits, asks for the result and leaves while the job
+// runs costs its own session only: the session's write meets EPIPE,
+// not SIGPIPE, and the next client is served.
+TEST(Server, ClientLeavingMidResultEndsOnlyItsSession) {
+  SchedulerOptions opt;
+  opt.workers = 1;
+  const SocketServer server(opt, "srv-leave");
+  {
+    LineClient leaver(server.path());
+    leaver.send(R"({"verb":"submit","scenarios":[)"
+                R"("stno distributed grid:8x8 trials=20",)"
+                R"("stno distributed grid:8x6 trials=20"]})");
+    const JsonValue ack = leaver.readLine();
+    ASSERT_TRUE(ack.find("ok")->asBool());
+    ASSERT_EQ(ack.find("job")->asInt(), 1);
+    leaver.send(R"({"verb":"result","job":1})");
+  }  // gone before the first row is ready
+  LineClient next(server.path());
+  EXPECT_TRUE(eventually([&next] {
+    next.send(R"({"verb":"status","job":1})");
+    const JsonValue st = next.readLine();
+    return st.find("state") != nullptr &&
+           st.find("state")->asString() == "complete";
+  }));
+  next.send(R"({"verb":"stats"})");
+  const JsonValue stats = next.readLine();
+  ASSERT_NE(stats.find("ok"), nullptr);
+  EXPECT_TRUE(stats.find("ok")->asBool());
+  EXPECT_EQ(stats.find("computed")->asInt(), 2);
+}
+
+// Every ended session closes its connection and is joined while the
+// server runs, so sequential clients do not accumulate descriptors.
+TEST(Server, EndedSessionsReleaseTheirDescriptors) {
+  SchedulerOptions opt;
+  opt.workers = 1;
+  const SocketServer server(opt, "srv-fds");
+  const auto openFds = [] {
+    std::size_t n = 0;
+    for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = openFds();
+  for (int i = 0; i < 50; ++i) {
+    LineClient client(server.path());
+    client.send(R"({"verb":"stats"})");
+    const JsonValue reply = client.readLine();
+    ASSERT_NE(reply.find("ok"), nullptr);
+    ASSERT_TRUE(reply.find("ok")->asBool());
+  }
+  std::size_t after = 0;
+  EXPECT_TRUE(eventually([&] { return (after = openFds()) <= before; }))
+      << before << " descriptors before 50 sessions, " << after << " after";
 }
 
 TEST(Server, ModelCheckPresetColdThenWarmIsByteIdentical) {

@@ -23,6 +23,13 @@ asserting the sweep computes exactly once (cross-connection dedup), no
 connection ever observes a malformed response, and every client's
 reassembled CSV is byte-identical to a direct CLI run.
 
+Two checks pin the warm path and session isolation; they decide the
+pass/fail verdict but add no row field: the repeat submission, made
+while a fresh unit keeps the one worker busy, is `complete` with every
+unit a cached hit as soon as its ack arrives (hits settle inside
+`submit`, never behind a running computation), and a client that
+closes mid-`result` leaves the server answering the next request.
+
 Emits a BENCH_serve.json row (scenario "serve/smoke") whose gated
 metrics are correctness flags only — cache_hits, byte_identity,
 resume_identity, metrics_ok, concurrent_ok — timing fields ride along
@@ -58,6 +65,16 @@ CONCURRENT_SWEEP = [
     "space central ring:80 trials=1",
 ]
 CONCURRENT_CLIENTS = 4
+
+# A fresh unit that keeps the one worker busy while the repeat is made.
+BUSY_SWEEP = ["stno distributed grid:12x12 trials=20"]
+
+# Fresh, non-trivial units for the client that leaves mid-`result`: its
+# session must meet the closed socket while the job still runs.
+LEAVER_SWEEP = [
+    "stno distributed grid:8x8 trials=20",
+    "stno distributed grid:8x6 trials=20",
+]
 
 
 class Client:
@@ -191,7 +208,17 @@ def main():
         assert ack["ok"] and ack["units"] == len(sweep_lines), ack
         cold = reassemble_csv(c.stream_result(ack["job"]), header)
 
+        busy = c.call(verb="submit", scenarios=BUSY_SWEEP)
+        assert busy["ok"], busy
         ack2 = c.call(verb="submit", scenarios=sweep_lines)
+        # Hits settle inside submit, not behind the busy unit: the job is
+        # complete at its ack.
+        st2 = c.call(verb="status", job=ack2["job"])
+        hits_at_submit = int(st2.get("state") == "complete"
+                             and st2.get("cached_hits") == len(sweep_lines))
+        print(f"serve_smoke: repeat job at its ack: {st2.get('state')}, "
+              f"cached_hits {st2.get('cached_hits')}/{len(sweep_lines)}, "
+              f"hits_at_submit {hits_at_submit}")
         warm_lines = c.stream_result(ack2["job"])
         warm = reassemble_csv(warm_lines, header)
         cached_rows = sum(1 for l in warm_lines if l.get("cached"))
@@ -307,9 +334,29 @@ def main():
               f"computed {computed_delta}/{len(CONCURRENT_SWEEP)} "
               f"(deduped), concurrent_ok {concurrent_ok}")
 
-        c.call(verb="shutdown")
-        c.close()
-        server.wait(timeout=30)
+        # --- A client that closes mid-`result` costs only its session. --
+        leaver_ok = 0
+        try:
+            leaver = Client(sock_path)
+            ack5 = leaver.call(verb="submit", scenarios=LEAVER_SWEEP)
+            leaver.f.write(json.dumps({"verb": "result",
+                                       "job": ack5["job"]}) + "\n")
+            leaver.f.flush()
+            leaver.close()
+            deadline = time.time() + 120
+            while (c.call(verb="status", job=ack5["job"])["state"]
+                   != "complete" and time.time() < deadline):
+                time.sleep(0.05)
+            leaver_ok = int(c.call(verb="stats")["ok"]
+                            and server.poll() is None)
+        except (OSError, ValueError, KeyError) as e:
+            print(f"serve_smoke: server lost after a client left: {e!r}")
+        print(f"serve_smoke: client left mid-result, leaver_ok {leaver_ok}")
+
+        if leaver_ok:  # else the finally below kills what is left
+            c.call(verb="shutdown")
+            c.close()
+            server.wait(timeout=30)
     finally:
         if server.poll() is None:
             server.kill()
@@ -335,7 +382,7 @@ def main():
         print(f"wrote {args.json}")
 
     ok = (byte_identity and resume_identity and hits > 0 and metrics_ok
-          and concurrent_ok)
+          and concurrent_ok and hits_at_submit and leaver_ok)
     print("serve_smoke:", "PASSED" if ok else "FAILED")
     return 0 if ok else 1
 
