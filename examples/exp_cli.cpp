@@ -47,9 +47,10 @@
 // chaos harness: append `--ids N` deterministic ids through a
 // FrontierSpill with `--capacity C` (forcing ceil(N/C) run files in
 // `--dir`, default the system temp dir), drain everything back, and
-// verify the multiset matches exactly.  Exit 0 = exact drain, 3 = a
-// named spill error (CRC/magic/truncation — the detected-loss path),
-// 4 = silent mismatch (must never happen), 86 = an injected crash.
+// verify the multiset matches exactly.  Exit 0 = exact drain, 1 = an
+// exact drain whose --metrics file could not be written, 3 = a named
+// spill error (CRC/magic/truncation — the detected-loss path), 4 =
+// silent mismatch (must never happen), 86 = an injected crash.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -98,15 +99,21 @@ int usage() {
   return 2;
 }
 
-void writeMetrics(const std::string& path) {
-  if (path.empty()) return;
+/// Writes every obs metric to `path` (- = stdout); false, with the path
+/// named on stderr, when the file cannot be written.
+bool writeMetrics(const std::string& path) {
+  if (path.empty()) return true;
   const std::string text = ssno::obs::Registry::global().renderPrometheus();
   if (path == "-") {
     std::fputs(text.c_str(), stdout);
-    return;
+    return true;
   }
   std::ofstream out(path);
   out << text;
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "exp_cli: cannot write metrics to %s\n", path.c_str());
+  return false;
 }
 
 /// See the header comment for the exit-code taxonomy.
@@ -155,7 +162,7 @@ int spillProbe(const std::vector<std::string>& args) {
       drained.insert(drained.end(), chunk.begin(), chunk.end());
     std::sort(expected.begin(), expected.end());
     std::sort(drained.begin(), drained.end());
-    writeMetrics(metricsPath);
+    const bool metricsWritten = writeMetrics(metricsPath);
     if (drained != expected) {
       std::fprintf(stderr,
                    "exp_cli: spill-probe SILENT MISMATCH: %zu ids out, "
@@ -163,6 +170,7 @@ int spillProbe(const std::vector<std::string>& args) {
                    drained.size(), expected.size());
       return 4;
     }
+    if (!metricsWritten) return 1;
     std::fprintf(stderr, "exp_cli: spill-probe ok (%llu ids, %llu runs)\n",
                  static_cast<unsigned long long>(ids),
                  static_cast<unsigned long long>(spill.runsWritten()));
@@ -204,8 +212,11 @@ void emit(const std::string& path, const std::string& payload,
     return;
   }
   std::ofstream out(path);
-  if (!out) throw std::runtime_error(std::string("cannot open ") + path);
   out << payload;
+  out.close();
+  if (!out)
+    throw std::runtime_error(std::string("cannot write ") + what + " to " +
+                             path);
   std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
 }
 
@@ -326,7 +337,8 @@ int main(int argc, char** argv) {
                : ssno::serve::runAllCached(runner, scenarios, cache.get());
     if (!tracePath.empty()) {
       ssno::obs::stopTracing();
-      ssno::obs::writeTrace(tracePath);
+      if (!ssno::obs::writeTrace(tracePath))
+        throw std::runtime_error("cannot write Chrome trace to " + tracePath);
       std::fprintf(stderr, "wrote Chrome trace to %s\n", tracePath.c_str());
     }
 

@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
     }
     if (!tracePath.empty()) {
       ssno::obs::stopTracing();
-      ssno::obs::writeTrace(tracePath);
+      if (!ssno::obs::writeTrace(tracePath))
+        throw std::runtime_error("cannot write Chrome trace to " + tracePath);
       std::fprintf(stderr, "exp_serve: wrote Chrome trace to %s\n",
                    tracePath.c_str());
     }
@@ -138,9 +139,10 @@ int main(int argc, char** argv) {
         std::fputs(text.c_str(), stderr);
       } else {
         std::ofstream out(metricsPath);
-        if (!out)
-          throw std::runtime_error("cannot open " + metricsPath);
         out << text;
+        out.close();
+        if (!out)
+          throw std::runtime_error("cannot write metrics to " + metricsPath);
         std::fprintf(stderr, "exp_serve: wrote metrics to %s\n",
                      metricsPath.c_str());
       }

@@ -38,11 +38,7 @@ std::string Dftc::actionName(int action) const {
   }
 }
 
-Port Dftc::firstUnvisitedPort(NodeId p) const {
-  return firstUnvisitedPortWithColor(p, col_[p]);
-}
-
-Port Dftc::firstUnvisitedPortWithColor(NodeId p, int ownCol) const {
+Port Dftc::firstUnvisitedPort(NodeId p, int ownCol) const {
   for (Port l = 0; l < graph().degree(p); ++l) {
     const NodeId q = graph().neighborAt(p, l);
     if (col_[q] != ownCol && s_[q] == kIdle) return l;
@@ -93,7 +89,7 @@ bool Dftc::enabled(NodeId p, int action) const {
       // while its own Start guard is blocked by mixed colors.
       if (!isRoot || s_[p] != kIdle) return false;
       if (enabled(p, kStart)) return false;
-      return firstUnvisitedPort(p) != kNoPort;
+      return firstUnvisitedPort(p, col_[p]) != kNoPort;
     }
     case kForward: {
       if (isRoot || s_[p] != kIdle) return false;
@@ -215,122 +211,68 @@ void Dftc::evaluateGuards(std::span<const NodeId> nodes,
 
 void Dftc::doExecute(NodeId p, int action) {
   SSNO_EXPECTS(enabled(p, action));
-  switch (action) {
-    case kStart: {
-      col_[p] ^= 1;
-      // All neighbors are now differently colored; in a corrupt state
-      // they might all hold pointers, in which case the root stays idle
-      // until they unravel (the color flip still made progress).
-      const Port l = firstUnvisitedPort(p);
-      s_[p] = l == kNoPort ? kIdle : l;
-      if (hooks_.onRoundStart) hooks_.onRoundStart(p);
-      break;
-    }
-    case kResume: {
-      s_[p] = firstUnvisitedPort(p);
-      break;
-    }
-    case kForward: {
-      const Port fromPort = firstOfferingParentPort(p);
-      const NodeId parent = graph().neighborAt(p, fromPort);
-      par_[p] = fromPort;
-      col_[p] = col_[parent];
-      const int cap = graph().nodeCount() - 1;
-      d_[p] = std::min(depth(parent) + 1, cap);
-      const Port next = firstUnvisitedPort(p);
-      s_[p] = next == kNoPort ? kIdle : next;
-      if (hooks_.onForward) hooks_.onForward(p, parent);
-      break;
-    }
-    case kAdvance: {
-      const NodeId finishedChild = target(p);
-      const Port next = firstUnvisitedPort(p);
-      s_[p] = next == kNoPort ? kIdle : next;
-      if (hooks_.onBacktrack) hooks_.onBacktrack(p, finishedChild);
-      break;
-    }
-    case kStaleChild: {
-      // Advance past the stale target; firstUnvisitedPort skips pointer-
-      // holding neighbors, so the same target cannot be re-selected.
-      const Port next = firstUnvisitedPort(p);
-      s_[p] = next == kNoPort ? kIdle : next;
-      break;
-    }
-    case kError: {
-      s_[p] = kIdle;
-      break;
-    }
-    default:
-      SSNO_ASSERT(false);
-  }
+  commit(p, outcome(p, action));
 }
 
-Dftc::SimOutcome Dftc::computeSimultaneous(NodeId p, int action) const {
-  SimOutcome o;
-  o.s = s_[p];
-  o.col = col_[p];
-  o.d = d_[p];
-  o.par = par_[p];
+Dftc::Outcome Dftc::outcome(NodeId p, int action) const {
+  Outcome o{.s = s_[p], .col = col_[p], .d = d_[p], .par = par_[p]};
   switch (action) {
-    case kStart: {
-      o.col = col_[p] ^ 1;
-      const Port l = firstUnvisitedPortWithColor(p, o.col);
-      o.s = l == kNoPort ? kIdle : l;
-      o.event = SimOutcome::Event::kRoundStart;
+    case kStart:
+      // A fresh token: the root flips its color, so every neighbor looks
+      // unvisited.  In a corrupt state they might all hold pointers; the
+      // root then stays idle until they unravel (the flip still made
+      // progress).
+      o.col ^= 1;
+      o.event = Outcome::Event::kRoundStart;
       break;
-    }
-    case kResume: {
-      o.s = firstUnvisitedPort(p);
-      break;
-    }
     case kForward: {
+      // Adopt the smallest offering port as parent and take its color
+      // and depth.
       const Port fromPort = firstOfferingParentPort(p);
       const NodeId parent = graph().neighborAt(p, fromPort);
       o.par = fromPort;
       o.col = col_[parent];
-      const int cap = graph().nodeCount() - 1;
-      o.d = std::min(depth(parent) + 1, cap);
-      const Port next = firstUnvisitedPortWithColor(p, o.col);
-      o.s = next == kNoPort ? kIdle : next;
-      o.event = SimOutcome::Event::kForward;
+      o.d = std::min(depth(parent) + 1, graph().nodeCount() - 1);
+      o.event = Outcome::Event::kForward;
       o.peer = parent;
       break;
     }
-    case kAdvance: {
+    case kAdvance:
+      // The current child finished: the token is back (the paper's
+      // Backtrack).
+      o.event = Outcome::Event::kBacktrack;
       o.peer = target(p);
-      const Port next = firstUnvisitedPort(p);
-      o.s = next == kNoPort ? kIdle : next;
-      o.event = SimOutcome::Event::kBacktrack;
       break;
-    }
-    case kStaleChild: {
-      const Port next = firstUnvisitedPort(p);
-      o.s = next == kNoPort ? kIdle : next;
+    case kResume:
+    case kStaleChild:
+      // Re-extend the chain / advance past the stale target;
+      // firstUnvisitedPort skips pointer-holding neighbors, so the same
+      // target cannot be re-selected.
       break;
-    }
-    case kError: {
+    case kError:
       o.s = kIdle;
-      break;
-    }
+      return o;
     default:
       SSNO_ASSERT(false);
   }
+  // Every other statement ends pointing at p's first unvisited neighbor,
+  // judged by the color p will have, or idle if none remains.
+  static_assert(kNoPort == kIdle);
+  o.s = firstUnvisitedPort(p, o.col);
   return o;
 }
 
 bool Dftc::doExecuteSimultaneous(std::span<const Move> moves) {
-  if (hooks_.onRoundStart || hooks_.onForward || hooks_.onBacktrack)
-    return false;
-  simScratch_.clear();
-  simScratch_.reserve(moves.size());
+  batch_.clear();
+  batch_.reserve(moves.size());
   for (const Move& m : moves) {
     // Per-move enabledness is the caller's precondition; re-deriving it
     // here is a full scalar guard evaluation per move — Debug-only.
     SSNO_DBG_ASSERT(enabled(m.node, m.action));
-    simScratch_.push_back(computeSimultaneous(m.node, m.action));
+    batch_.push_back(outcome(m.node, m.action));
   }
   for (std::size_t i = 0; i < moves.size(); ++i)
-    commitSimultaneous(moves[i].node, simScratch_[i]);
+    commit(moves[i].node, batch_[i]);
   return true;
 }
 

@@ -30,6 +30,13 @@
 // next round.  The color flip doubles as the cleaning wave, so no
 // separate "done" state is needed.
 //
+// Statements.  Each action's statement is written once, in outcome(): a
+// pure function of the pre-move configuration giving p's new variables
+// and the event the move fires (Start, Forward, or Advance — the
+// paper's Backtrack).  A sequential step commits its outcome at once; a
+// synchronous batch computes every outcome before it commits any.  An
+// overlay (DFTNO) composes its macros from that event.
+//
 // Stabilization.  Arbitrary initial states may contain orphan pointer
 // chains, pointer cycles, and aliased colors.  Three mechanisms repair
 // them:
@@ -85,7 +92,6 @@
 #ifndef SSNO_DFTC_DFTC_HPP
 #define SSNO_DFTC_DFTC_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,17 +103,6 @@
 #include "core/types.hpp"
 
 namespace ssno {
-
-/// Observer hooks by which an overlay protocol (DFTNO) attaches its macros
-/// atomically to substrate actions, as in the paper's composition.
-struct TokenHooks {
-  /// Root generated a fresh token (action Start).
-  std::function<void(NodeId root)> onRoundStart;
-  /// p received the token for the first time this round from `parent`.
-  std::function<void(NodeId p, NodeId parent)> onForward;
-  /// The token returned to p from its finished child `child`.
-  std::function<void(NodeId p, NodeId child)> onBacktrack;
-};
 
 class Dftc final : public Protocol {
  public:
@@ -136,8 +131,6 @@ class Dftc final : public Protocol {
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
 
   // ---- Substrate-specific API ----
-  void setHooks(TokenHooks hooks) { hooks_ = std::move(hooks); }
-
   /// Any substrate action enabled at p — the paper's Token(p) predicate
   /// (p currently holds, or is about to act on, the token).
   [[nodiscard]] bool holdsToken(NodeId p) const;
@@ -171,43 +164,39 @@ class Dftc final : public Protocol {
   /// S: log(Δp+1), col: 1, d: log N, par: log Δp  (non-root).
   [[nodiscard]] double stateBits(NodeId p) const;
 
-  /// ---- Batched simultaneous execution (two-phase compute/commit) -----
-  /// Post-state of one substrate move evaluated against the CURRENT
-  /// (pre-step) configuration, plus the hook event the move would fire,
-  /// so an overlay protocol (DFTNO) can inline its macro against the
-  /// same pre-step state.  computeSimultaneous performs no writes;
-  /// commitSimultaneous installs the outcome without firing hooks or
-  /// dirtying (the batch driver records writers).
-  struct SimOutcome {
+  /// ---- Statements, two-phase: compute, then commit ------------------
+  /// Post-state of substrate move (p, action) evaluated against the
+  /// current configuration, plus the event the move fires, so an overlay
+  /// protocol (DFTNO) composes its macro against the same pre-move state.
+  /// outcome performs no writes; commit installs it without dirtying (the
+  /// caller's wrapper or batch driver records the writer).  Every step,
+  /// sequential or batched, runs this one statement path.
+  struct Outcome {
     enum class Event { kNone, kRoundStart, kForward, kBacktrack };
     int s = -1;
     int col = 0;
     int d = 0;
     int par = 0;
     Event event = Event::kNone;
-    NodeId peer = kNoNode;  ///< onForward's parent / onBacktrack's child
+    NodeId peer = kNoNode;  ///< Forward's parent / Backtrack's finished child
   };
-  [[nodiscard]] SimOutcome computeSimultaneous(NodeId p, int action) const;
-  // Inline: called once per move inside the dense-step commit loops.
-  void commitSimultaneous(NodeId p, const SimOutcome& o) {
+  [[nodiscard]] Outcome outcome(NodeId p, int action) const;
+  // Inline: called once per move, inside the dense-step commit loops too.
+  void commit(NodeId p, const Outcome& o) {
     s_[p] = o.s;
     col_[p] = o.col;
     d_[p] = o.d;
     par_[p] = o.par;
   }
-  /// Error's simultaneous outcome in full: s := idle, everything else
-  /// unchanged (same write discipline as commitSimultaneous — the batch
-  /// driver records writers, no hooks, no dirtying).
-  void commitIdle(NodeId p) { s_[p] = kIdle; }
 
  protected:
   // ---- Protocol mutation hooks ----
+  /// commit(p, outcome(p, action)).
   void doExecute(NodeId p, int action) override;
   /// Batched synchronous step, Jacobi-style: phase 1 computes every
   /// move's outcome against the untouched pre-step state, phase 2
-  /// commits.  Declines (false) when external hooks are installed: a
-  /// hook firing after commits would read post-step state.  (DFTNO
-  /// batches its own overlay instead of delegating here.)
+  /// commits.  (DFTNO batches its own composition instead of delegating
+  /// here.)
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
 
  private:
@@ -216,15 +205,12 @@ class Dftc final : public Protocol {
   [[nodiscard]] NodeId target(NodeId p) const {
     return graph().neighborAt(p, s_[p]);
   }
-  /// First port of p whose neighbor looks unvisited: differently colored
-  /// AND idle (a pointer-holding neighbor is skipped so that corrective
-  /// advances cannot re-select a stale target; in clean rounds unvisited
-  /// neighbors are always idle).
-  [[nodiscard]] Port firstUnvisitedPort(NodeId p) const;
-  /// firstUnvisitedPort against an explicit own color — the pre-step
-  /// form used by computeSimultaneous, where kStart/kForward compare
-  /// neighbors against the color p WILL have without writing it first.
-  [[nodiscard]] Port firstUnvisitedPortWithColor(NodeId p, int ownCol) const;
+  /// First port of p whose neighbor looks unvisited to a processor of
+  /// color ownCol: differently colored AND idle (a pointer-holding
+  /// neighbor is skipped so that corrective advances cannot re-select a
+  /// stale target; in clean rounds unvisited neighbors are always idle).
+  /// outcome passes the color p WILL have, without writing it first.
+  [[nodiscard]] Port firstUnvisitedPort(NodeId p, int ownCol) const;
   /// Smallest port of a neighbor that points at p with a different color.
   [[nodiscard]] Port firstOfferingParentPort(NodeId p) const;
   [[nodiscard]] bool validParent(NodeId p) const;
@@ -235,8 +221,7 @@ class Dftc final : public Protocol {
   NodeColumn col_;   // 0/1
   NodeColumn d_;     // 0..N-1 (root pinned at 0)
   NodeColumn par_;   // port (root pinned at 0)
-  TokenHooks hooks_;
-  std::vector<SimOutcome> simScratch_;  // reused phase-1 buffer
+  std::vector<Outcome> batch_;  // reused phase-1 buffer
   // Whole-configuration evaluateGuards scratch: per-node token-offer
   // bytes (see the offers pass in evaluateGuards).  Mutable because the
   // evaluator is const; reused across calls, no steady-state allocation.

@@ -1,5 +1,5 @@
-// Tiny shared formatting and parsing helpers for the exp subsystem and
-// the command-line tools.
+// Tiny shared formatting and parsing helpers for the exp and serve
+// subsystems and the command-line tools.
 #ifndef SSNO_EXP_FMT_HPP
 #define SSNO_EXP_FMT_HPP
 
@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 namespace ssno::exp {
@@ -17,6 +18,32 @@ namespace ssno::exp {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   return ec == std::errc{} ? std::string(buf, end) : "0";
+}
+
+/// JSON-escapes `s` (no surrounding quotes): quotes, backslashes and
+/// every control character.
+[[nodiscard]] inline std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
+          out += kHex[static_cast<unsigned char>(c) & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 /// All of `text` as a T under std::from_chars (no sign on unsigned

@@ -9,30 +9,6 @@
 namespace ssno::exp {
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += esc.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string num(double v) { return shortestDouble(v); }
 
 /// RFC-4180 quoting for fields that may contain commas or quotes

@@ -463,7 +463,8 @@ bool sameResult(const mc::Result& a, const mc::Result& b) {
 /// protocol on g, verified by the src/mc explorer at 1 thread (the
 /// sequential checker) and at s.mcThreads workers.  The two results must
 /// be identical (verdicts_agree); speedup is the s.mcThreads states/sec
-/// over the 1-thread states/sec.
+/// over the 1-thread states/sec.  When s.mcThreads resolves to 1 the one
+/// check serves as both (speedup 1, verdicts_agree 1).
 TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
                             std::uint64_t) {
   validateLimits(s);  // overrides reach here without a parse
@@ -511,8 +512,9 @@ TrialResult modelCheckTrial(const Graph& g, const Scenario& s,
     return reachableMode ? checker.checkReachable(seeds, opt)
                          : checker.checkFullSpace(opt);
   };
+  const int mcThreads = s.mcThreads > 0 ? s.mcThreads : usableCores();
   const mc::Result seqRes = check(1);
-  const mc::Result mcRes = check(s.mcThreads);
+  const mc::Result mcRes = mcThreads == 1 ? seqRes : check(mcThreads);
 
   TrialResult r;
   r.converged = seqRes.ok && mcRes.ok;

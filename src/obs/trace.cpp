@@ -191,6 +191,7 @@ bool writeTrace(const std::string& path) {
   if (!f) return false;
   const std::string json = traceJson();
   f.write(json.data(), static_cast<std::streamsize>(json.size()));
+  f.close();  // a full device fails the final flush, not the write
   return static_cast<bool>(f);
 }
 

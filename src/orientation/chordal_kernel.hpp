@@ -7,21 +7,16 @@
 // In the SoA layout both π_p and p's adjacency are contiguous CSR rows
 // and η is one flat NodeColumn, so the check is a straight row scan
 // with one gather — the densest per-port work in the orientation
-// guards.  The portable loop autovectorizes everywhere; under AVX2
-// (-march=native via SSNO_NATIVE_ARCH, or any -mavx2 build) an explicit
-// 8-lane gather path handles the common case of in-range names and
-// drops to the exact scalar loop for out-of-range names (arbitrary
-// transient faults can put anything in η via setRawNode, and the batch
-// kernels must stay bit-identical to the scalar guards there too).
+// guards.  A no-division fast path handles the common case of in-range
+// names and drops to the exact scalar loop for out-of-range names
+// (arbitrary transient faults can put anything in η via setRawNode, and
+// the batch kernels must stay bit-identical to the scalar guards there
+// too).
 #ifndef SSNO_ORIENTATION_CHORDAL_KERNEL_HPP
 #define SSNO_ORIENTATION_CHORDAL_KERNEL_HPP
 
 #include "core/types.hpp"
 #include "orientation/chordal.hpp"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace ssno {
 
@@ -36,49 +31,15 @@ namespace ssno {
   return false;
 }
 
-/// Same predicate, with an 8-lane AVX2 gather fast path when available.
+/// Same predicate, without a division for in-range names.
 [[nodiscard]] inline bool chordalRowMismatch(const int* pi, const NodeId* adj,
                                              const int* eta, int etaP,
                                              int deg, int modulus) {
-#if defined(__AVX2__)
-  // The vector lanes replace the % with one conditional add, which is
-  // only exact when every name involved is already in [0, modulus):
-  // then etaP − eta[q] ∈ (−N, N).  Lanes that gather an out-of-range
-  // name (possible under arbitrary transient faults) send the row tail
-  // to the exact scalar loop instead.
-  if (deg >= 8 && etaP >= 0 && etaP < modulus) {
-    // (AVX2 8-lane gather path; small-degree rows use the no-division
-    // scalar fast path below.)
-    const __m256i vEtaP = _mm256_set1_epi32(etaP);
-    const __m256i vN = _mm256_set1_epi32(modulus);
-    const __m256i vNm1 = _mm256_set1_epi32(modulus - 1);
-    const __m256i vZero = _mm256_setzero_si256();
-    int l = 0;
-    for (; l + 8 <= deg; l += 8) {
-      const __m256i idx =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(adj + l));
-      const __m256i e = _mm256_i32gather_epi32(eta, idx, 4);
-      const __m256i outOfRange = _mm256_or_si256(
-          _mm256_cmpgt_epi32(vZero, e), _mm256_cmpgt_epi32(e, vNm1));
-      if (_mm256_movemask_epi8(outOfRange) != 0)
-        return chordalRowMismatchScalar(pi + l, adj + l, eta, etaP, deg - l,
-                                        modulus);
-      __m256i d = _mm256_sub_epi32(vEtaP, e);
-      d = _mm256_add_epi32(d,
-                           _mm256_and_si256(_mm256_cmpgt_epi32(vZero, d), vN));
-      const __m256i row =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pi + l));
-      if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(row, d)) != -1) return true;
-    }
-    return chordalRowMismatchScalar(pi + l, adj + l, eta, etaP, deg - l,
-                                    modulus);
-  }
-#endif
   // No-division scalar fast path: chordalDistance's % is an integer
   // division on a runtime modulus (~25 cycles) — for in-range names
   // etaP − eta[q] ∈ (−N, N), so one conditional add is exact.  Rows
   // with out-of-range names (arbitrary transient faults) fall back to
-  // the exact reference loop, like the vector path above.
+  // the exact reference loop.
   if (etaP >= 0 && etaP < modulus) {
     for (int l = 0; l < deg; ++l) {
       const int e = eta[adj[l]];

@@ -19,26 +19,6 @@ Dftno::Dftno(Graph graph, EdgeLabelGuard guard)
       pi_(arena_.portColumn({.base = modulus()})) {
   addArenas(dftc_);
   addArena(arena_);
-  installHooks();
-}
-
-void Dftno::installHooks() {
-  TokenHooks hooks;
-  // Nodelabel at the root happens when it generates the token.
-  hooks.onRoundStart = [this](NodeId r) {
-    eta_[r] = 0;
-    max_[r] = 0;
-  };
-  // Nodelabel at a non-root: next free name, after consulting the parent.
-  hooks.onForward = [this](NodeId p, NodeId parent) {
-    eta_[p] = (max_[parent] + 1) % modulus();
-    max_[p] = eta_[p];
-  };
-  // UpdateMax: the backtracked token carries the child's maximum.
-  hooks.onBacktrack = [this](NodeId p, NodeId child) {
-    max_[p] = max_[child];
-  };
-  dftc_.setHooks(std::move(hooks));
 }
 
 std::string Dftno::actionName(int action) const {
@@ -83,86 +63,72 @@ void Dftno::evaluateGuards(std::span<const NodeId> nodes,
   }
 }
 
+// Forced inline: the dense step calls compose and commit once per move,
+// and an out-of-line call there costs a few percent of the step rate.
+[[gnu::always_inline]] inline Dftno::Composed Dftno::compose(NodeId p,
+                                                             int action) {
+  if (action == kEdgeLabel) {
+    // Edgelabel writes π alone, and no composition reads π (rows derive
+    // from η, substrate outcomes from {s, col, d, par, η, Max}), so the
+    // corrected row goes straight into the live column.
+    chordalRowFill(pi_.row(p).data(), graph().neighbors(p).data(),
+                   eta_.data().data(), eta_[p], graph().degree(p),
+                   modulus());
+    return Composed{};
+  }
+  const Dftc::Outcome o = dftc_.outcome(p, action);
+  Composed c{.s = o.s, .col = o.col, .d = o.d, .par = o.par,
+             .eta = eta_[p], .max = max_[p], .substrate = true};
+  switch (o.event) {
+    case Dftc::Outcome::Event::kRoundStart:
+      // Nodelabel at the root, which generates the token.
+      c.eta = 0;
+      c.max = 0;
+      break;
+    case Dftc::Outcome::Event::kForward:
+      // Nodelabel at a non-root: the next free name after its parent's
+      // maximum.
+      c.eta = (max_[o.peer] + 1) % modulus();
+      c.max = c.eta;
+      break;
+    case Dftc::Outcome::Event::kBacktrack:
+      // UpdateMax: the token returns with the finished child's maximum.
+      c.max = max_[o.peer];
+      break;
+    case Dftc::Outcome::Event::kNone:
+      break;
+  }
+  return c;
+}
+
+[[gnu::always_inline]] inline void Dftno::commit(NodeId p,
+                                                 const Composed& c) {
+  if (!c.substrate) return;
+  dftc_.commit(p, Dftc::Outcome{.s = c.s, .col = c.col, .d = c.d,
+                                .par = c.par});
+  eta_[p] = c.eta;
+  max_[p] = c.max;
+}
+
 void Dftno::doExecute(NodeId p, int action) {
   SSNO_EXPECTS(enabled(p, action));
-  if (action < Dftc::kActionCount) {
-    dftc_.execute(p, action);  // hooks apply Nodelabel/UpdateMax atomically
-    return;
-  }
-  for (Port l = 0; l < graph().degree(p); ++l)
-    pi_.at(p, l) =
-        chordal(p, graph().neighborAt(p, l));
+  commit(p, compose(p, action));
 }
 
 bool Dftno::doExecuteSimultaneous(std::span<const Move> moves) {
-  // Phase 1: every outcome — substrate post-state and the composed
-  // Nodelabel/UpdateMax macro values — is computed against the
-  // untouched pre-step configuration.  Two moves commit early, inside
-  // phase 1, because doing so cannot be observed by any other move's
-  // compute:
-  //   * EdgeLabel writes only π, and no phase-1 computation reads π
-  //     (the corrected rows derive from η alone, substrate outcomes
-  //     from {s, col, d, par, η, Max}), so the corrected row goes
-  //     straight into the live column;
-  //   * Error's entire outcome is s := idle with everything else
-  //     unchanged, recorded as a one-store commit for phase 2 without
-  //     the generic SimOutcome round-trip.
-  simSteps_.clear();
-  simSteps_.reserve(moves.size());
-  const int n = modulus();
+  // Phase 1 composes every move against the untouched pre-step
+  // configuration (an EdgeLabel row is written already, which no other
+  // composition can observe); phase 2 commits.
+  batch_.clear();
+  batch_.reserve(moves.size());
   for (const Move& m : moves) {
     // Enabledness is the caller's precondition (see Dftc note) —
     // re-deriving it per move is Debug-only.
     SSNO_DBG_ASSERT(enabled(m.node, m.action));
-    const NodeId p = m.node;
-    SimStep step;
-    if (m.action == Dftc::kError) {
-      step.substrate = SimStep::kIdleOnly;
-    } else if (m.action < Dftc::kActionCount) {
-      step.substrate = SimStep::kSubstrate;
-      step.eta = eta_[p];
-      step.max = max_[p];
-      const Dftc::SimOutcome sub = dftc_.computeSimultaneous(p, m.action);
-      step.s = sub.s;
-      step.col = sub.col;
-      step.d = sub.d;
-      step.par = sub.par;
-      switch (sub.event) {
-        case Dftc::SimOutcome::Event::kRoundStart:
-          step.eta = 0;
-          step.max = 0;
-          break;
-        case Dftc::SimOutcome::Event::kForward:
-          step.eta = (max_[sub.peer] + 1) % n;
-          step.max = step.eta;
-          break;
-        case Dftc::SimOutcome::Event::kBacktrack:
-          step.max = max_[sub.peer];
-          break;
-        case Dftc::SimOutcome::Event::kNone:
-          break;
-      }
-    } else {
-      auto row = pi_.row(p);
-      chordalRowFill(row.data(), graph().neighbors(p).data(),
-                     eta_.data().data(), eta_[p], graph().degree(p), n);
-      step.substrate = SimStep::kCommitted;
-    }
-    simSteps_.push_back(step);
+    batch_.push_back(compose(m.node, m.action));
   }
-  // Phase 2: commit.
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    const NodeId p = moves[i].node;
-    const SimStep& step = simSteps_[i];
-    if (step.substrate == SimStep::kSubstrate) {
-      dftc_.commitSimultaneous(
-          p, Dftc::SimOutcome{step.s, step.col, step.d, step.par});
-      eta_[p] = step.eta;
-      max_[p] = step.max;
-    } else if (step.substrate == SimStep::kIdleOnly) {
-      dftc_.commitIdle(p);
-    }
-  }
+  for (std::size_t i = 0; i < moves.size(); ++i)
+    commit(moves[i].node, batch_[i]);
   return true;
 }
 

@@ -13,8 +13,12 @@
 //   ¬Token(p) ∧ InvalidEdgelabel(p) --> Edgelabel_p
 //
 // The macros run in the same atomic step as the substrate action, so the
-// composed protocol's action set is the substrate's five actions plus the
-// EdgeLabel correction.  Stabilizes in O(n) steps after L_TC holds: the
+// composed protocol's action set is the substrate's six actions plus the
+// EdgeLabel correction.  One compose writes that step once: it takes the
+// substrate's Dftc::Outcome and computes the macro its event fires
+// (Nodelabel on Start or Forward, UpdateMax on Backtrack) against the same
+// pre-move state.  A sequential step commits its one composed move; a
+// synchronous step composes every move before it commits any.  Stabilizes in O(n) steps after L_TC holds: the
 // next full round renames every node with its DFS preorder index (which is
 // the same every round — the traversal is deterministic), after which the
 // edge labels are corrected locally and never change again.
@@ -68,9 +72,8 @@ class Dftno final : public Protocol {
   [[nodiscard]] bool enabled(NodeId p, int action) const override;
   /// Columnar kernel: substrate bits via Dftc's fused walk, EdgeLabel
   /// via a contiguous chordal-row scan (π row + CSR adjacency row + η
-  /// gather — AVX2 under SSNO_NATIVE_ARCH).  ¬Token(p) for the paper-
-  /// faithful guard is read off the substrate mask instead of six more
-  /// guard evaluations.
+  /// gather).  ¬Token(p) for the paper-faithful guard is read off the
+  /// substrate mask instead of six more guard evaluations.
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
@@ -109,10 +112,9 @@ class Dftno final : public Protocol {
   ///
   /// Both predicates cost O(writes since the previous check), plus O(n)
   /// when the configuration is on the orbit, through one OrbitTracker
-  /// fed by THIS protocol's writer feed (the substrate
-  /// object's own feed misses the dense synchronous commits, which write
-  /// substrate columns directly).  Index and tracker are built at the
-  /// first check.
+  /// fed by THIS protocol's writer feed (every step commits substrate
+  /// columns directly, so the substrate object's own feed and dirty set
+  /// stay empty).  Index and tracker are built at the first check.
   [[nodiscard]] bool isLegitimate();
   /// L_TC alone (substrate stabilized).
   [[nodiscard]] bool substrateLegitimate();
@@ -137,12 +139,11 @@ class Dftno final : public Protocol {
 
  protected:
   // ---- Protocol mutation hooks ----
+  /// commit(p, compose(p, action)).
   void doExecute(NodeId p, int action) override;
-  /// Batched synchronous step: phase 1 computes substrate outcomes
-  /// (Dftc::computeSimultaneous) and inlines the Nodelabel/UpdateMax
-  /// macros against pre-step η/Max (plus fresh π rows for EdgeLabel
-  /// moves), phase 2 commits — the whole dense step without the
-  /// engine's per-move snapshot/rollback schedule.
+  /// Batched synchronous step: phase 1 composes every move against the
+  /// pre-step configuration, phase 2 commits — the whole dense step
+  /// without the engine's per-move snapshot/rollback schedule.
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
 
  private:
@@ -150,8 +151,25 @@ class Dftno final : public Protocol {
     return chordalDistance(eta_[p], eta_[q], modulus());
   }
   [[nodiscard]] bool invalidEdgeLabel(NodeId p) const;
-  void installHooks();
   [[nodiscard]] OrbitTracker& tracker();
+
+  // One composed move, computed against the configuration before the
+  // move: the substrate's post-state {s, col, d, par} with the η/Max of
+  // the macro its event fires, or (substrate == false) an EdgeLabel
+  // move, whose π row compose already wrote.  A dense step buffers one
+  // per move, so it keeps only the values commit installs, not the
+  // substrate Outcome's event and peer.
+  struct Composed {
+    std::int32_t s = 0;
+    std::int32_t col = 0;
+    std::int32_t d = 0;
+    std::int32_t par = 0;
+    std::int32_t eta = 0;
+    std::int32_t max = 0;
+    bool substrate = false;
+  };
+  [[nodiscard]] Composed compose(NodeId p, int action);
+  void commit(NodeId p, const Composed& c);
 
   Dftc dftc_;
   EdgeLabelGuard guard_;
@@ -161,25 +179,7 @@ class Dftno final : public Protocol {
   NodeColumn eta_;   // η_p ∈ 0..N−1
   NodeColumn max_;   // Max_p ∈ 0..N−1
   PortColumn pi_;    // π_p[l] ∈ 0..N−1
-  // Reused phase-1 buffer for doExecuteSimultaneous.  A dense step
-  // buffers one SimStep per move, so the layout is kept to 32 bytes —
-  // only the committed values, not the whole SimOutcome (its event/peer
-  // fields are consumed during phase 1 when the macro values compose).
-  struct SimStep {
-    enum Kind : std::uint32_t {
-      kCommitted = 0,  // already applied in phase 1 (EdgeLabel π rows)
-      kSubstrate = 1,  // generic substrate commit below
-      kIdleOnly = 2,   // Error: the whole outcome is s := idle
-    };
-    std::int32_t s = 0;      // substrate commit values (substrate moves)
-    std::int32_t col = 0;
-    std::int32_t d = 0;
-    std::int32_t par = 0;
-    std::int32_t eta = 0;
-    std::int32_t max = 0;
-    std::uint32_t substrate = kCommitted;
-  };
-  std::vector<SimStep> simSteps_;
+  std::vector<Composed> batch_;  // reused phase-1 buffer
   // L_NO's walk and the live fingerprints (checked against the
   // substrate's index for L_TC and this one for L_NO), built at the
   // first check.

@@ -21,10 +21,12 @@
 #include <variant>
 #include <vector>
 
+#include "exp/fmt.hpp"
+
 namespace ssno::serve {
 
-/// JSON-escapes `s` (no surrounding quotes).
-[[nodiscard]] std::string jsonEscape(std::string_view s);
+/// JSON-escapes `s` (no surrounding quotes): exp/fmt.hpp's escaper.
+using exp::jsonEscape;
 
 class JsonValue {
  public:

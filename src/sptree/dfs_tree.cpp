@@ -59,19 +59,19 @@ std::vector<NodeId> dfsTreeFromCirculation(Dftc& dftc, StepCount maxMoves) {
   std::vector<NodeId> parent(
       static_cast<std::size_t>(dftc.graph().nodeCount()), kNoNode);
   int roundStarts = 0;
-  TokenHooks hooks;
-  hooks.onRoundStart = [&roundStarts](NodeId) { ++roundStarts; };
-  hooks.onForward = [&parent, &roundStarts](NodeId p, NodeId from) {
-    if (roundStarts == 1) parent[static_cast<std::size_t>(p)] = from;
-  };
-  dftc.setHooks(std::move(hooks));
   while (roundStarts < 2) {
     const std::vector<Move> moves = dftc.enabledMoves();
     SSNO_ASSERT(moves.size() == 1);  // legitimate orbit is deterministic
-    dftc.execute(moves.front().node, moves.front().action);
+    const Move m = moves.front();
+    dftc.execute(m.node, m.action);
+    if (m.action == Dftc::kStart) {
+      ++roundStarts;
+    } else if (m.action == Dftc::kForward && roundStarts == 1) {
+      parent[static_cast<std::size_t>(m.node)] =
+          dftc.graph().neighborAt(m.node, dftc.parentPort(m.node));
+    }
     SSNO_EXPECTS(++spent <= maxMoves);
   }
-  dftc.setHooks(TokenHooks{});
   return parent;
 }
 

@@ -39,27 +39,21 @@ std::vector<CleanRound> cleanRounds(Dftc& dftc, int rounds) {
   std::vector<CleanRound> visits;
   int roundIdx = -1;
   const auto inRound = [&] { return roundIdx >= 0 && roundIdx < rounds; };
-  TokenHooks hooks;
-  hooks.onRoundStart = [&](NodeId) {
-    ++roundIdx;
-    if (roundIdx < rounds) visits.emplace_back();
-  };
-  hooks.onForward = [&](NodeId p, NodeId) {
-    if (inRound()) visits.back().forwards.push_back(p);
-  };
-  hooks.onBacktrack = [&](NodeId, NodeId) {
-    if (inRound()) ++visits.back().advances;
-  };
-  dftc.setHooks(std::move(hooks));
   while (roundIdx < rounds) {
     const auto moves = dftc.enabledMoves();
     EXPECT_EQ(moves.size(), 1u) << "legitimate execution must be deterministic";
     if (moves.size() != 1u) break;
-    if (moves.front().action != Dftc::kStart && inRound())
+    const Move m = moves.front();
+    if (m.action == Dftc::kStart) {
+      ++roundIdx;
+      if (roundIdx < rounds) visits.emplace_back();
+    } else if (inRound()) {
       ++visits.back().moves;
-    dftc.execute(moves.front().node, moves.front().action);
+      if (m.action == Dftc::kForward) visits.back().forwards.push_back(m.node);
+      if (m.action == Dftc::kAdvance) ++visits.back().advances;
+    }
+    dftc.execute(m.node, m.action);
   }
-  dftc.setHooks(TokenHooks{});
   return visits;
 }
 

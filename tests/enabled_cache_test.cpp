@@ -184,13 +184,13 @@ TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
     Dftc dftc(Graph::ring(n));
     dftc.resetClean();
     int starts = 0;
-    TokenHooks hooks;
-    hooks.onRoundStart = [&starts](NodeId) { ++starts; };
-    dftc.setHooks(std::move(hooks));
     Rng rng(0x4C1);
     Log log;
     auto sim = makeSim(dftc, rng);
-    sim->setMoveObserver([&log](const Move& m) { log.moves.push_back(m); });
+    sim->setMoveObserver([&log, &starts](const Move& m) {
+      log.moves.push_back(m);
+      if (m.action == Dftc::kStart) ++starts;
+    });
     const EnabledView* view = nullptr;  // the production post-step view
     if constexpr (std::is_same_v<std::decay_t<decltype(*sim)>, Simulator>)
       sim->setStatusObserver(
@@ -201,7 +201,6 @@ TEST(EnabledCacheEquivalence, RoundRobinTokenCirculationOnAWideRing) {
     log.stats = sim->runUntil([&starts] { return starts >= 2; }, 8 * n);
     log.finalConfig = dftc.rawConfiguration();
     if (view != nullptr) oracle::expectViewMatchesScan(*view, dftc);
-    dftc.setHooks(TokenHooks{});
     return log;
   };
   RoundRobinDaemon daemon;

@@ -97,9 +97,8 @@ TEST(GuardBatch, KernelsMatchScalarOnRandomizedStates) {
 }
 
 TEST(GuardBatch, UnalignedBatchSizes) {
-  // n = 130 straddles two 64-bit words and exceeds the AVX2 kernels'
-  // 8-lane width; batches of size 1, 63, 64, 65, and full-n hit the
-  // word-boundary and vector-tail paths.  Batches are random sorted
+  // n = 130 straddles two 64-bit words; batches of size 1, 63, 64, 65,
+  // and full-n hit the word-boundary paths.  Batches are random sorted
   // duplicate-free subsets, per the evaluateGuards contract.
   const Graph g = Graph::ring(130);
   for (const Proto kind : kProtos) {

@@ -28,6 +28,7 @@
 #include "exp/claims.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "sptree/dfs_tree.hpp"
 #include "thread_start_failure.hpp"
 
@@ -248,6 +249,30 @@ TEST(ExperimentRunner, ModelCheckBudgetIsAPositiveStateCapOfAnySize) {
           << e.what();
     }
   }
+}
+
+// A trial whose mc-threads resolves to 1 runs one check and reuses it as
+// the 1-thread reference: one check's worth of BFS levels, not two.
+TEST(ExperimentRunner, ModelCheckAtOneThreadChecksOnce) {
+  Scenario s = parseScenario("model-check:dftc-fault/central/ring:4");
+  s.trials = 1;
+  const obs::Registry& reg = obs::Registry::global();
+  const auto run = [&](int mcThreads, std::uint64_t& levels) {
+    s.mcThreads = mcThreads;
+    const std::uint64_t before = reg.counterValue("mc_levels_total");
+    const ScenarioResult r = ExperimentRunner(1).run(s);
+    levels = reg.counterValue("mc_levels_total") - before;
+    EXPECT_EQ(r.failedTrials, 0) << mcThreads;
+    EXPECT_EQ(r.metric("verdicts_agree").mean, 1.0) << mcThreads;
+    return r;
+  };
+  std::uint64_t once = 0, twice = 0;
+  const ScenarioResult one = run(1, once);
+  const ScenarioResult two = run(2, twice);
+  EXPECT_GT(once, 1u);  // a reachable check: several BFS levels
+  EXPECT_EQ(twice, 2 * once);  // 1 and 2 threads explore the same levels
+  EXPECT_EQ(one.metric("speedup").mean, 1.0);
+  EXPECT_EQ(one.metric("states").mean, two.metric("states").mean);
 }
 
 TEST(ExperimentRunner, ModelCheckBeyondTheLogFailsFast) {
