@@ -80,6 +80,14 @@ class Graph {
                  static_cast<std::size_t>(l)];
   }
 
+  /// p's back ports in port order, parallel to neighbors(p): entry l is
+  /// backPort(p, l).
+  [[nodiscard]] std::span<const Port> backPorts(NodeId p) const {
+    const std::size_t begin = offsets_[static_cast<std::size_t>(p)];
+    const std::size_t end = offsets_[static_cast<std::size_t>(p) + 1];
+    return {back_.data() + begin, end - begin};
+  }
+
   /// The local port of p whose link leads to q; kNoPort if not adjacent.
   /// O(deg p): a scan of p's row, for tests and validation.  Guards and
   /// statements that hold (p, l) use backPort instead.

@@ -13,6 +13,15 @@ std::vector<Move> Protocol::enabledMoves() const {
   return moves;
 }
 
+void Protocol::expectEnabled(std::span<const Move> moves) {
+  expect_nodes_.clear();
+  for (const Move& m : moves) expect_nodes_.push_back(m.node);
+  expect_masks_.resize(moves.size());
+  evaluateGuards(expect_nodes_, expect_masks_.data());
+  for (std::size_t i = 0; i < moves.size(); ++i)
+    SSNO_EXPECTS(expect_masks_[i] >> moves[i].action & 1);
+}
+
 double Protocol::potentialHint() const {
   // Default adversarial potential: the enabled-move count.
   int count = 0;

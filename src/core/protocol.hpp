@@ -341,6 +341,10 @@ class Protocol {
     (void)moves;
     return false;
   }
+  /// Release-active precondition for a batch executor: every move is
+  /// enabled, tested with one evaluateGuards call over the actors (the
+  /// predicate enabled() tests) instead of a scalar evaluation per move.
+  void expectEnabled(std::span<const Move> moves);
   /// Derived from the declared domains (StateArena::randomizeNode and
   /// decodeNode, arena by arena); LexDfsTree overrides both.
   virtual void doRandomizeNode(NodeId p, Rng& rng);
@@ -418,6 +422,8 @@ class Protocol {
   bool all_written_ = false;
   std::vector<std::uint8_t> written_flag_;  // empty until armed
   std::vector<NodeId> written_list_;
+  std::vector<NodeId> expect_nodes_;  // expectEnabled scratch
+  std::vector<std::uint64_t> expect_masks_;
 };
 
 }  // namespace ssno

@@ -38,6 +38,9 @@
 // works unchanged) the whole move set is handed to the protocol, which
 // computes every outcome against the pre-step columns and commits them
 // in a second phase — no neighborhood rollbacks, no post captures.
+// Dftc, Dftno, BfsTree and Stno batch; LexDfsTree keeps the rollback
+// path, and the init-based baseline the write log below
+// (SimultaneousEngine.EachProtocolTakesItsPath pins which is which).
 //
 // Protocols whose guards read beyond N[p] (guardsAreNeighborhoodLocal()
 // == false) take the full-configuration path instead.  Columnar

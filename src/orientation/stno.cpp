@@ -49,43 +49,46 @@ std::string Stno::actionName(int action) const {
   }
 }
 
-bool Stno::isChild(NodeId p, NodeId q) const {
+bool Stno::isChild(const Port* par, NodeId p, Port l) const {
+  const NodeId q = graph().neighborAt(p, l);
   return q != graph().root() &&
-         graph().neighborAt(q, view_->parentPort(q)) == p;
+         par[static_cast<std::size_t>(q)] == graph().backPort(p, l);
 }
 
 int Stno::expectedWeight(NodeId p) const {
+  const Port* par = view_->parentPorts().data();
   int sum = 1;  // the node itself
-  for (NodeId q : graph().neighbors(p))
-    if (isChild(p, q)) sum += weight_[q];
+  for (Port l = 0; l < graph().degree(p); ++l)
+    if (isChild(par, p, l)) sum += weight_[graph().neighborAt(p, l)];
   return std::min(sum, graph().nodeCount());
 }
 
 int Stno::startFromParent(NodeId p) const {
-  const Port l = view_->parentPort(p);
-  SSNO_EXPECTS(l != kNoPort);
+  SSNO_EXPECTS(p != graph().root());
+  const Port l = view_->parentPorts()[static_cast<std::size_t>(p)];
   return start_.at(graph().neighborAt(p, l), graph().backPort(p, l));
 }
 
 bool Stno::startInconsistent(NodeId p) const {
   // Erratum fix 1: validate p's own Start entries against Distribute's
   // computation from η_p and the children's Weight variables.
+  const Port* par = view_->parentPorts().data();
   int given = eta_[p];
   for (Port l = 0; l < graph().degree(p); ++l) {
-    const NodeId q = graph().neighborAt(p, l);
-    if (!isChild(p, q)) continue;
+    if (!isChild(par, p, l)) continue;
     const int expected = (given + 1) % modulus();
     if (start_.at(p, l) != expected) return true;
-    given = (given + weight_[q]) % modulus();
+    given = (given + weight_[graph().neighborAt(p, l)]) % modulus();
   }
   return false;
 }
 
 bool Stno::invalidNodeLabel(NodeId p) const {
   if (p == graph().root()) return eta_[p] != 0 || startInconsistent(p);
+  const Port* par = view_->parentPorts().data();
   bool leaf = true;
-  for (NodeId q : graph().neighbors(p)) {
-    if (isChild(p, q)) {
+  for (Port l = 0; l < graph().degree(p); ++l) {
+    if (isChild(par, p, l)) {
       leaf = false;
       break;
     }
@@ -104,6 +107,28 @@ bool Stno::invalidEdgeLabel(NodeId p) const {
   return false;
 }
 
+namespace {
+
+// Distribute's recurrence without a division while its operands are in
+// range: the Start entry (given + 1) mod N, then given := (given + W_q)
+// mod N.  Faults can put any raw value in η or W, so an out-of-range
+// operand takes the exact % form, and the kernel stays bit-identical to
+// the scalar startInconsistent on every raw value.
+int nextStart(int given, int n) {
+  if (given >= 0 && given < n) return given + 1 == n ? 0 : given + 1;
+  return (given + 1) % n;
+}
+
+int nextGiven(int given, int w, int n) {
+  if (given >= 0 && given < n && w >= 0 && w <= n) {
+    const int sum = given + w;
+    return sum >= n ? sum - n : sum;
+  }
+  return (given + w) % n;
+}
+
+}  // namespace
+
 void Stno::evaluateGuards(std::span<const NodeId> nodes,
                           std::uint64_t* masks) const {
   if (bfs_) {
@@ -118,11 +143,13 @@ void Stno::evaluateGuards(std::span<const NodeId> nodes,
   const int* weight = weight_.data().data();
   const int* start = start_.data().data();
   const int* pi = pi_.data().data();
+  const Port* par = view_->parentPorts().data();
   const Graph& g = graph();
   const NodeId root = g.root();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId p = nodes[i];
     const auto nbrs = g.neighbors(p);
+    const Port* back = g.backPorts(p).data();
     const std::size_t base = g.portBase(p);
     // One fused child walk: CalcWeight's Σ and the Start-row
     // consistency check (erratum fix 1) share the iteration.
@@ -131,20 +158,27 @@ void Stno::evaluateGuards(std::span<const NodeId> nodes,
     bool startBad = false;
     for (std::size_t l = 0; l < nbrs.size(); ++l) {
       const NodeId q = nbrs[l];
-      if (!isChild(p, q)) continue;
+      if (q == root || par[q] != back[l]) continue;  // not a child
       if (!startBad) {
-        if (start[base + l] != (given + 1) % n)
+        if (start[base + l] != nextStart(given, n))
           startBad = true;
         else
-          given = (given + weight[q]) % n;
+          given = nextGiven(given, weight[q], n);
       }
       sum += weight[q];
     }
     // For a leaf startBad is vacuously false, so the non-root leaf and
     // interior forms of InvalidNodelabel collapse into one expression.
-    const bool invalidNode =
-        p == root ? (eta[p] != 0 || startBad)
-                  : (eta[p] != startFromParent(p) || startBad);
+    bool invalidNode = startBad;
+    if (p == root) {
+      invalidNode = invalidNode || eta[p] != 0;
+    } else if (!invalidNode) {
+      // η_p against Start_{A_p}[p], the parent's entry at the back port
+      // of p's parent port.
+      const auto l = static_cast<std::size_t>(par[p]);
+      const auto back_l = static_cast<std::size_t>(back[l]);
+      invalidNode = eta[p] != start[g.portBase(nbrs[l]) + back_l];
+    }
     std::uint64_t mask = masks[i] & 1;  // substrate TreeFix bit
     if (invalidNode) {
       mask |= std::uint64_t{1} << kNodeLabel;
@@ -173,46 +207,90 @@ bool Stno::enabled(NodeId p, int action) const {
   }
 }
 
-void Stno::applyDistribute(NodeId p) {
-  int given = eta_[p];
+void Stno::appendDistribute(NodeId p, int eta) {
+  const auto old = start_.row(p);
+  const std::size_t at = rows_.size();
+  rows_.insert(rows_.end(), old.begin(), old.end());
+  const Port* par = view_->parentPorts().data();
+  int given = eta;
   for (Port l = 0; l < graph().degree(p); ++l) {
-    const NodeId q = graph().neighborAt(p, l);
-    if (!isChild(p, q)) continue;
-    start_.at(p, l) = (given + 1) % modulus();
-    given = (given + weight_[q]) % modulus();
+    if (!isChild(par, p, l)) continue;  // non-child entries keep theirs
+    rows_[at + static_cast<std::size_t>(l)] = (given + 1) % modulus();
+    given = (given + weight_[graph().neighborAt(p, l)]) % modulus();
   }
 }
 
-void Stno::applyEdgeLabels(NodeId p) {
-  for (Port l = 0; l < graph().degree(p); ++l) {
-    const NodeId q = graph().neighborAt(p, l);
-    pi_.at(p, l) =
-        chordalDistance(eta_[p], eta_[q], modulus());
+void Stno::appendEdgeLabels(NodeId p, int eta) {
+  const std::size_t at = rows_.size();
+  rows_.resize(at + static_cast<std::size_t>(graph().degree(p)));
+  chordalRowFill(rows_.data() + at, graph().neighbors(p).data(),
+                 eta_.data().data(), eta, graph().degree(p), modulus());
+}
+
+Stno::Outcome Stno::outcome(NodeId p, int action) {
+  Outcome o;
+  o.action = action;
+  o.rows = rows_.size();
+  switch (action) {
+    case kTreeFix:
+      o.tree = bfs_->outcome(p);
+      break;
+    case kNodeLabel:
+      // η_p := Start_{A_p}[p] (root: 0); Distribute_p and Edgelabel_p
+      // then read the new η_p.
+      o.value = p == graph().root() ? 0 : startFromParent(p);
+      appendDistribute(p, o.value);  // no child entries for a leaf
+      appendEdgeLabels(p, o.value);
+      break;
+    case kEdgeLabel:
+      appendEdgeLabels(p, eta_[p]);
+      break;
+    case kWeight:
+      o.value = expectedWeight(p);
+      break;
+    default:
+      SSNO_ASSERT(false);
+  }
+  return o;
+}
+
+void Stno::commit(NodeId p, const Outcome& o) {
+  const int* rows = rows_.data() + o.rows;
+  const auto deg = static_cast<std::size_t>(graph().degree(p));
+  switch (o.action) {
+    case kTreeFix:
+      bfs_->commit(p, o.tree);
+      break;
+    case kNodeLabel:
+      eta_[p] = o.value;
+      std::copy_n(rows, deg, start_.row(p).begin());
+      std::copy_n(rows + deg, deg, pi_.row(p).begin());
+      break;
+    case kEdgeLabel:
+      std::copy_n(rows, deg, pi_.row(p).begin());
+      break;
+    case kWeight:
+      weight_[p] = o.value;
+      break;
+    default:
+      SSNO_ASSERT(false);
   }
 }
 
 void Stno::doExecute(NodeId p, int action) {
   SSNO_EXPECTS(enabled(p, action));
-  switch (action) {
-    case kTreeFix:
-      bfs_->execute(p, BfsTree::kFix);
-      break;
-    case kNodeLabel:
-      eta_[p] = view_->roleOf(p) == TreeRole::kRoot
-                         ? 0
-                         : startFromParent(p);
-      applyDistribute(p);   // no-op for leaves (no children)
-      applyEdgeLabels(p);
-      break;
-    case kEdgeLabel:
-      applyEdgeLabels(p);
-      break;
-    case kWeight:
-      weight_[p] = expectedWeight(p);
-      break;
-    default:
-      SSNO_ASSERT(false);
-  }
+  rows_.clear();
+  commit(p, outcome(p, action));
+}
+
+bool Stno::doExecuteSimultaneous(std::span<const Move> moves) {
+  expectEnabled(moves);
+  rows_.clear();
+  batch_.clear();
+  for (const Move& m : moves) batch_.push_back(outcome(m.node, m.action));
+  for (std::size_t i = 0; i < moves.size(); ++i)
+    commit(moves[i].node, batch_[i]);
+  return true;
 }
 
 std::string Stno::dumpNode(NodeId p) const {

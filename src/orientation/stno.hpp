@@ -34,6 +34,14 @@
 // The composition with the BFS tree needs weak fairness between layers,
 // not the unfair daemon Chapter 5 claims (DESIGN.md deviation note 5).
 //
+// Statements.  Each action's statement is written once, in outcome(): a
+// function of the pre-move configuration giving p's new variables.
+// TreeFix's outcome is BfsTree's; NodeLabel's Start and π rows and
+// EdgeLabel's π row go into one reused flat scratch.  A sequential step
+// commits its outcome at once; a synchronous batch computes every
+// outcome before it commits any, so the simultaneous-step engine takes
+// its batch branch and no neighbourhood rollbacks.
+//
 // The protocol is silent: the unique terminal configuration (for a fixed
 // legitimate tree) has correct weights, the canonical preorder-interval
 // names, and chordal edge labels — SP1 ∧ SP2 hold there (proved by the
@@ -80,6 +88,9 @@ class Stno final : public Protocol {
   /// fused child walk per node shared by the Weight sum and the Start-
   /// row consistency check, and the SP2 row via the shared chordal-row
   /// scan — vs four virtual enabled() calls each re-walking children.
+  /// The child test reads the tree's parent-port column, fetched once
+  /// per batch; the Start row is checked without a division while its
+  /// values are in range.
   void evaluateGuards(std::span<const NodeId> nodes,
                       std::uint64_t* masks) const override;
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
@@ -122,11 +133,31 @@ class Stno final : public Protocol {
 
  protected:
   // ---- Protocol mutation hooks ----
+  /// commit(p, outcome(p, action)).
   void doExecute(NodeId p, int action) override;
+  /// Batched synchronous step: phase 1 computes every move's outcome
+  /// against the pre-step configuration, phase 2 commits.
+  bool doExecuteSimultaneous(std::span<const Move> moves) override;
 
  private:
-  /// Allocation-free child test used by the hot guard paths.
-  [[nodiscard]] bool isChild(NodeId p, NodeId q) const;
+  /// ---- Statements, two-phase: compute, then commit ------------------
+  /// One move's post-state: TreeFix's {dist, par}, NodeLabel's η or
+  /// Weight's W in `value`, and for NodeLabel (Start row, then π row) and
+  /// EdgeLabel (π row) the offset of p's rows in rows_.
+  struct Outcome {
+    int action = -1;
+    int value = 0;
+    BfsTree::Outcome tree;
+    std::size_t rows = 0;
+  };
+  /// Appends the move's rows to rows_ and writes nothing else.
+  [[nodiscard]] Outcome outcome(NodeId p, int action);
+  void commit(NodeId p, const Outcome& o);
+
+  /// q = neighborAt(p, l) is p's child: q's parent port leads back to p
+  /// (par[q] == backPort(p, l)), the batch kernel's test.  `par` is the
+  /// tree's parent-port column, fetched once per guard or statement.
+  [[nodiscard]] bool isChild(const Port* par, NodeId p, Port l) const;
   [[nodiscard]] int expectedWeight(NodeId p) const;
   /// Start_{A_p}[p]: the parent's Start entry for p, at the back port of
   /// p's parent port.  O(1).
@@ -134,8 +165,10 @@ class Stno final : public Protocol {
   [[nodiscard]] bool startInconsistent(NodeId p) const;
   [[nodiscard]] bool invalidNodeLabel(NodeId p) const;
   [[nodiscard]] bool invalidEdgeLabel(NodeId p) const;
-  void applyDistribute(NodeId p);
-  void applyEdgeLabels(NodeId p);
+  /// Appends Distribute's Start row for p, named eta, to rows_.
+  void appendDistribute(NodeId p, int eta);
+  /// Appends Edgelabel's π row for p, named eta, to rows_.
+  void appendEdgeLabels(NodeId p, int eta);
   [[nodiscard]] GuardCounts& counts();
 
   std::unique_ptr<BfsTree> bfs_;        // null in fixed-tree mode
@@ -150,6 +183,8 @@ class Stno final : public Protocol {
   NodeColumn eta_;     // 0..N−1
   PortColumn start_;   // per port, 0..N−1
   PortColumn pi_;      // per port, 0..N−1
+  std::vector<Outcome> batch_;  // reused phase-1 buffer
+  std::vector<int> rows_;       // the outcomes' Start and π rows
   // Group 0: the tree action; group 1: the overlay actions.
   std::unique_ptr<GuardCounts> counts_;
 };

@@ -33,14 +33,6 @@ int BfsTree::minNeighborDist(NodeId p) const {
   return best;
 }
 
-Port BfsTree::firstMinPort(NodeId p) const {
-  const int m = minNeighborDist(p);
-  for (Port l = 0; l < graph().degree(p); ++l)
-    if (distOf(graph().neighborAt(p, l)) == m) return l;
-  SSNO_ASSERT(false);
-  return kNoPort;
-}
-
 bool BfsTree::enabled(NodeId p, int action) const {
   if (action != kFix || p == graph().root()) return false;
   const int m = minNeighborDist(p);
@@ -77,10 +69,34 @@ void BfsTree::evaluateGuards(std::span<const NodeId> nodes,
 
 void BfsTree::doExecute(NodeId p, int action) {
   SSNO_EXPECTS(enabled(p, action));
-  const int m = minNeighborDist(p);
-  dist_[p] =
-      std::min(m + 1, graph().nodeCount() - 1);
-  par_[p] = firstMinPort(p);
+  commit(p, outcome(p));
+}
+
+BfsTree::Outcome BfsTree::outcome(NodeId p) const {
+  // One walk: the minimum neighbour distance, capped at N as
+  // minNeighborDist caps it, and the first port attaining it.
+  const int n = graph().nodeCount();
+  const auto nbrs = graph().neighbors(p);
+  int m = n;
+  Port first = kNoPort;
+  for (std::size_t l = 0; l < nbrs.size(); ++l) {
+    const int d = distOf(nbrs[l]);
+    if (d < m || (d == m && first == kNoPort)) {
+      m = d;
+      first = static_cast<Port>(l);
+    }
+  }
+  SSNO_ASSERT(first != kNoPort);
+  return {.dist = std::min(m + 1, n - 1), .par = first};
+}
+
+bool BfsTree::doExecuteSimultaneous(std::span<const Move> moves) {
+  expectEnabled(moves);
+  batch_.clear();
+  for (const Move& m : moves) batch_.push_back(outcome(m.node));
+  for (std::size_t i = 0; i < moves.size(); ++i)
+    commit(moves[i].node, batch_[i]);
+  return true;
 }
 
 std::string BfsTree::dumpNode(NodeId p) const {
@@ -89,10 +105,6 @@ std::string BfsTree::dumpNode(NodeId p) const {
   out << "dist=" << dist_[p] << " par="
       << graph().neighborAt(p, par_[p]);
   return out.str();
-}
-
-Port BfsTree::parentPort(NodeId p) const {
-  return p == graph().root() ? kNoPort : par_[p];
 }
 
 bool BfsTree::isLegitimate() {

@@ -15,6 +15,11 @@
 // every parent attains the minimum — a spanning tree of shortest paths.
 // Convergence holds under any (even unfair) daemon, which is what lets
 // the paper run STNO with an unfair daemon.
+//
+// Statement.  Fix is written once, in outcome(): a pure function of the
+// pre-move configuration giving p's new {dist, par}.  A sequential step
+// commits it at once; a synchronous batch computes every outcome before
+// it commits any; STNO's TreeFix commits the same outcome.
 #ifndef SSNO_SPTREE_BFS_TREE_HPP
 #define SSNO_SPTREE_BFS_TREE_HPP
 
@@ -49,7 +54,9 @@ class BfsTree final : public Protocol, public TreeView {
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
 
   // ---- TreeView interface ----
-  [[nodiscard]] Port parentPort(NodeId p) const override;
+  [[nodiscard]] std::span<const Port> parentPorts() const override {
+    return par_.data();
+  }
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   // ---- Substrate-specific API ----
@@ -71,18 +78,37 @@ class BfsTree final : public Protocol, public TreeView {
   /// Per-node variable bits: log N (dist) + log Δp (par).
   [[nodiscard]] double stateBits(NodeId p) const;
 
+  /// ---- Statement, two-phase: compute, then commit --------------------
+  /// Fix's post-state at p against the current configuration, from one
+  /// walk of p's neighbours.  outcome performs no writes; commit installs
+  /// it without dirtying (the caller's wrapper or batch driver records
+  /// the writer).
+  struct Outcome {
+    int dist = 0;
+    int par = 0;
+  };
+  [[nodiscard]] Outcome outcome(NodeId p) const;
+  void commit(NodeId p, const Outcome& o) {
+    dist_[p] = o.dist;
+    par_[p] = o.par;
+  }
+
  protected:
   // ---- Protocol mutation hooks ----
+  /// commit(p, outcome(p)).
   void doExecute(NodeId p, int action) override;
+  /// Batched synchronous step: every outcome against the pre-step
+  /// configuration, then every commit.
+  bool doExecuteSimultaneous(std::span<const Move> moves) override;
 
  private:
   [[nodiscard]] int minNeighborDist(NodeId p) const;
-  [[nodiscard]] Port firstMinPort(NodeId p) const;
 
   // SoA state columns {dist, par}, dist the least significant digit.
   StateArena arena_;
   NodeColumn dist_;  // 1..N−1 (root pinned at 0)
   NodeColumn par_;   // port (root pinned at 0)
+  std::vector<Outcome> batch_;  // reused phase-1 buffer
   std::unique_ptr<GuardCounts> fixes_;  // processors with Fix enabled
 };
 

@@ -196,10 +196,6 @@ std::string LexDfsTree::dumpNode(NodeId p) const {
   return out.str();
 }
 
-Port LexDfsTree::parentPort(NodeId p) const {
-  return p == graph().root() ? kNoPort : par_[p];
-}
-
 bool LexDfsTree::isLegitimate() const {
   for (NodeId p = 0; p < graph().nodeCount(); ++p)
     if (enabled(p, kFix)) return false;

@@ -61,7 +61,9 @@ class LexDfsTree final : public Protocol, public TreeView {
   [[nodiscard]] std::string dumpNode(NodeId p) const override;
 
   // ---- TreeView interface ----
-  [[nodiscard]] Port parentPort(NodeId p) const override;
+  [[nodiscard]] std::span<const Port> parentPorts() const override {
+    return par_.data();
+  }
   [[nodiscard]] const Graph& treeGraph() const override { return graph(); }
 
   // ---- Substrate-specific API ----

@@ -17,7 +17,7 @@ TreeRole TreeView::roleOf(NodeId p) const {
   const Graph& g = treeGraph();
   if (p == g.root()) return TreeRole::kRoot;
   // Allocation-free: probe for any child instead of materializing the
-  // child list (roleOf sits on STNO's NodeLabel execution path).
+  // child list.
   for (NodeId q : g.neighbors(p))
     if (q != g.root() && parentOf(q) == p) return TreeRole::kInternal;
   return TreeRole::kLeaf;

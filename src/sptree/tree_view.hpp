@@ -7,10 +7,15 @@
 // trees (e.g. a DFS tree extracted from the token circulation) implement
 // this interface.  Besides A_p a tree exposes the port of p that leads to
 // it, so STNO reads the parent's entry for p, Start_{A_p}[p], at
-// treeGraph().backPort(p, parentPort(p)) in O(1).
+// treeGraph().backPort(p, parentPort(p)) in O(1).  Each tree implements
+// one accessor, the whole parent-port column: STNO's batch guard kernel
+// fetches it once per batch and tests "q = neighborAt(p, l) is p's
+// child" as parentPorts()[q] == backPort(p, l), with no call per
+// neighbour.
 #ifndef SSNO_SPTREE_TREE_VIEW_HPP
 #define SSNO_SPTREE_TREE_VIEW_HPP
 
+#include <span>
 #include <vector>
 
 #include "core/graph.hpp"
@@ -24,9 +29,19 @@ class TreeView {
  public:
   virtual ~TreeView() = default;
 
+  /// The parent-port column, one entry per processor: entry p is the
+  /// port of p whose link leads to its parent A_p.  The root's entry is a
+  /// placeholder (0 or kNoPort), so readers test the root first.  The one
+  /// accessor each tree implements.
+  [[nodiscard]] virtual std::span<const Port> parentPorts() const = 0;
+
   /// The port of p whose link leads to its parent A_p (kNoPort for the
-  /// root): the one accessor each tree implements.
-  [[nodiscard]] virtual Port parentPort(NodeId p) const = 0;
+  /// root).
+  [[nodiscard]] Port parentPort(NodeId p) const {
+    return p == treeGraph().root()
+               ? kNoPort
+               : parentPorts()[static_cast<std::size_t>(p)];
+  }
 
   /// A_p: the processor's current parent (kNoNode for the root).
   [[nodiscard]] NodeId parentOf(NodeId p) const {
@@ -50,8 +65,8 @@ class FixedTree final : public TreeView {
  public:
   FixedTree(const Graph& graph, const std::vector<NodeId>& parent);
 
-  [[nodiscard]] Port parentPort(NodeId p) const override {
-    return parentPort_[static_cast<std::size_t>(p)];
+  [[nodiscard]] std::span<const Port> parentPorts() const override {
+    return parentPort_;
   }
   [[nodiscard]] const Graph& treeGraph() const override { return *graph_; }
 

@@ -8,6 +8,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/checker.hpp"
 #include "core/graph.hpp"
@@ -132,51 +134,81 @@ TEST(DftnoExhaustive, NaiveSpecPredicateIsNotClosed) {
   EXPECT_NE(res.failure.find("closure"), std::string::npos) << res.failure;
 }
 
-TEST(DftnoReachable, OverlayLayerOnPath3FromLegitSubstrate) {
-  // Verifies the paper's Theorem 3.2.3 contract on path-3: once L_TC
-  // holds, the composed system converges to L_NO and stays there.
-  // Seeds: every configuration of the substrate's legitimate orbit ×
-  // a dense deterministic sample of orientation-layer states (the truly
-  // exhaustive composed check runs on path-2 above).
-  Dftno dftno(Graph::path(3));
-  const int n = 3;
-  std::vector<std::vector<std::uint64_t>> seeds;
-  Dftc sub(Graph::path(3));
+/// Seeds for the overlay check over a legitimate substrate: every
+/// configuration of L_TC's walk from the clean round boundary, times
+/// every overlay assignment (η, Max and the π row at every node).  L_TC
+/// is closed and every DFTNO move projects onto a DFTC move or leaves the
+/// substrate as it is, so the states reachable from these seeds are
+/// exactly the seeds' closure under DFTNO.
+std::vector<std::vector<std::uint64_t>> legitSubstrateSeeds(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  Dftc sub(g);
   sub.resetClean();
-  // Walk the substrate orbit, collecting substrate configurations.
-  std::vector<std::vector<std::uint64_t>> orbitConfigs;
-  {
-    std::set<std::vector<std::uint64_t>> seen;
-    while (seen.insert(sub.encodeConfiguration()).second) {
-      orbitConfigs.push_back(sub.encodeConfiguration());
-      const auto moves = sub.enabledMoves();
-      ASSERT_EQ(moves.size(), 1u);
-      sub.execute(moves.front().node, moves.front().action);
-    }
+  std::vector<std::vector<std::uint64_t>> walk;
+  std::set<std::vector<std::uint64_t>> seen;
+  while (seen.insert(sub.encodeConfiguration()).second) {
+    walk.push_back(sub.encodeConfiguration());
+    const auto moves = sub.enabledMoves();
+    EXPECT_EQ(moves.size(), 1u);
+    sub.execute(moves.front().node, moves.front().action);
   }
-  std::vector<std::uint64_t> overlayCount(static_cast<std::size_t>(n));
-  for (NodeId p = 0; p < n; ++p)
-    overlayCount[static_cast<std::size_t>(p)] =
-        dftno.localStateCount(p) / sub.localStateCount(p);
-  Rng rng(0xC0FFEE);
-  constexpr int kOverlaySamples = 3000;
-  for (const auto& subCfg : orbitConfigs) {
-    for (int s = 0; s < kOverlaySamples; ++s) {
-      std::vector<std::uint64_t> cfg(static_cast<std::size_t>(n));
-      for (NodeId p = 0; p < n; ++p) {
-        const std::uint64_t ov = static_cast<std::uint64_t>(
-            rng.below(static_cast<int>(overlayCount[static_cast<std::size_t>(p)])));
-        cfg[static_cast<std::size_t>(p)] =
-            subCfg[static_cast<std::size_t>(p)] +
-            sub.localStateCount(p) * ov;
+  // A DFTNO code is the substrate code plus the overlay index times the
+  // substrate's local state count (the substrate arena comes first).
+  const Dftno dftno(g);
+  std::vector<std::uint64_t> subCount(n), overlayCount(n);
+  std::uint64_t assignments = 1;
+  for (NodeId p = 0; p < g.nodeCount(); ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    subCount[i] = sub.localStateCount(p);
+    overlayCount[i] = dftno.localStateCount(p) / subCount[i];
+    assignments *= overlayCount[i];
+  }
+  std::vector<std::vector<std::uint64_t>> seeds;
+  seeds.reserve(walk.size() * assignments);
+  for (const auto& subCfg : walk) {
+    for (std::uint64_t a = 0; a < assignments; ++a) {
+      std::vector<std::uint64_t> cfg(n);
+      std::uint64_t rest = a;
+      for (std::size_t i = 0; i < n; ++i) {
+        cfg[i] = subCfg[i] + subCount[i] * (rest % overlayCount[i]);
+        rest /= overlayCount[i];
       }
       seeds.push_back(std::move(cfg));
     }
   }
-  const mc::Result res = checkerFor<Dftno>(Graph::path(3))
-                             .checkReachable(seeds, checkOptions(
-                                 8'000'000, Fairness::kWeaklyFair));
+  return seeds;
+}
+
+TEST(DftnoReachable, OverlayLayerOnPath3FromLegitSubstrate) {
+  // Verifies the paper's Theorem 3.2.3 contract on path-3: once L_TC
+  // holds, the composed system converges to L_NO and stays there, from
+  // every substrate configuration of L_TC and every overlay assignment:
+  // 13 × 59,049 = 767,637 seeds, each its own state.
+  const std::vector<std::vector<std::uint64_t>> seeds =
+      legitSubstrateSeeds(Graph::path(3));
+  ASSERT_EQ(seeds.size(), 13u * 59'049u);
+  const mc::Result res =
+      checkerFor<Dftno>(Graph::path(3))
+          .checkReachable(seeds,
+                          checkOptions(8'000'000, Fairness::kWeaklyFair, 4));
   EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_EQ(res.statesExplored, seeds.size());
+}
+
+// Erratum 4 from a legitimate substrate: with the paper's guard
+// ¬Token(p) ∧ InvalidEdgelabel(p), the overlay check over L_TC finds the
+// weakly fair cycle that the full-space check on path:2 finds.
+TEST(DftnoReachable, PaperGuardFromLegitSubstrateHasAWeaklyFairCycle) {
+  for (const Graph& g : {Graph::path(2), Graph::path(3)}) {
+    SCOPED_TRACE("n=" + std::to_string(g.nodeCount()));
+    const mc::Result res =
+        checkerFor<Dftno>(g, EdgeLabelGuard::kPaperFaithful)
+            .checkReachable(legitSubstrateSeeds(g),
+                            checkOptions(8'000'000, Fairness::kWeaklyFair, 4));
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.failure.find("fair-feasible cycle"), std::string::npos)
+        << res.failure;
+  }
 }
 
 // Multi-word fairness masks: ring:12 has 12·6 = 72 (processor, action)

@@ -29,6 +29,7 @@
 #include "orientation/dftno.hpp"
 #include "orientation/stno.hpp"
 #include "sptree/bfs_tree.hpp"
+#include "sptree/dfs_tree.hpp"
 
 namespace ssno {
 namespace {
@@ -124,6 +125,37 @@ TEST(GuardBatch, UnalignedBatchSizes) {
   }
 }
 
+// Faults can put any raw value in STNO's overlay columns: η, Start and
+// π entries outside [0, N), W outside [1, N].  The kernel's division-
+// free Start walk takes the exact % form for those, so it must still
+// match the scalar guards mask by mask, over the BFS tree and over a
+// fixed one.
+TEST(GuardBatch, StnoKernelMatchesScalarOnOutOfRangeRawValues) {
+  for (const Graph& g : topologies()) {
+    const int n = g.nodeCount();
+    std::vector<NodeId> all(static_cast<std::size_t>(n));
+    for (NodeId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
+    for (const bool fixedTree : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const std::unique_ptr<Stno> stno =
+            fixedTree ? std::make_unique<Stno>(g, portOrderDfsTree(g))
+                      : std::make_unique<Stno>(g);
+        Rng rng(seed);
+        stno->randomize(rng);
+        for (NodeId p = 0; p < n; ++p) {
+          // The overlay arena is the last: W, η, the Start and π rows.
+          std::vector<int> raw = stno->rawNode(p);
+          const auto overlay = static_cast<std::size_t>(2 + 2 * g.degree(p));
+          for (std::size_t i = raw.size() - overlay; i < raw.size(); ++i)
+            if (rng.chance(0.3)) raw[i] = rng.below(4 * n) - 2 * n;
+          stno->setRawNode(p, raw);
+        }
+        expectKernelMatchesScalar(*stno, all);
+      }
+    }
+  }
+}
+
 struct RunRecord {
   std::vector<int> config;
   StepCount moves = 0;
@@ -215,7 +247,8 @@ TEST(GuardBatch, WriteLogRestoreRoundtripOnFullConfigurationPath) {
 
 TEST(GuardBatch, BatchedExecuteUndoRoundtrip) {
   // The same roundtrip through the batched doExecuteSimultaneous fast
-  // path (Dftc/Dftno opt in) and the rollback path (Stno/BfsTree).
+  // path, which all four protocols here take (LexDfsTree alone keeps
+  // the rollback path; sync_equiv_test covers it).
   for (const Proto kind : kProtos) {
     const Graph g = Graph::ring(12);
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {

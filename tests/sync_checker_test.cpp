@@ -14,6 +14,7 @@
 #include "dftc/dftc.hpp"
 #include "mc/explorer.hpp"
 #include "oracle/explore_oracle.hpp"
+#include "orientation/stno.hpp"
 #include "sptree/bfs_tree.hpp"
 #include "toy_protocols.hpp"
 
@@ -123,12 +124,37 @@ TEST(SyncChecker, FairnessModesAreRejected) {
   EXPECT_NE(res.failure.find("synchronous"), std::string::npos);
 }
 
+// Synchronous verdicts, full space under Fairness::kNone, for the
+// protocols whose synchronous steps run through their two-phase batch
+// (the checker expands each successor with execute and undo): BfsTree
+// on path:3 and ring:4, and STNO over BfsTree on path:2 all converge.
+// The counts pin the explored graph.
+bool bfsLegit(Protocol& p) { return static_cast<BfsTree&>(p).isLegitimate(); }
+
 TEST(SyncChecker, ExplorerAgreesWithOracleOnBfsTree) {
   const mc::Result res =
-      checkSynchronously(factoryOf<BfsTree>(Graph::path(3)), [](Protocol& p) {
-        return static_cast<BfsTree&>(p).isLegitimate();
-      });
+      checkSynchronously(factoryOf<BfsTree>(Graph::path(3)), bfsLegit);
+  EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_EQ(res.statesExplored, 8u);
+  EXPECT_EQ(res.transitions, 10u);
+}
+
+TEST(SyncChecker, BfsTreeConvergesSynchronouslyOnRing4) {
+  const mc::Result res =
+      checkSynchronously(factoryOf<BfsTree>(Graph::ring(4)), bfsLegit);
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_EQ(res.statesExplored, 216u);
+  EXPECT_EQ(res.transitions, 528u);
+}
+
+TEST(SyncChecker, StnoOverBfsTreeConvergesSynchronouslyOnPath2) {
+  const mc::Result res =
+      checkSynchronously(factoryOf<Stno>(Graph::path(2)), [](Protocol& p) {
+        return static_cast<Stno&>(p).isLegitimate();
+      });
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_EQ(res.statesExplored, 256u);
+  EXPECT_EQ(res.transitions, 672u);
 }
 
 /// DFTC on a tiny ring under synchronous steps: whatever the verdict,

@@ -20,6 +20,7 @@
 #include "core/state_arena.hpp"
 #include "core/sync_engine.hpp"
 #include "dftc/dftc.hpp"
+#include "obs/metrics.hpp"
 #include "oracle/sim_oracle.hpp"
 #include "oracle/step_oracle.hpp"
 #include "oracle/view_oracle.hpp"
@@ -144,9 +145,9 @@ TEST(SyncEquivalence, FullSnapshotFallbackMatchesTheReferenceSimulator) {
 }
 
 // Single steps against the brute-force step on every engine path: the
-// batched two-phase kernels (Dftc, Dftno), the neighborhood rollback
-// (Stno, BfsTree, LexDfsTree) and the write-logging full-configuration
-// path (InitBasedOrientation).  Odd rounds select few movers, so the
+// batched two-phase kernels (Dftc, Dftno, Stno, BfsTree), the
+// neighborhood rollback (LexDfsTree) and the write-logging
+// full-configuration path (InitBasedOrientation).  Odd rounds select few movers, so the
 // step stays below Protocol::endSimultaneousStep's dense threshold and
 // the cache patches only the step's dirty region.  One long-lived cache
 // is refreshed and checked against a full scan after every step and
@@ -200,6 +201,38 @@ TEST(SimultaneousEngine, MatchesBruteForceAndUndoRestores) {
       ASSERT_NO_FATAL_FAILURE(
           oracle::expectViewMatchesScan(cache.refreshView(), *proto));
     }
+  }
+}
+
+// Which path each production protocol's synchronous steps take: the
+// two-phase batch (Dftc, Dftno, BfsTree, Stno) rolls nothing back, so
+// sync_rollback_nodes_total stays flat, while LexDfsTree keeps the
+// neighbourhood-rollback path under test and the counter rises.  A batch
+// executor that returned false would fall back to the rollback path and
+// fail here, although every run would stay correct.
+TEST(SimultaneousEngine, EachProtocolTakesItsPath) {
+  const Graph g = Graph::grid(4, 4);
+  const obs::Registry& reg = obs::Registry::global();
+  for (Proto kind : {Proto::kDftc, Proto::kDftno, Proto::kBfsTree,
+                     Proto::kStno, Proto::kLexDfsTree}) {
+    SCOPED_TRACE("proto=" + std::to_string(int(kind)));
+    const std::unique_ptr<Protocol> proto = makeProto(kind, g);
+    Rng rng(17);
+    proto->randomize(rng);
+    SynchronousDaemon daemon;
+    Simulator sim(*proto, daemon, rng);
+    const std::uint64_t steps0 = reg.counterValue("sync_steps_total");
+    const std::uint64_t rollbacks0 =
+        reg.counterValue("sync_rollback_nodes_total");
+    for (int i = 0; i < 20 && !sim.stepOnce().empty(); ++i) {
+    }
+    EXPECT_GT(reg.counterValue("sync_steps_total"), steps0);
+    const std::uint64_t rollbacks =
+        reg.counterValue("sync_rollback_nodes_total") - rollbacks0;
+    if (kind == Proto::kLexDfsTree)
+      EXPECT_GT(rollbacks, 0u);
+    else
+      EXPECT_EQ(rollbacks, 0u);
   }
 }
 

@@ -1,5 +1,6 @@
 // TreeView::parentPort on every tree: the port of p whose link leads to
-// its parent, kNoPort at the root.  STNO reads Start_{A_p}[p] through it
+// its parent, kNoPort at the root, and the same value in the tree's
+// parent-port column at every other node.  STNO reads Start_{A_p}[p] through it
 // (graph().backPort(p, parentPort(p))), so it must be the tree's own
 // parent pointer through randomization, moves and raw-state faults.
 #include "sptree/tree_view.hpp"
@@ -20,11 +21,14 @@
 namespace ssno {
 namespace {
 
-/// parentPort(p) == portOf(p, parentOf(p)) for every non-root p, and the
-/// parent port is the `par` entry at `parIndex` of p's raw state.
+/// parentPort(p) == portOf(p, parentOf(p)) for every non-root p, the
+/// parent port is the `par` entry at `parIndex` of p's raw state, and the
+/// parent-port column STNO's kernel reads holds it.
 template <class Tree>
 void expectParentPortsMatch(const Tree& tree, std::size_t parIndex) {
   const Graph& g = tree.treeGraph();
+  ASSERT_EQ(tree.parentPorts().size(),
+            static_cast<std::size_t>(g.nodeCount()));
   for (NodeId p = 0; p < g.nodeCount(); ++p) {
     if (p == g.root()) {
       EXPECT_EQ(tree.parentPort(p), kNoPort);
@@ -34,6 +38,8 @@ void expectParentPortsMatch(const Tree& tree, std::size_t parIndex) {
     const Port l = tree.parentPort(p);
     EXPECT_EQ(l, g.portOf(p, tree.parentOf(p))) << "node " << p;
     EXPECT_EQ(l, tree.rawNode(p)[parIndex]) << "node " << p;
+    EXPECT_EQ(l, tree.parentPorts()[static_cast<std::size_t>(p)])
+        << "node " << p;
   }
 }
 
@@ -90,6 +96,11 @@ TEST(TreeView, FixedDfsTreeParentPorts) {
       EXPECT_EQ(tree.parentPort(p),
                 p == g.root() ? kNoPort : g.portOf(p, parent))
           << "node " << p;
+      if (p != g.root()) {
+        EXPECT_EQ(tree.parentPorts()[static_cast<std::size_t>(p)],
+                  tree.parentPort(p))
+            << "node " << p;
+      }
     }
   }
 }
