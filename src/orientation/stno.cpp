@@ -168,7 +168,7 @@ void Stno::evaluateGuards(std::span<const NodeId> nodes,
       sum += weight[q];
     }
     // For a leaf startBad is vacuously false, so the non-root leaf and
-    // interior forms of InvalidNodelabel collapse into one expression.
+    // interior forms of InvalidNodelabel collapse into one test.
     bool invalidNode = startBad;
     if (p == root) {
       invalidNode = invalidNode || eta[p] != 0;
@@ -176,8 +176,8 @@ void Stno::evaluateGuards(std::span<const NodeId> nodes,
       // η_p against Start_{A_p}[p], the parent's entry at the back port
       // of p's parent port.
       const auto l = static_cast<std::size_t>(par[p]);
-      const auto back_l = static_cast<std::size_t>(back[l]);
-      invalidNode = eta[p] != start[g.portBase(nbrs[l]) + back_l];
+      const auto atParent = static_cast<std::size_t>(back[l]);
+      invalidNode = eta[p] != start[g.portBase(nbrs[l]) + atParent];
     }
     std::uint64_t mask = masks[i] & 1;  // substrate TreeFix bit
     if (invalidNode) {
