@@ -8,6 +8,10 @@
 // processors' guards and patches the cached set, dropping the
 // steady-state per-step cost to O(Δ²·actions) guard evaluations, and
 // reuses its buffers so steady-state refreshes perform no allocations.
+// A move's dirty region is Protocol::dirtyAfterWrite(p, action): N[p],
+// or only the guards that read what its statement wrote — p alone after
+// a DFTNO or STNO EdgeLabel move, p and its tree parent after an STNO
+// Weight move.
 //
 // The cache's native representation is bitmask SoA: one action mask per
 // node, a two-level SummaryBitset of enabled nodes (a summary bit per

@@ -71,7 +71,7 @@ void Protocol::setRawNode(NodeId p, std::span<const int> values) {
   std::size_t at = 0;
   for (StateArena* a : arenas_) at += a->readRawNode(p, values.subspan(at));
   SSNO_EXPECTS(at == values.size());
-  noteWrite(p);
+  noteWrite(p, kAnyWrite);
 }
 
 std::vector<std::uint64_t> Protocol::encodeConfiguration() const {

@@ -24,16 +24,29 @@
 // state write at p can change the enabled relation only at p ∪ N(p).  The
 // base class exploits this: every mutating entry point (execute,
 // setRawNode, decodeNode, randomizeNode — the non-virtual public wrappers
-// below) records the written node's closed neighborhood in a dirty set,
-// and whole-configuration writes mark everything dirty.  An EnabledCache
-// drains the set and re-evaluates only dirty processors' guards instead
-// of rescanning all n each step.
+// below) records the write's dirty region, dirtyAfterWrite(p, action), in
+// a dirty set, and whole-configuration writes mark everything dirty.  An
+// EnabledCache drains the set and re-evaluates only dirty processors'
+// guards instead of rescanning all n each step.
+//
+// The dirty region is the set of guards that can read what the write
+// changed.  `action` names the statement that wrote (execute and the
+// batch pass their moves' actions), or is kAnyWrite for a write that is
+// not one statement (setRawNode, decodeNode, randomizeNode,
+// noteExternalWrite).  The default region is N[p] for every write; a
+// protocol whose statement writes a variable that fewer guards read may
+// narrow it for that action (Dftno and Stno: EdgeLabel writes π_p, read
+// by p's guard alone; Stno's Weight writes W_p, read by p's guard and
+// its tree parent's).
 //
 // Contract for protocol authors: ALL state writes must go through the
 // wrappers (or call dirtyNeighborhood/noteWriteAll explicitly for
-// internal resets), and a protocol whose guard at p reads state beyond
-// N[p] must override dirtyAfterWrite to extend the dirty region (see
-// InitBasedOrientation, whose numbering wave follows a global preorder).
+// internal resets).  dirtyAfterWrite(p, action) must cover every guard
+// that reads a variable the write can change: it may narrow N[p] only
+// for a statement whose write set it knows, must keep N[p] for
+// kAnyWrite, and must widen it when a guard at p reads state beyond N[p]
+// (see InitBasedOrientation, whose numbering wave follows a global
+// preorder).
 //
 // Writer feed (legitimacy trackers).  Independently of the dirty set,
 // the same notifications can feed a second, opt-in record: the written
@@ -114,11 +127,11 @@ class Protocol {
   }
 
   /// Atomically executes `action` at p.  Precondition: enabled(p, action).
-  /// Dirties p's closed neighborhood (statements write only p's own
-  /// variables).
+  /// Dirties the region dirtyAfterWrite(p, action) names (statements
+  /// write only p's own variables).
   void execute(NodeId p, int action) {
     doExecute(p, action);
-    noteWrite(p);
+    noteWrite(p, action);
   }
 
   /// Batched simultaneous execute: attempts to run a whole synchronous
@@ -136,7 +149,7 @@ class Protocol {
   bool executeSimultaneousBatch(std::span<const Move> moves) {
     SSNO_EXPECTS(defer_writes_);
     if (!doExecuteSimultaneous(moves)) return false;
-    for (const Move& m : moves) noteWrite(m.node);
+    for (const Move& m : moves) noteWrite(m.node, m.action);
     return true;
   }
 
@@ -151,7 +164,7 @@ class Protocol {
   /// Arbitrary state for a single processor (k-fault injection).
   void randomizeNode(NodeId p, Rng& rng) {
     doRandomizeNode(p, rng);
-    noteWrite(p);
+    noteWrite(p, kAnyWrite);
   }
 
   /// ---- Canonical state codec (model checking / hashing) ---------------
@@ -168,7 +181,7 @@ class Protocol {
   [[nodiscard]] virtual std::uint64_t encodeNode(NodeId p) const;
   void decodeNode(NodeId p, std::uint64_t code) {
     doDecodeNode(p, code);
-    noteWrite(p);
+    noteWrite(p, kAnyWrite);
   }
 
   /// ---- Raw state snapshot (overflow-safe, any graph size) -------------
@@ -212,12 +225,14 @@ class Protocol {
 
   /// ---- Simultaneous-step write bracket (deferred dirtying) -----------
   /// Between begin and end, the mutation wrappers above only RECORD the
-  /// written processors instead of expanding each write into its dirty
-  /// region; endSimultaneousStep then performs one deduplicated
-  /// dirtyAfterWrite pass over the recorded writers.  A dense
-  /// synchronous step executes + rolls back every actor several times,
-  /// so immediate dirtying fires ~n·Δ redundant notifications per step;
-  /// the bracket collapses that to one pass over actors ∪ N(actors).
+  /// written processors, each with its writer's action (kAnyWrite once a
+  /// processor is written in two different ways), instead of expanding
+  /// each write into its dirty region; endSimultaneousStep then performs
+  /// one deduplicated dirtyAfterWrite pass over the recorded writers.  A
+  /// dense synchronous step executes + rolls back every actor several
+  /// times, so immediate dirtying fires ~n·Δ redundant notifications per
+  /// step; the bracket collapses that to one pass over the actors'
+  /// regions, at most actors ∪ N(actors).
   /// Contract: no dirty-set consumer (EnabledCache refresh) may run
   /// inside the bracket, and brackets do not nest.  The simultaneous-
   /// step engine (core/sync_engine) is the intended driver.
@@ -246,8 +261,9 @@ class Protocol {
       return;
     }
     for (NodeId p : deferred_writers_) {
-      deferred_flag_[static_cast<std::size_t>(p)] = 0;
-      dirtyAfterWrite(p);
+      auto& flag = deferred_flag_[static_cast<std::size_t>(p)];
+      dirtyAfterWrite(p, flag - kDeferredBias);
+      flag = 0;
     }
     deferred_writers_.clear();
   }
@@ -255,9 +271,10 @@ class Protocol {
   /// Dirty notification for a state write performed OUTSIDE the mutation
   /// wrappers — e.g. a snapshot restore through StateArena columns,
   /// which bypasses the wrappers entirely.  Equivalent to the dirtying
-  /// (and writer-feed entry) a wrapper-mediated write at p would have
-  /// produced (deferred inside a simultaneous-step bracket).
-  void noteExternalWrite(NodeId p) { noteWrite(p); }
+  /// (and writer-feed entry) a setRawNode at p would have produced: any
+  /// variable may have changed, so the region is dirtyAfterWrite(p,
+  /// kAnyWrite) (deferred inside a simultaneous-step bracket).
+  void noteExternalWrite(NodeId p) { noteWrite(p, kAnyWrite); }
 
   /// ---- Declared state -------------------------------------------------
   /// Every arena holding this protocol's per-node state, sub-protocol
@@ -350,10 +367,21 @@ class Protocol {
   virtual void doRandomizeNode(NodeId p, Rng& rng);
   virtual void doDecodeNode(NodeId p, std::uint64_t code);
 
-  /// Dirty region of a state write at p.  The default — p's closed
-  /// neighborhood — is correct whenever guards read only N[p]; protocols
-  /// with non-local guard dependencies must widen it.
-  virtual void dirtyAfterWrite(NodeId p) { dirtyNeighborhood(p); }
+  /// The action dirtyAfterWrite receives for a write that is not one
+  /// statement: a raw or decoded node, a randomized node, an external
+  /// write, or a node a simultaneous step wrote in two different ways.
+  static constexpr int kAnyWrite = -1;
+
+  /// Dirty region of a state write at p by `action`'s statement, or of
+  /// any write (kAnyWrite): every processor whose guards can read a
+  /// variable the write changed.  The default — p's closed neighborhood —
+  /// is correct whenever guards read only N[p]; protocols with non-local
+  /// guard dependencies must widen it, and a statement whose writes fewer
+  /// guards read may narrow it.
+  virtual void dirtyAfterWrite(NodeId p, int action) {
+    (void)action;
+    dirtyNeighborhood(p);
+  }
 
   /// Marks a single node's guards as needing re-evaluation.
   void dirtyNode(NodeId p) {
@@ -389,10 +417,15 @@ class Protocol {
   }
 
  private:
-  /// Routes a write notification at p to the writer feed (when armed)
-  /// and to dirtyAfterWrite, or — inside a simultaneous-step bracket —
-  /// into the deduplicated deferred-writer record.
-  void noteWrite(NodeId p) {
+  /// deferred_flag_[p]: 0 while p has not written in the open bracket,
+  /// else kDeferredBias + the writer's action (kAnyWrite included).
+  static constexpr int kDeferredBias = 1 - kAnyWrite;
+
+  /// Routes a write notification at p by `action` to the writer feed
+  /// (when armed) and to dirtyAfterWrite, or — inside a simultaneous-step
+  /// bracket — into the deduplicated deferred-writer record, which
+  /// widens to kAnyWrite when p is written in two different ways.
+  void noteWrite(NodeId p, int action) {
     if (feed_armed_ && !all_written_) {
       auto& written = written_flag_[static_cast<std::size_t>(p)];
       if (!written) {
@@ -401,13 +434,17 @@ class Protocol {
       }
     }
     if (!defer_writes_) {
-      dirtyAfterWrite(p);
+      dirtyAfterWrite(p, action);
       return;
     }
     auto& flag = deferred_flag_[static_cast<std::size_t>(p)];
-    if (flag) return;
-    flag = 1;
-    deferred_writers_.push_back(p);
+    const auto code = static_cast<std::uint8_t>(action + kDeferredBias);
+    if (flag == 0) {
+      flag = code;
+      deferred_writers_.push_back(p);
+    } else if (flag != code) {
+      flag = kAnyWrite + kDeferredBias;
+    }
   }
 
   Graph graph_;

@@ -114,6 +114,11 @@ struct Result {
   bool ok = false;
   std::string failure;  ///< empty when ok
   std::uint64_t statesExplored = 0;
+  /// Enabled (processor, action) pairs, summed over the expanded states
+  /// (view.moveCount() per state).  Under central steps that is the
+  /// successor count.  Under synchronousSteps it is NOT the number of
+  /// simultaneous successors (one per selection): it counts the same
+  /// pairs, so over the same states it equals the central count.
   std::uint64_t transitions = 0;
   std::uint64_t peakFrontier = 0;
   std::uint64_t spillRuns = 0;  ///< run files written by the disk tier

@@ -92,7 +92,8 @@ void InitBasedOrientation::initializeAll() {
   noteWriteAll();
 }
 
-void InitBasedOrientation::dirtyAfterWrite(NodeId p) {
+void InitBasedOrientation::dirtyAfterWrite(NodeId p, int action) {
+  (void)action;
   dirtyNeighborhood(p);
   if (successor_[idx(p)] != kNoNode) dirtyNode(successor_[idx(p)]);
 }

@@ -63,8 +63,8 @@ class InitBasedOrientation final : public Protocol {
   /// The Number guard at p reads the `numbered` flag of p's preorder
   /// predecessor, which is generally NOT a neighbor (the wave order is a
   /// global DFS preorder), so a write at p must additionally dirty p's
-  /// preorder successor.
-  void dirtyAfterWrite(NodeId p) override;
+  /// preorder successor, whatever the action.
+  void dirtyAfterWrite(NodeId p, int action) override;
 
  private:
   [[nodiscard]] static std::size_t idx(NodeId p) {

@@ -132,6 +132,13 @@ bool Dftno::doExecuteSimultaneous(std::span<const Move> moves) {
   return true;
 }
 
+void Dftno::dirtyAfterWrite(NodeId p, int action) {
+  if (action == kEdgeLabel)
+    dirtyNode(p);
+  else
+    dirtyNeighborhood(p);
+}
+
 std::string Dftno::dumpNode(NodeId p) const {
   std::ostringstream out;
   out << dftc_.dumpNode(p) << " eta=" << eta_[p] << " max=" << max_[p]

@@ -145,6 +145,10 @@ class Dftno final : public Protocol {
   /// pre-step configuration, phase 2 commits — the whole dense step
   /// without the engine's per-move snapshot/rollback schedule.
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
+  /// EdgeLabel writes π_p alone, and no guard but p's own EdgeLabel reads
+  /// π (¬Token(p), under either EdgeLabelGuard, reads substrate columns
+  /// only), so its region is {p}.  Every other write keeps N[p].
+  void dirtyAfterWrite(NodeId p, int action) override;
 
  private:
   [[nodiscard]] int chordal(NodeId p, NodeId q) const {

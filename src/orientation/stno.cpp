@@ -293,6 +293,22 @@ bool Stno::doExecuteSimultaneous(std::span<const Move> moves) {
   return true;
 }
 
+void Stno::dirtyAfterWrite(NodeId p, int action) {
+  switch (action) {
+    case kEdgeLabel:
+      dirtyNode(p);
+      break;
+    case kWeight: {
+      dirtyNode(p);
+      const NodeId parent = view_->parentOf(p);
+      if (parent != kNoNode) dirtyNode(parent);
+      break;
+    }
+    default:
+      dirtyNeighborhood(p);
+  }
+}
+
 std::string Stno::dumpNode(NodeId p) const {
   std::ostringstream out;
   if (bfs_ != nullptr) out << bfs_->dumpNode(p) << ' ';

@@ -138,6 +138,15 @@ class Stno final : public Protocol {
   /// Batched synchronous step: phase 1 computes every move's outcome
   /// against the pre-step configuration, phase 2 commits.
   bool doExecuteSimultaneous(std::span<const Move> moves) override;
+  /// The guards that can read a move's writes.  EdgeLabel writes π_p,
+  /// which only p's own EdgeLabel guard reads: {p}.  Weight writes W_p,
+  /// which p's Weight guard reads and so does the one neighbour that
+  /// counts p as a child (its CalcWeight sum and Start check), the tree
+  /// parent; the child test excludes the root, so a root's W has no such
+  /// reader: {p, A_p}, or {p} at the root.  A Weight move writes no tree
+  /// column, so A_p is the same before and after it.  Every other write
+  /// keeps N[p].
+  void dirtyAfterWrite(NodeId p, int action) override;
 
  private:
   /// ---- Statements, two-phase: compute, then commit ------------------

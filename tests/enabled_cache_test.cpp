@@ -18,11 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/daemon.hpp"
@@ -392,6 +394,134 @@ TEST(EnabledCache, StnoOnAStarMatchesFullScanAfterEveryStep) {
       }
     }
   }
+}
+
+/// Every processor's enabled-action mask, by the scalar guards.
+std::vector<std::uint64_t> scanMasks(const Protocol& protocol) {
+  std::vector<std::uint64_t> masks(
+      static_cast<std::size_t>(protocol.graph().nodeCount()), 0);
+  for (const Move& m : protocol.enabledMoves())
+    masks[static_cast<std::size_t>(m.node)] |= std::uint64_t{1} << m.action;
+  return masks;
+}
+
+// The premise of the narrowed dirty regions (Protocol::dirtyAfterWrite):
+// Dftno's and Stno's EdgeLabel dirty {p}, and Stno's Weight {p, A_p}.
+// From randomized raw configurations, with η and W also outside their
+// domains, every enabled EdgeLabel and Weight move is executed alone:
+// its statement must change p's π row (its W) and nothing else in the
+// raw configuration, it must disable itself at p, and every processor
+// outside the region it dirtied must keep the guard mask a full scan
+// gave it before the move.
+TEST(EnabledCache, NarrowedRegionsCoverEveryGuardAMoveChanges) {
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<Protocol>(const Graph&)> make;
+    int edgeLabel;
+    int weight;  // -1: no Weight action
+  };
+  const std::vector<Case> cases = {
+      {"dftno",
+       [](const Graph& g) { return std::make_unique<Dftno>(g); },
+       Dftno::kEdgeLabel, -1},
+      {"dftno-paper-guard",
+       [](const Graph& g) {
+         return std::make_unique<Dftno>(g, EdgeLabelGuard::kPaperFaithful);
+       },
+       Dftno::kEdgeLabel, -1},
+      {"stno", [](const Graph& g) { return std::make_unique<Stno>(g); },
+       Stno::kEdgeLabel, Stno::kWeight},
+      {"stno-fixed-tree",
+       [](const Graph& g) {
+         return std::make_unique<Stno>(g, portOrderDfsTree(g));
+       },
+       Stno::kEdgeLabel, Stno::kWeight},
+  };
+  Rng topo(0xCA5E);
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"ring(9)", Graph::ring(9)},
+      {"grid(3x4)", Graph::grid(3, 4)},
+      {"star(8)", Graph::star(8)},
+      {"complete(6)", Graph::complete(6)},
+      {"random(10)", Graph::randomConnected(10, 0.3, topo)},
+  };
+  int executed[2] = {0, 0};  // EdgeLabel, Weight moves
+  for (const Case& c : cases) {
+    for (const auto& [graphName, g] : graphs) {
+      const int n = g.nodeCount();
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(c.name + " on " + graphName + " seed " +
+                     std::to_string(seed));
+        const std::unique_ptr<Protocol> protocol = c.make(g);
+        Rng rng(seed);
+        protocol->randomize(rng);
+        // The overlay arena is the last.  Dftno's is {η, Max, π row} and
+        // Stno's {W, η, Start row, π row}; push η and W out of range.
+        const bool stno = c.weight >= 0;
+        for (NodeId p = 0; p < n; ++p) {
+          std::vector<int> raw = protocol->rawNode(p);
+          const std::size_t rows =
+              static_cast<std::size_t>(g.degree(p)) * (stno ? 2 : 1);
+          const std::size_t eta = raw.size() - rows - (stno ? 1 : 2);
+          std::vector<std::size_t> slots = {eta};
+          if (stno) slots.push_back(eta - 1);  // W
+          for (const std::size_t slot : slots)
+            if (rng.chance(0.3)) raw[slot] = rng.below(4 * n) - 2 * n;
+          protocol->setRawNode(p, raw);
+        }
+        const std::vector<int> before = protocol->rawConfiguration();
+        const std::vector<std::uint64_t> masksBefore = scanMasks(*protocol);
+        std::vector<std::size_t> offset;  // p's first raw value
+        std::size_t at = 0;
+        for (NodeId p = 0; p < n; ++p) {
+          offset.push_back(at);
+          at += protocol->rawNodeLength(p);
+        }
+        for (const Move& m : protocol->enabledMoves()) {
+          if (m.action != c.edgeLabel && m.action != c.weight) continue;
+          const NodeId p = m.node;
+          const auto deg = static_cast<std::size_t>(g.degree(p));
+          const std::size_t end =
+              offset[static_cast<std::size_t>(p)] + protocol->rawNodeLength(p);
+          // The written slice: π is every layout's last row, and Stno's W
+          // comes before its η and two rows.
+          const std::size_t from =
+              m.action == c.edgeLabel ? end - deg : end - 2 * deg - 2;
+          const std::size_t to = m.action == c.edgeLabel ? end : from + 1;
+          SCOPED_TRACE(protocol->actionName(m.action) + " at " +
+                       std::to_string(p));
+          protocol->setRawConfiguration(before);
+          protocol->clearDirty();
+          protocol->execute(p, m.action);
+          ++executed[m.action == c.edgeLabel ? 0 : 1];
+          std::vector<NodeId> region = protocol->dirtyNodes();
+          std::sort(region.begin(), region.end());
+          const std::vector<int> after = protocol->rawConfiguration();
+          for (std::size_t i = 0; i < after.size(); ++i) {
+            if (i < from || i >= to) {
+              ASSERT_EQ(after[i], before[i]) << i;
+            }
+          }
+          ASSERT_FALSE(protocol->enabled(p, m.action));
+          // The region is the narrowed one: {p}, plus for Weight at most
+          // one neighbour (its tree parent).
+          ASSERT_TRUE(std::binary_search(region.begin(), region.end(), p));
+          ASSERT_LE(region.size(), m.action == c.edgeLabel ? 1U : 2U);
+          const std::vector<std::uint64_t> masksAfter = scanMasks(*protocol);
+          for (NodeId q = 0; q < n; ++q) {
+            if (!std::binary_search(region.begin(), region.end(), q)) {
+              ASSERT_EQ(masksAfter[static_cast<std::size_t>(q)],
+                        masksBefore[static_cast<std::size_t>(q)])
+                  << "q=" << q;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both statements ran often enough to cover the cases above.
+  EXPECT_GT(executed[0], 100);
+  EXPECT_GT(executed[1], 100);
 }
 
 }  // namespace
